@@ -28,17 +28,24 @@ class InputError(ValueError):
     pass
 
 
+def _load_spec(path, unreadable):
+    """Parse a manifold-spec file, mapping every user-caused failure to
+    InputError: `unreadable` (plus the OS reason) when the file cannot be
+    read, the positioned SpecFileError message when it is malformed."""
+    try:
+        return load_manifold_spec(path)
+    except OSError as exc:
+        raise InputError(f"{unreadable} ({exc.strerror})") from None
+    except SpecFileError as exc:
+        raise InputError(str(exc)) from None
+
+
 def _load_manifold(spec):
     """Built-in name or path to a manifold-spec file."""
     if spec in library.MANIFOLDS:
         return library.build_manifold(spec)
-    try:
-        doc = load_manifold_spec(spec)
-    except FileNotFoundError:
-        raise InputError(f"unknown manifold {spec!r} (not a built-in, not a file); "
-                         f"built-ins: {library.manifold_names()}")
-    except SpecFileError as exc:
-        raise InputError(str(exc))
+    doc = _load_spec(spec, f"unknown manifold {spec!r} (not a built-in, not a file); "
+                           f"built-ins: {library.manifold_names()}")
     if doc.manifold is None:
         raise InputError(f"{spec}: file declares no charts")
     return doc.manifold
@@ -50,15 +57,39 @@ def _parse_bundle(text):
             return bundles_mod.make_plane_bundle(int(text[2:]))
         except ValueError:
             raise InputError(f"bad bundle spec {text!r}; expected k=<integer>")
-    try:
-        doc = load_manifold_spec(text)
-    except FileNotFoundError:
-        raise InputError(f"bundle spec {text!r} is neither k=<int> nor a file")
-    except SpecFileError as exc:
-        raise InputError(str(exc))
+    doc = _load_spec(text, f"bundle spec {text!r} is neither k=<int> nor a file")
     if doc.bundle is None:
         raise InputError(f"{text}: file has no bundle block")
     return doc.bundle
+
+
+def _int_at_least(lo):
+    """argparse type: an integer >= lo."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {lo}")
+        return value
+
+    return parse
+
+
+# quadrature and scan node counts: QuadratureSpec.per_axis requires >= 2
+_node_count = _int_at_least(2)
+
+
+def _bundle_res(text):
+    """argparse type for bundle resolutions: an even node count."""
+    value = _node_count(text)
+    if value % 2:
+        raise argparse.ArgumentTypeError(
+            f"{value} is odd; an odd Gauss-Legendre count puts a node at the "
+            "chart origin, where the clutching angle atan2(x2, x1) is undefined")
+    return value
 
 
 def cmd_verify_gbc(args):
@@ -88,15 +119,15 @@ def cmd_verify_gbc(args):
 def cmd_index(args):
     t0 = time.perf_counter()
     if args.manifold and args.manifold not in library.MANIFOLDS:
-        doc = load_manifold_spec(args.manifold)
+        doc = _load_spec(args.manifold, f"cannot read manifold-spec file {args.manifold!r}")
         if args.field not in doc.fields:
             raise InputError(f"{args.manifold}: no field {args.field!r}")
         fieldspec = doc.fields[args.field]
     else:
         try:
             fieldspec = library.build_field(args.field)
-        except KeyError as exc:
-            raise InputError(str(exc))
+        except (KeyError, ValueError) as exc:
+            raise InputError(f"--field {args.field!r}: {exc}")
     result = index_mod.index_sum(fieldspec, scan_resolution=args.scan)
     report = Report(
         command="index",
@@ -270,7 +301,7 @@ def build_parser():
                        "over a manifold and compare with its Euler characteristic")
     p.add_argument("--manifold", required=True,
                    help="built-in name or manifold-spec file")
-    p.add_argument("--res", type=int, default=None)
+    p.add_argument("--res", type=_node_count, default=None)
     p.add_argument("--extrapolate", action="store_true")
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_verify_gbc)
@@ -280,21 +311,21 @@ def build_parser():
                    help="built-in field name (morse, rotation, constant, z, "
                         "z2, z^K) or a field in a spec file")
     p.add_argument("--manifold", default=None, help="spec file for file fields")
-    p.add_argument("--scan", type=int, default=48)
+    p.add_argument("--scan", type=_node_count, default=48)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("euler-class", help="transition-function and "
                        "Pfaffian-connection integrals of a plane bundle")
     p.add_argument("--bundle", required=True, help="k=<int> or spec file")
-    p.add_argument("--res", type=int, default=96)
+    p.add_argument("--res", type=_bundle_res, default=96)
     p.add_argument("--tol", type=float, default=1e-5)
     p.set_defaults(func=cmd_euler_class)
 
     p = sub.add_parser("mq", help="Thom-form fiber integrals and Euler number")
     p.add_argument("--bundle", required=True, help="k=<int> or spec file")
-    p.add_argument("--fiber-nodes", type=int, default=40)
-    p.add_argument("--base-points", type=int, default=10)
-    p.add_argument("--res", type=int, default=96)
+    p.add_argument("--fiber-nodes", type=_node_count, default=40)
+    p.add_argument("--base-points", type=_int_at_least(1), default=10)
+    p.add_argument("--res", type=_bundle_res, default=96)
     p.add_argument("--tol", type=float, default=1e-5)
     p.set_defaults(func=cmd_mq)
 
@@ -322,9 +353,6 @@ def main(argv=None):
     try:
         report = args.func(args)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(report_to_json(report, include_wall_time=not args.no_wall_time))

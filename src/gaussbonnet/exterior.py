@@ -26,8 +26,8 @@ import numpy as np
 
 __all__ = [
     "FormElement", "BigradedElement", "SkewFormMatrix",
-    "wedge_sign", "merge_indices", "pfaffian", "pfaffian_definition",
-    "pfaffian_numeric", "berezin", "berezin_fiber", "exp_nilpotent",
+    "wedge_sign", "merge_indices", "perm_sign", "pfaffian", "pfaffian_terms",
+    "pfaffian_definition", "pfaffian_numeric", "berezin", "berezin_fiber", "exp_nilpotent",
     "two_vector", "dp_extend", "dp_extend4", "supertrace",
     "patodi_coefficient", "killing_double_sum", "lambda_basis",
 ]
@@ -284,41 +284,43 @@ class SkewFormMatrix:
         return cls(d, ent)
 
 
-def _pfaffian_terms(entry, indices, memo):
-    if not indices:
-        return None  # scalar 1 handled by caller
-    key = indices
-    if key in memo:
-        return memo[key]
-    i0 = indices[0]
-    rest = indices[1:]
-    acc = None
-    for pos, j in enumerate(rest):
-        sub = tuple(k for k in rest if k != j)
-        sign = (-1) ** pos
-        factor = entry(i0, j)
-        if sub:
-            sub_pf = _pfaffian_terms(entry, sub, memo)
-            term = wedge(factor, sub_pf)
-        else:
-            term = factor
-        term = term * sign
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = FormElement(entry(i0, rest[0]).n)
-    memo[key] = acc
-    return acc
+def pfaffian_terms(entry, d):
+    """Pfaffian of a d x d skew matrix of even forms, as {index tuple: coefficient}.
+
+    entry(i, j), for i < j, returns matrix entry (i, j) as a map from
+    strictly increasing index tuples to coefficients: scalars, or (N,)
+    arrays for a stack of N matrices sharing one sparsity pattern.
+    Recursive first-row expansion, memoized on index subsets; entries
+    commute because they are of even degree.  Zero coefficients are kept.
+    """
+    memo = {(): {(): 1}}
+
+    def pf(indices):
+        if indices not in memo:
+            i0, rest = indices[0], indices[1:]
+            acc = {}
+            for pos, j in enumerate(rest):
+                ent = entry(i0, j)
+                for idx1, c1 in pf(tuple(k for k in rest if k != j)).items():
+                    for idx2, c2 in ent.items():
+                        s, merged = merge_indices(idx2, idx1)
+                        if s:
+                            acc[merged] = acc.get(merged, 0) + ((-1) ** pos * s) * (c2 * c1)
+            memo[indices] = acc
+        return memo[indices]
+
+    return pf(tuple(range(d)))
 
 
 def pfaffian(a: SkewFormMatrix) -> FormElement:
-    """Pfaffian by recursive first-row expansion, memoized on index subsets.
+    """Pfaffian by recursive first-row expansion (see pfaffian_terms).
 
-    Matches the permutation-sum definition (see pfaffian_definition);
-    entries commute because they are of even degree.
+    Matches the permutation-sum definition (see pfaffian_definition).
     """
     if a.d % 2:
         raise ValueError("Pfaffian needs even dimension")
-    return _pfaffian_terms(lambda i, j: a.entries[i][j], tuple(range(a.d)), {})
+    return FormElement(a.entries[0][1].n,
+                       pfaffian_terms(lambda i, j: a.entries[i][j].terms, a.d))
 
 
 def pfaffian_definition(a: SkewFormMatrix) -> FormElement:
@@ -332,7 +334,7 @@ def pfaffian_definition(a: SkewFormMatrix) -> FormElement:
     half = d // 2
     total = FormElement(a.entries[0][0].n)
     for sigma in itertools.permutations(range(d)):
-        sgn = _perm_sign(sigma)
+        sgn = perm_sign(sigma)
         prod = a.entries[sigma[0]][sigma[1]]
         for i in range(1, half):
             prod = wedge(prod, a.entries[sigma[2 * i]][sigma[2 * i + 1]])
@@ -347,7 +349,7 @@ def pfaffian_numeric(m) -> float:
     return c.real if isinstance(c, complex) else float(c)
 
 
-def _perm_sign(sigma):
+def perm_sign(sigma):
     sign = 1
     seen = [False] * len(sigma)
     for i in range(len(sigma)):
@@ -545,7 +547,7 @@ def killing_double_sum(a, pairing="interleaved"):
     half = d // 2
     total = 0.0
     perms = list(itertools.permutations(range(d)))
-    signs = {sigma: _perm_sign(sigma) for sigma in perms}
+    signs = {sigma: perm_sign(sigma) for sigma in perms}
     for s1 in perms:
         for s2 in perms:
             prod = 1.0

@@ -12,6 +12,7 @@ is +(2 pi)^{-d/2}, frozen for all dimensions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exterior import pfaffian
+from .exterior import perm_sign, pfaffian, pfaffian_terms
 from .geometry import point_geometry, point_geometry_batch
 from .quadrature import integrate_atlas, richardson
 
@@ -34,60 +35,15 @@ __all__ = [
 CALIBRATED_SIGN = 1.0
 
 
-def _pf_top_batch(rf):
-    """Top-form coefficient of Pf(curvature 2-form matrix), batched.
-
-    rf has shape (N, d, d, d, d); entry (a, b) of the matrix is the 2-form
-    sum_{k<l} rf[:, a, b, k, l] w^k w^l.  Recursive first-row expansion on
-    sparse coefficient maps {index tuple -> (N,) array}.
-    """
-    n, d = rf.shape[0], rf.shape[1]
-    pairs = [(k, l) for k in range(d) for l in range(k + 1, d)]
-
-    from .exterior import merge_indices
-
-    def entry(a, b):
-        return {(k, l): rf[:, a, b, k, l] for (k, l) in pairs}
-
-    memo = {}
-
-    def pf(indices):
-        if indices in memo:
-            return memo[indices]
-        i0, rest = indices[0], indices[1:]
-        acc = {}
-        for pos, j in enumerate(rest):
-            sub_idx = tuple(k for k in rest if k != j)
-            sign0 = (-1) ** pos
-            ent = entry(i0, j)
-            if sub_idx:
-                for idx1, c1 in pf(sub_idx).items():
-                    for idx2, c2 in ent.items():
-                        s, merged = merge_indices(idx2, idx1)
-                        if s:
-                            key = merged
-                            contrib = (sign0 * s) * (c2 * c1)
-                            acc[key] = acc.get(key, 0) + contrib
-            else:
-                for idx2, c2 in ent.items():
-                    acc[idx2] = acc.get(idx2, 0) + sign0 * c2
-        memo[indices] = acc
-        return acc
-
-    top = tuple(range(d))
-    result = pf(top).get(top)
-    if result is None:
-        return np.zeros(n)
-    return result
-
-
 def gb_density_pfaffian_batch(chart, points):
     points = np.asarray(points, dtype=float)
     d = chart.dim
     if d % 2:
         raise ValueError("even dimension required")
-    b = point_geometry_batch(chart, points)
-    coeff = _pf_top_batch(b.riemann_frame)
+    rf = point_geometry_batch(chart, points).riemann_frame
+    pairs = [(k, l) for k in range(d) for l in range(k + 1, d)]
+    coeff = pfaffian_terms(lambda a, b: {(k, l): rf[:, a, b, k, l] for k, l in pairs},
+                           d)[tuple(range(d))]
     return CALIBRATED_SIGN * (2 * math.pi) ** (-d / 2) * coeff
 
 
@@ -95,8 +51,8 @@ def gb_density_pfaffian(chart, x):
     """Scalar s with integrand = s * dvol at x, via the Pfaffian route.
 
     Cross-checked against the generic exterior-algebra Pfaffian of the
-    omega2 matrix in the test suite; the batched expansion here is the
-    integration-speed path.
+    omega2 matrix in the test suite; both run exterior.pfaffian_terms, this
+    path on (N,) coefficient arrays taken straight from riemann_frame.
     """
     return float(gb_density_pfaffian_batch(chart, np.asarray(x, dtype=float)[None, :])[0])
 
@@ -109,20 +65,10 @@ def gb_density_pfaffian_reference(chart, x):
     return CALIBRATED_SIGN * (2 * math.pi) ** (-d / 2) * float(np.real(coeff))
 
 
-def _perm_pairs(d):
-    perms = list(itertools.permutations(range(d)))
-    signs = []
-    for sigma in perms:
-        sgn = 1
-        for i in range(d):
-            for j in range(i + 1, d):
-                if sigma[i] > sigma[j]:
-                    sgn = -sgn
-        signs.append(sgn)
-    return perms, signs
-
-
-_PERM_CACHE = {}
+@functools.lru_cache(maxsize=None)
+def _signed_perms(d):
+    perms = tuple(itertools.permutations(range(d)))
+    return perms, tuple(perm_sign(sigma) for sigma in perms)
 
 
 def gb_density_aw_batch(chart, points):
@@ -136,9 +82,7 @@ def gb_density_aw_batch(chart, points):
     d = chart.dim
     if d % 2:
         raise ValueError("even dimension required")
-    if d not in _PERM_CACHE:
-        _PERM_CACHE[d] = _perm_pairs(d)
-    perms, signs = _PERM_CACHE[d]
+    perms, signs = _signed_perms(d)
     rf = point_geometry_batch(chart, points).riemann_frame
     n = rf.shape[0]
     total = np.zeros(n)

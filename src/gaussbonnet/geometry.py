@@ -15,7 +15,11 @@ conventions, fixed once and consumed by the curvature-integral modules:
 * omega2[a][b] = sum_{k<l} Rf[a,b,k,l] w^k ^ w^l in frame indices.
 
 Batched variants operate on (N, d) point arrays and return stacked
-tensors; the scalar API wraps batch size 1.
+tensors; the scalar API wraps batch size 1.  Geodesics and parallel
+transport share one batched RK4 integrator: geodesic, geodesic_transport
+and parallel_transport are batch-of-one wrappers around it, and every
+geodesic row is wrapped on periodic axes and range-checked after every
+step.
 """
 
 from __future__ import annotations
@@ -80,11 +84,13 @@ class Chart:
                    metric, w, params, var_names)
 
     def contains(self, x, margin=0.0):
+        """True when the point x, or every row of an (N, d) array, lies
+        strictly inside the non-periodic ranges."""
         x = np.asarray(x)
         for i, (lo, hi) in enumerate(self.ranges):
             if self.periodic[i]:
                 continue
-            if not (lo + margin < x[i] < hi - margin):
+            if not np.all((lo + margin < x[..., i]) & (x[..., i] < hi - margin)):
                 return False
         return True
 
@@ -298,22 +304,81 @@ def point_geometry(chart, x):
 # Geodesics and parallel transport (fixed-step classic RK4)
 # --------------------------------------------------------------------------
 
-def _geodesic_rhs(chart, x, v, w=None, cotangent=False):
-    gamma = christoffels_at(chart, x[None, :])[0]
-    acc = -np.einsum("kij,i,j->k", gamma, v, v)
-    if w is None:
-        return acc, None
+def _rk4(rhs, state, steps, project=None):
+    """Classic RK4 over unit time on a tuple of (N, .) arrays.
+
+    rhs(t, state) returns the tuple of time derivatives; `project`, when
+    given, maps every new state back onto the domain (or raises).  Yields
+    the state after each step.
+    """
+    h = 1.0 / steps
+    t = 0.0
+    for _ in range(steps):
+        k1 = rhs(t, state)
+        k2 = rhs(t + 0.5 * h, tuple(s + 0.5 * h * k for s, k in zip(state, k1)))
+        k3 = rhs(t + 0.5 * h, tuple(s + 0.5 * h * k for s, k in zip(state, k2)))
+        k4 = rhs(t + h, tuple(s + h * k for s, k in zip(state, k3)))
+        state = tuple(s + h / 6.0 * (a + 2 * b + 2 * c + e)
+                      for s, a, b, c, e in zip(state, k1, k2, k3, k4))
+        if project is not None:
+            state = project(state)
+        t += h
+        yield state
+
+
+def _final(states):
+    for state in states:
+        pass
+    return state
+
+
+def _transport_rate(gamma, xdot, w, cotangent=False):
+    """Rows of dw/dt for w parallel along paths with velocities xdot.
+
+    Vectors obey wdot^k = -Gamma^k_ij xdot^i w^j; covectors the sign-flipped
+    transpose, wdot_j = Gamma^k_ij xdot^i w_k.
+    """
     if cotangent:
-        wdot = np.einsum("kij,i,k->j", gamma, v, w)
-    else:
-        wdot = -np.einsum("kij,i,j->k", gamma, v, w)
-    return acc, wdot
+        return np.einsum("nkij,ni,nk->nj", gamma, xdot, w)
+    return -np.einsum("nkij,ni,nj->nk", gamma, xdot, w)
 
 
-def _check_inside(chart, x):
-    if not chart.contains(x):
-        raise GeometryError(
-            f"path exits chart {chart.name!r} range at {x}")
+def _geodesic_flow(chart, x, v, steps, w=None, cotangent=False):
+    """Geodesics from the rows of (x, v) over unit parameter time, optionally
+    transporting the rows of w along them; yields (x, v[, w]) per step.
+
+    Periodic axes are wrapped and every row is range-checked after every
+    step.
+    """
+
+    def rhs(t, state):
+        x, v, *w = state
+        gamma = christoffels_at(chart, x)
+        return (v, _transport_rate(gamma, v, v)) + tuple(
+            _transport_rate(gamma, v, ww, cotangent) for ww in w)
+
+    def project(state):
+        x = chart.wrap(state[0])
+        if not chart.contains(x):
+            raise GeometryError(f"path exits chart {chart.name!r} range at {x}")
+        return (x,) + state[1:]
+
+    start = (x, v) if w is None else (x, v, w)
+    return _rk4(rhs, start, steps, project)
+
+
+def _arc_length_start(chart, x0, v0, arc_length, steps):
+    """(1, d) start rows with v0 rescaled to cover arc_length in unit time,
+    and the step count (default 256 per unit arc length, at least 64)."""
+    x = np.array(x0, dtype=float)
+    v = np.array(v0, dtype=float)
+    g0 = metric_jets(chart, x[None, :], order=0)[0][0]
+    speed = float(np.sqrt(v @ g0 @ v))
+    if speed == 0.0:
+        raise GeometryError("zero initial velocity")
+    if steps is None:
+        steps = max(64, int(256 * abs(arc_length)))
+    return x[None, :], v[None, :] * (arc_length / speed), steps
 
 
 def geodesic(chart, x0, v0, arc_length, steps=None):
@@ -322,89 +387,28 @@ def geodesic(chart, x0, v0, arc_length, steps=None):
     v0 is rescaled so that the path has the requested arc length over unit
     parameter time; |v|_g is conserved by the equation.
     """
-    x = np.asarray(x0, dtype=float)
-    v = np.asarray(v0, dtype=float)
-    g0 = metric_jets(chart, x[None, :], order=0)[0][0]
-    speed = float(np.sqrt(v @ g0 @ v))
-    if speed == 0.0:
-        raise GeometryError("zero initial velocity")
-    v = v * (arc_length / speed)
-    if steps is None:
-        steps = max(64, int(256 * abs(arc_length)))
-    h = 1.0 / steps
-    out = [(x.copy(), v.copy())]
-    for _ in range(steps):
-        x, v = _rk4_step(chart, x, v, h)
-        x = chart.wrap(x)
-        _check_inside(chart, x)
-        out.append((x.copy(), v.copy()))
-    return out
-
-
-def _rk4_step(chart, x, v, h, w=None, cotangent=False):
-    def f(xx, vv, ww):
-        acc, wdot = _geodesic_rhs(chart, xx, vv, ww, cotangent)
-        return vv, acc, wdot
-
-    k1 = f(x, v, w)
-    k2 = f(x + 0.5 * h * k1[0], v + 0.5 * h * k1[1],
-           None if w is None else w + 0.5 * h * k1[2])
-    k3 = f(x + 0.5 * h * k2[0], v + 0.5 * h * k2[1],
-           None if w is None else w + 0.5 * h * k2[2])
-    k4 = f(x + h * k3[0], v + h * k3[1],
-           None if w is None else w + h * k3[2])
-    xn = x + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    vn = v + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    if w is None:
-        return xn, vn
-    wn = w + h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    return xn, vn, wn
+    x, v, steps = _arc_length_start(chart, x0, v0, arc_length, steps)
+    return [(x[0], v[0])] + [(x[0], v[0]) for x, v in
+                             _geodesic_flow(chart, x, v, steps)]
 
 
 def geodesic_batch(chart, x0, v0, steps):
     """Integrate many geodesics jointly over unit parameter time.
 
     x0, v0 are (N, d); the Christoffel evaluations are batched, which is
-    what makes normal-coordinate stencils affordable.  Endpoints are
-    wrapped on periodic axes and range-checked once at the end.
+    what makes normal-coordinate stencils affordable.  Returns the
+    endpoints (x, v).
     """
-    x = np.array(x0, dtype=float)
-    v = np.array(v0, dtype=float)
-    h = 1.0 / steps
-
-    def rhs(xx, vv):
-        gamma = christoffels_at(chart, xx)
-        return vv, -np.einsum("nkij,ni,nj->nk", gamma, vv, vv)
-
-    for _ in range(steps):
-        k1 = rhs(x, v)
-        k2 = rhs(x + 0.5 * h * k1[0], v + 0.5 * h * k1[1])
-        k3 = rhs(x + 0.5 * h * k2[0], v + 0.5 * h * k2[1])
-        k4 = rhs(x + h * k3[0], v + h * k3[1])
-        x = x + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        v = v + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        x = chart.wrap(x)
-    for row in x:
-        _check_inside(chart, row)
-    return x, v
+    return _final(_geodesic_flow(chart, np.array(x0, dtype=float),
+                                 np.array(v0, dtype=float), steps))
 
 
 def geodesic_transport(chart, x0, v0, arc_length, w0, steps=None, cotangent=False):
     """Jointly integrate a geodesic and parallel transport of w along it."""
-    x = np.asarray(x0, dtype=float)
-    v = np.asarray(v0, dtype=float)
-    w = np.asarray(w0, dtype=float)
-    g0 = metric_jets(chart, x[None, :], order=0)[0][0]
-    speed = float(np.sqrt(v @ g0 @ v))
-    v = v * (arc_length / speed)
-    if steps is None:
-        steps = max(64, int(256 * abs(arc_length)))
-    h = 1.0 / steps
-    for _ in range(steps):
-        x, v, w = _rk4_step(chart, x, v, h, w, cotangent)
-        x = chart.wrap(x)
-        _check_inside(chart, x)
-    return x, v, w
+    x, v, steps = _arc_length_start(chart, x0, v0, arc_length, steps)
+    w = np.array(w0, dtype=float)[None, :]
+    x, v, w = _final(_geodesic_flow(chart, x, v, steps, w, cotangent))
+    return x[0], v[0], w[0]
 
 
 def parallel_transport(chart, path, w0, steps=1000, cotangent=False):
@@ -413,25 +417,15 @@ def parallel_transport(chart, path, w0, steps=1000, cotangent=False):
     Solves wdot^k + Gamma^k_ij xdot^i w^j = 0 (sign-flipped for cotangent
     vectors) with classic RK4; the path parametrization carries the speed.
     """
-    w = np.asarray(w0, dtype=float)
-    h = 1.0 / steps
 
-    def wdot(t, ww):
+    def rhs(t, state):
         x, xd = path(t)
-        gamma = christoffels_at(chart, np.asarray(x, dtype=float)[None, :])[0]
-        if cotangent:
-            return np.einsum("kij,i,k->j", gamma, xd, ww)
-        return -np.einsum("kij,i,j->k", gamma, xd, ww)
+        gamma = christoffels_at(chart, np.asarray(x, dtype=float)[None, :])
+        return (_transport_rate(gamma, np.asarray(xd, dtype=float)[None, :],
+                                state[0], cotangent),)
 
-    t = 0.0
-    for _ in range(steps):
-        k1 = wdot(t, w)
-        k2 = wdot(t + 0.5 * h, w + 0.5 * h * k1)
-        k3 = wdot(t + 0.5 * h, w + 0.5 * h * k2)
-        k4 = wdot(t + h, w + h * k3)
-        w = w + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return w
+    (w,) = _final(_rk4(rhs, (np.array(w0, dtype=float)[None, :],), steps))
+    return w[0]
 
 
 # --------------------------------------------------------------------------
@@ -462,47 +456,36 @@ class NormalCoordinates:
 
     def exp(self, u):
         """Map normal coordinates u (frame components) to chart coordinates."""
-        u = np.asarray(u, dtype=float)
-        r = float(np.linalg.norm(u))
-        if r == 0.0:
-            return self.x0.copy()
-        if r > self.radius:
-            raise GeometryError(f"normal radius {r:.3g} exceeds safe {self.radius:.3g}")
-        v = self.frame0 @ u  # unit-speed in g thanks to orthonormal columns
-        path = geodesic(self.chart, self.x0, v, r, steps=max(32, int(self.steps * r)))
-        return path[-1][0]
+        return self.exp_batch(np.asarray(u, dtype=float)[None, :])[0]
 
     def exp_batch(self, us):
         """Batched exponential map; one joint integration for all targets."""
         us = np.asarray(us, dtype=float)
         radii = np.linalg.norm(us, axis=1)
-        if radii.max() > self.radius:
-            raise GeometryError("normal radius exceeds the safe radius")
-        v = us @ self.frame0.T  # rows: frame0 @ u
-        steps = max(32, int(self.steps * max(radii.max(), 1e-3)))
+        r = radii.max()
+        if r > self.radius:
+            raise GeometryError(f"normal radius {r:.3g} exceeds safe {self.radius:.3g}")
+        v = us @ self.frame0.T  # rows: frame0 @ u, so |v|_g = |u|
+        steps = max(32, int(self.steps * max(r, 1e-3)))
         out, _ = geodesic_batch(self.chart, np.tile(self.x0, (len(us), 1)), v, steps)
         out[radii == 0.0] = self.x0
         return out
 
-    def det_g_batch(self, us, fd=5e-4):
-        """det of the pulled-back metric at many normal points, one batch."""
+    def _pulled_back_metrics(self, us, fd=5e-4):
+        """Pulled-back metrics (N, d, d) at the rows of us: central
+        differences of exp, all 2d + 1 stencil points in one shoot."""
         us = np.asarray(us, dtype=float)
         n, d = us.shape
-        stencil = [us]
-        for a in range(d):
-            da = np.zeros(d)
-            da[a] = fd
-            stencil.extend([us + da, us - da])
-        pts = self.exp_batch(np.concatenate(stencil))
-        base = pts[:n]
-        jac = np.empty((n, d, d))
-        for a in range(d):
-            plus = pts[(1 + 2 * a) * n:(2 + 2 * a) * n]
-            minus = pts[(2 + 2 * a) * n:(3 + 2 * a) * n]
-            jac[:, :, a] = (plus - minus) / (2 * fd)
-        g = metric_jets(self.chart, base, order=0)[0]
-        pulled = np.einsum("nia,nij,njb->nab", jac, g, jac)
-        return np.linalg.det(pulled)
+        du = fd * np.eye(d)[:, None, :]
+        stencil = np.concatenate([us[None], us + du, us - du])
+        pts = self.exp_batch(stencil.reshape(-1, d)).reshape(2 * d + 1, n, d)
+        jac = ((pts[1:d + 1] - pts[d + 1:]) / (2 * fd)).transpose(1, 2, 0)
+        g = metric_jets(self.chart, pts[0], order=0)[0]
+        return np.einsum("nia,nij,njb->nab", jac, g, jac)
+
+    def det_g_batch(self, us, fd=5e-4):
+        """det of the pulled-back metric at many normal points, one batch."""
+        return np.linalg.det(self._pulled_back_metrics(us, fd))
 
     def log(self, y, tol=1e-12, max_iter=50):
         """Invert the shooting map by damped Newton; returns normal coordinates."""
@@ -513,19 +496,14 @@ class NormalCoordinates:
         if nrm > 0.95 * self.radius:
             u *= 0.95 * self.radius / nrm
         fd = 1e-6
+        stencil = np.concatenate([fd * np.eye(d), -fd * np.eye(d)])
 
-        def shoot_err(uu):
-            return self.exp(uu) - y
-
-        err = shoot_err(u)
+        err = self.exp(u) - y
         for _ in range(max_iter):
             if np.linalg.norm(err) < tol:
                 return u
-            jac = np.zeros((d, d))
-            for a in range(d):
-                du = np.zeros(d)
-                du[a] = fd
-                jac[:, a] = (shoot_err(u + du) - shoot_err(u - du)) / (2 * fd)
+            pts = self.exp_batch(u + stencil)
+            jac = (pts[:d] - pts[d:]).T / (2 * fd)
             try:
                 step = np.linalg.solve(jac, err)
             except np.linalg.LinAlgError:
@@ -534,7 +512,7 @@ class NormalCoordinates:
             for _ in range(30):
                 cand = u - lam * step
                 if np.linalg.norm(cand) <= self.radius:
-                    cand_err = shoot_err(cand)
+                    cand_err = self.exp(cand) - y
                     if np.linalg.norm(cand_err) < np.linalg.norm(err):
                         u, err = cand, cand_err
                         break
@@ -551,15 +529,7 @@ class NormalCoordinates:
 
     def metric_at(self, u, fd=5e-4):
         """Pullback metric in normal coordinates by differentiating exp."""
-        u = np.asarray(u, dtype=float)
-        d = self.chart.dim
-        jac = np.zeros((d, d))
-        for a in range(d):
-            du = np.zeros(d)
-            du[a] = fd
-            jac[:, a] = (self.exp(u + du) - self.exp(u - du)) / (2 * fd)
-        g = metric_jets(self.chart, self.exp(u)[None, :], order=0)[0][0]
-        return jac.T @ g @ jac
+        return self._pulled_back_metrics(np.asarray(u, dtype=float)[None, :], fd)[0]
 
     def det_g(self, u):
         return float(np.linalg.det(self.metric_at(u)))

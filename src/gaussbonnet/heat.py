@@ -33,7 +33,7 @@ from .geometry import NormalCoordinates
 
 __all__ = [
     "FlatTorusSpectrum", "RoundSphereSpectrum", "HeatValue",
-    "heat_trace", "heat_trace_bound", "supertrace_heat", "asymptotic_fit",
+    "heat_trace", "supertrace_heat", "asymptotic_fit",
     "supertrace_fit",
     "FitResult", "RadialParametrix", "parametrix_u0", "parametrix_u1",
     "parametrix_u1_diag", "parametrix_kernel", "spectral_kernel_s2",
@@ -132,10 +132,6 @@ class RoundSphereSpectrum:
 
     def kernel_dim(self, p):
         return 1 if p in (0, 2) else 0
-
-
-def heat_trace_bound(model, p, t, tail_tol=1e-12):
-    return model.heat_trace(p, t, tail_tol)
 
 
 def heat_trace(model, p, t, tail_tol=1e-12):

@@ -198,6 +198,36 @@ def test_cli_heat_bad_inputs(capsys):
     assert run_cli(capsys, "heat", "--space", "s2", "--t", "-1")[0] == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["index", "--field", "z", "--manifold", "/missing.mspec"], "cannot read"),
+    (["index", "--field", "z^x"], "--field 'z^x'"),
+    (["euler-class", "--bundle", "/missing.mspec"], "neither k=<int> nor a file"),
+], ids=["index-missing-spec", "index-bad-field", "euler-class-missing-spec"])
+def test_cli_bad_spec_is_input_error(capsys, argv, message):
+    code, doc = run_cli(capsys, *argv)
+    assert code == 2 and doc is None
+    assert message in run_cli.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["euler-class", "--bundle", "k=1", "--res", "3"], "odd"),
+    (["mq", "--bundle", "k=1", "--res", "95"], "odd"),
+    (["euler-class", "--bundle", "k=1", "--res", "1"], "minimum 2"),
+    (["index", "--field", "z", "--scan", "0"], "minimum 2"),
+    (["mq", "--bundle", "k=1", "--fiber-nodes", "1"], "minimum 2"),
+    (["mq", "--bundle", "k=1", "--base-points", "0"], "minimum 1"),
+    (["verify-gbc", "--manifold", "sphere2", "--res", "0"], "minimum 2"),
+    (["verify-gbc", "--manifold", "sphere2", "--res", "x"], "not an integer"),
+], ids=["euler-class-odd-res", "mq-odd-res", "euler-class-res-1", "index-scan-0",
+        "mq-fiber-nodes-1", "mq-base-points-0", "verify-gbc-res-0", "verify-gbc-res-x"])
+def test_cli_rejects_bad_node_counts(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_cli_spec_file_roundtrip(tmp_path, capsys):
     path = write(tmp_path, "s.mspec", SPHERE_SPEC)
     code, doc = run_cli(capsys, "verify-gbc", "--manifold", path,

@@ -10,7 +10,7 @@ from gaussbonnet.exterior import (
     BigradedElement, FormElement, SkewFormMatrix, berezin, berezin_fiber,
     dp_extend, dp_extend4, exp_nilpotent, killing_double_sum, lambda_basis,
     patodi_coefficient, pfaffian, pfaffian_definition, pfaffian_numeric,
-    supertrace, two_vector, wedge,
+    pfaffian_terms, supertrace, two_vector, wedge,
 )
 
 
@@ -132,6 +132,19 @@ def test_pfaffian_squares_to_determinant(d):
         pf = pfaffian_numeric(m)
         det = np.linalg.det(m)
         assert abs(pf * pf - det) <= 1e-10 * max(1.0, abs(det))
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_pfaffian_terms_on_array_coefficients(d):
+    """One recursion serves stacks of matrices: (N,) coefficients give the
+    per-matrix scalar Pfaffians."""
+    rng = np.random.default_rng(d + 20)
+    stack = np.array([random_skew(rng, d) for _ in range(7)])
+    got = pfaffian_terms(lambda i, j: {(): stack[:, i, j]}, d)[()]
+    assert got.shape == (7,)
+    for k, m in enumerate(stack):
+        want = pfaffian_numeric(m)
+        assert abs(got[k] - want) <= 1e-14 * abs(want)
 
 
 def test_pfaffian_rejects_odd_dimension():

@@ -7,8 +7,8 @@ import pytest
 
 from gaussbonnet.expr import eval_jet
 from gaussbonnet.geometry import (
-    Chart, GeometryError, NormalCoordinates, geodesic, geodesic_transport,
-    metric_jets, parallel_transport, point_geometry, point_geometry_batch,
+    Chart, GeometryError, NormalCoordinates, geodesic, geodesic_batch,
+    geodesic_transport, metric_jets, parallel_transport, point_geometry, point_geometry_batch,
 )
 
 
@@ -220,6 +220,36 @@ def test_geodesic_exits_chart():
         geodesic(chart, [0.5, 0.5], [1.0, 0.0], 2.0)
 
 
+def test_geodesic_batch_rows_match_scalar_geodesic():
+    chart = bumpy_sphere(0.15)
+    x0 = np.array([[1.0, 0.3], [1.6, 2.0], [2.1, 6.0]])
+    v0 = np.array([[0.3, -0.4], [-0.2, 0.5], [0.1, 0.2]])
+    xs, vs = geodesic_batch(chart, x0, v0, 200)
+    for x, v, x_end, v_end in zip(x0, v0, xs, vs):
+        speed = float(np.sqrt(v @ metric_jets(chart, x[None, :], order=0)[0][0] @ v))
+        want_x, want_v = geodesic(chart, x, v, speed, steps=200)[-1]
+        assert np.abs(x_end - want_x).max() <= 1e-14
+        assert np.abs(v_end - want_v).max() <= 1e-14
+
+
+def test_geodesic_batch_checks_every_step():
+    """A straight line in flat polar coordinates dips below r = 0.5 and,
+    by symmetry, ends back on r = 1.5: its endpoint is inside, yet the batch
+    must raise."""
+    chart = Chart.from_strings("annulus", 2, [(0.5, 2.0), (0.0, 2 * math.pi)],
+                               [False, True], {(0, 0): "1", (1, 1): "x1^2"})
+    sin_a = 0.2  # closest approach 1.5 * sin_a = 0.3 from the origin
+    cos_a = math.sqrt(1 - sin_a ** 2)
+    length = 2 * 1.5 * cos_a
+    dipping = length * np.array([-cos_a, sin_a / 1.5])
+    x0 = np.array([[1.5, 0.0], [1.0, 1.0], [1.5, 0.0]])
+    v0 = np.array([[0.1, 0.2], [0.2, -0.1], dipping])
+    x_end, _ = geodesic_batch(chart, x0[:2], v0[:2], 400)
+    assert chart.contains(x_end)
+    with pytest.raises(GeometryError):
+        geodesic_batch(chart, x0, v0, 400)
+
+
 # --------------------------------------------------------------- transport
 
 def test_flat_transport_is_constant():
@@ -315,6 +345,20 @@ def test_radial_lines_are_geodesics():
     # chain: distance along the radial line is additive
     assert nc.distance(mid) == pytest.approx(np.linalg.norm(u) / 2, abs=1e-7)
     assert nc.distance(end) == pytest.approx(np.linalg.norm(u), abs=1e-7)
+
+
+def test_scalar_normal_maps_are_batch_rows():
+    nc = NormalCoordinates(bumpy_sphere(0.15), [1.2, 0.7])
+    # equal radii give equal step counts, so rows must agree bit for bit
+    us = 0.3 * np.array([[1.0, 0.0], [0.6, 0.8], [-0.8, 0.6]])
+    pts = nc.exp_batch(us)
+    metrics = nc._pulled_back_metrics(us)
+    dets = nc.det_g_batch(us)
+    for k, u in enumerate(us):
+        assert np.array_equal(nc.exp(u), nc.exp_batch(u[None, :])[0])
+        assert np.array_equal(nc.exp(u), pts[k])
+        assert np.array_equal(nc.metric_at(u), metrics[k])
+        assert nc.det_g(u) == dets[k]
 
 
 def test_normal_radius_guard():
