@@ -29,7 +29,7 @@ from .library import stereo_pair_atlas
 from .quadrature import integrate_chart, richardson
 
 __all__ = ["PlaneBundle", "make_plane_bundle", "euler_form_transition",
-           "euler_form_transition_batch", "connection_form",
+           "euler_form_transition_batch", "connection_form", "connection_curvature",
            "curvature_density_batch", "generalized_gbc", "winding_of_phi",
            "GeneralizedGbcResult"]
 
@@ -83,14 +83,14 @@ def make_plane_bundle(k, sharpness=6, box=3.0):
 
 
 def _rho_other_jets(bundle, name, points):
-    """Jets of the other chart's partition factor, seen in this chart.
+    """Value and gradient of the other chart's partition factor in this chart.
 
     rho_alpha + rho_beta = 1 exactly, so the other factor is 1 - rho_this
     with negated derivatives.
     """
     chart = bundle.atlas.chart(name)
-    jet = eval_jet(bundle.parsed_rho[name], points, chart.params, order=2)
-    return 1.0 - jet.val, -jet.grad, -jet.hess
+    jet = eval_jet(bundle.parsed_rho[name], points, chart.params, order=1)
+    return 1.0 - jet.val, -jet.grad
 
 
 def euler_form_transition_batch(bundle, name, points):
@@ -106,7 +106,7 @@ def euler_form_transition_batch(bundle, name, points):
     # phi stored per chart is phi_{this,other}; the formula needs
     # phi_{other,this} = -phi_{this,other}
     dphi = -phi_jet.grad
-    _, drho, _ = _rho_other_jets(bundle, name, points)
+    _, drho = _rho_other_jets(bundle, name, points)
     coeff = drho[:, 0] * dphi[:, 1] - drho[:, 1] * dphi[:, 0]
     g = metric_jets(chart, points, order=0)[0]
     sqrtg = np.sqrt(np.linalg.det(g))
@@ -134,8 +134,8 @@ def connection_form(bundle, name):
     return theta
 
 
-def curvature_density_batch(bundle, name, points):
-    """-(1/2pi) d theta_alpha as a density against the base area.
+def connection_curvature(bundle, name, points):
+    """The dx1 ^ dx2 coefficient of d theta_alpha at (N, 2) points.
 
     d theta = d rho_beta ^ d phi_beta,alpha because d^2 phi = 0; assembled
     from 2-jets of theta's ingredients (independent of the transition
@@ -144,17 +144,22 @@ def curvature_density_batch(bundle, name, points):
     chart = bundle.atlas.chart(name)
     points = np.asarray(points, dtype=float)
     phi_jet = eval_jet(bundle.parsed_phi[name], points, chart.params, order=2)
-    rho_val, drho, rho_hess = _rho_other_jets(bundle, name, points)
+    rho_val, drho = _rho_other_jets(bundle, name, points)
     dphi = -phi_jet.grad
     hphi = -phi_jet.hess
     # d(rho dphi) coefficient of dx^dy:
     #   d_x(rho phi_y) - d_y(rho phi_x) = rho_x phi_y - rho_y phi_x
     #   (+ rho (phi_yx - phi_xy) = 0, kept for an honest jet assembly)
-    coeff = (drho[:, 0] * dphi[:, 1] - drho[:, 1] * dphi[:, 0]
-             + rho_val * (hphi[:, 0, 1] - hphi[:, 1, 0]))
-    g = metric_jets(chart, points, order=0)[0]
-    sqrtg = np.sqrt(np.linalg.det(g))
-    return -(1.0 / (2 * math.pi)) * coeff / sqrtg
+    return (drho[:, 0] * dphi[:, 1] - drho[:, 1] * dphi[:, 0]
+            + rho_val * (hphi[:, 0, 1] - hphi[:, 1, 0]))
+
+
+def curvature_density_batch(bundle, name, points):
+    """-(1/2pi) d theta_alpha as a density against the base area."""
+    points = np.asarray(points, dtype=float)
+    g = metric_jets(bundle.atlas.chart(name), points, order=0)[0]
+    return (-(1.0 / (2 * math.pi)) * connection_curvature(bundle, name, points)
+            / np.sqrt(np.linalg.det(g)))
 
 
 @dataclass

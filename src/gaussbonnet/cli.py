@@ -18,6 +18,7 @@ from . import gbc as gbc_mod
 from . import heat as heat_mod
 from . import index as index_mod
 from . import library, mq as mq_mod
+from .quadrature import QuadratureError
 from .report import Report, report_to_csv, report_to_json
 from .specfile import SpecFileError, load_manifold_spec
 
@@ -101,8 +102,14 @@ def cmd_verify_gbc(args):
     tol = args.tol if args.tol is not None else manifold.default_tol
     extrapolate = args.extrapolate or manifold.extrapolate
     t0 = time.perf_counter()
-    result = gbc_mod.verify_gbc(manifold.atlas, resolution=res,
-                                extrapolate=extrapolate)
+    try:
+        result = gbc_mod.verify_gbc(manifold.atlas, resolution=res,
+                                    extrapolate=extrapolate)
+    except QuadratureError as exc:
+        if args.manifold in library.MANIFOLDS:
+            raise
+        # a spec-file metric that cannot be evaluated is bad input
+        raise InputError(f"{args.manifold}: {exc}") from None
     report = Report(
         command="verify-gbc",
         inputs={"manifold": args.manifold, "res": res,

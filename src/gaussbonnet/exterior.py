@@ -7,6 +7,12 @@ exterior coefficient), nilpotent exponentials, derivation extensions of
 endomorphisms to antisymmetric powers, and the alternating-trace
 identities that drive the curvature cancellation machinery.
 
+A coefficient is a scalar or an (N,) array: one element carries N stacked
+elements with one sparsity pattern, and row k equals the one-element
+computation (bit for bit, unless NumPy fuses the multiply-adds of general
+complex products).  A term is dropped only when its coefficient is an
+exact scalar zero or an all-zero array.
+
 Sign conventions, fixed once:
 
 * wedge sign = parity of the merge permutation of the two index lists;
@@ -32,7 +38,10 @@ __all__ = [
     "patodi_coefficient", "killing_double_sum", "lambda_basis",
 ]
 
-_COEFF_EPS = 0.0  # canonical form drops exact zeros only
+
+def _nonzero(c):
+    """False for an exact scalar zero or an all-zero array (canonical form)."""
+    return c.any() if isinstance(c, np.ndarray) else c != 0
 
 
 def merge_indices(a, b):
@@ -57,14 +66,66 @@ def wedge_sign(a, b):
     return merge_indices(a, b)[0]
 
 
-class FormElement:
+class _SparseElement:
+    """Linear structure shared by FormElement and BigradedElement.
+
+    `terms` maps basis keys to nonzero coefficients; `_shape` holds the
+    generator counts.  Each algebra defines its own `__mul__`.
+    """
+
+    __slots__ = ("terms",)
+    __array_ufunc__ = None  # ndarray (op) element defers to the element
+
+    def _prune(self):
+        self.terms = {k: v for k, v in self.terms.items() if _nonzero(v)}
+
+    def _new(self, terms):
+        out = type(self)(*self._shape)
+        out.terms = terms
+        out._prune()
+        return out
+
+    def _check(self, other):
+        if self._shape != other._shape:
+            raise ValueError(f"mismatched generator counts {self._shape} and {other._shape}")
+
+    def __add__(self, other):
+        if not isinstance(other, _SparseElement):
+            other = self.scalar(*self._shape, other)
+        self._check(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            terms[k] = terms.get(k, 0) + c
+        return self._new(terms)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __neg__(self):
+        return self * -1
+
+    def _scaled(self, other):
+        """Multiple by a scalar or an (N,) array."""
+        return self._new({k: v * other for k, v in self.terms.items()})
+
+    def max_abs(self):
+        return max((np.abs(c).max() if isinstance(c, np.ndarray) else abs(c)
+                    for c in self.terms.values()), default=0.0)
+
+    def is_zero(self):
+        return not self.terms
+
+
+class FormElement(_SparseElement):
     """Element of the exterior algebra on `n` anticommuting generators.
 
     Stored as a map from strictly increasing index tuples to nonzero
-    complex coefficients.
+    complex coefficients (scalars or (N,) arrays).
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -76,12 +137,17 @@ class FormElement:
                     raise ValueError(f"generator index out of range in {idx}")
                 if list(idx) != sorted(set(idx)):
                     raise ValueError(f"index tuple must be strictly increasing: {idx}")
-                if c != 0:
-                    self.terms[idx] = self.terms.get(idx, 0) + c
+                self.terms[idx] = self.terms.get(idx, 0) + c
             self._prune()
 
-    def _prune(self):
-        self.terms = {k: v for k, v in self.terms.items() if v != 0}
+    @property
+    def _shape(self):
+        return (self.n,)
+
+    def __mul__(self, other):
+        return wedge(self, other) if isinstance(other, FormElement) else self._scaled(other)
+
+    __rmul__ = __mul__
 
     @classmethod
     def scalar(cls, n, value=1.0):
@@ -96,36 +162,6 @@ class FormElement:
         out.terms = dict(self.terms)
         return out
 
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = FormElement.scalar(self.n, other)
-        if self.n != other.n:
-            raise ValueError("mismatched generator counts")
-        out = FormElement(self.n)
-        out.terms = dict(self.terms)
-        for idx, c in other.terms.items():
-            out.terms[idx] = out.terms.get(idx, 0) + c
-        out._prune()
-        return out
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (other * -1 if isinstance(other, FormElement) else -other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            out = FormElement(self.n)
-            if other != 0:
-                out.terms = {k: v * other for k, v in self.terms.items()}
-            return out
-        return wedge(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1
-
     def degree_part(self, k):
         out = FormElement(self.n)
         out.terms = {idx: c for idx, c in self.terms.items() if len(idx) == k}
@@ -136,12 +172,6 @@ class FormElement:
 
     def coefficient(self, idx):
         return self.terms.get(tuple(idx), 0.0)
-
-    def max_abs(self):
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         if not isinstance(other, FormElement):
@@ -158,23 +188,23 @@ class FormElement:
 
 def wedge(a, b):
     """Graded-commutative product of two form elements."""
-    if a.n != b.n:
-        raise ValueError("mismatched generator counts")
-    out = FormElement(a.n)
-    terms = out.terms
+    a._check(b)
+    terms = {}
     for ia, ca in a.terms.items():
         for ib, cb in b.terms.items():
             sign, merged = merge_indices(ia, ib)
             if sign:
                 terms[merged] = terms.get(merged, 0) + sign * ca * cb
-    out._prune()
-    return out
+    return a._new(terms)
 
 
-class BigradedElement:
-    """Element of Lambda(base) (x) Lambda(fiber) with the Koszul sign rule."""
+class BigradedElement(_SparseElement):
+    """Element of Lambda(base) (x) Lambda(fiber) with the Koszul sign rule.
 
-    __slots__ = ("n_base", "n_fiber", "terms")
+    Coefficients are scalars or (N,) arrays, as in FormElement.
+    """
+
+    __slots__ = ("n_base", "n_fiber")
 
     def __init__(self, n_base, n_fiber, terms=None):
         self.n_base = n_base
@@ -182,50 +212,23 @@ class BigradedElement:
         self.terms = {}
         if terms:
             for (tb, tf), c in terms.items():
-                if c != 0:
-                    self.terms[(tuple(tb), tuple(tf))] = \
-                        self.terms.get((tuple(tb), tuple(tf)), 0) + c
+                key = (tuple(tb), tuple(tf))
+                self.terms[key] = self.terms.get(key, 0) + c
             self._prune()
 
-    def _prune(self):
-        self.terms = {k: v for k, v in self.terms.items() if v != 0}
+    @property
+    def _shape(self):
+        return (self.n_base, self.n_fiber)
 
     @classmethod
     def scalar(cls, n_base, n_fiber, value=1.0):
         return cls(n_base, n_fiber, {((), ()): value})
 
-    def _check(self, other):
-        if (self.n_base, self.n_fiber) != (other.n_base, other.n_fiber):
-            raise ValueError("mismatched bigraded shapes")
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = BigradedElement.scalar(self.n_base, self.n_fiber, other)
-        self._check(other)
-        out = BigradedElement(self.n_base, self.n_fiber)
-        out.terms = dict(self.terms)
-        for k, c in other.terms.items():
-            out.terms[k] = out.terms.get(k, 0) + c
-        out._prune()
-        return out
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + other * -1
-
-    def __neg__(self):
-        return self * -1
-
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            out = BigradedElement(self.n_base, self.n_fiber)
-            if other != 0:
-                out.terms = {k: v * other for k, v in self.terms.items()}
-            return out
+        if not isinstance(other, BigradedElement):
+            return self._scaled(other)
         self._check(other)
-        out = BigradedElement(self.n_base, self.n_fiber)
-        terms = out.terms
+        terms = {}
         for (ba, fa), ca in self.terms.items():
             for (bb, fb), cb in other.terms.items():
                 koszul = -1 if (len(fa) % 2) and (len(bb) % 2) else 1
@@ -237,16 +240,12 @@ class BigradedElement:
                     continue
                 key = (mb, mf)
                 terms[key] = terms.get(key, 0) + koszul * sb * sf * ca * cb
-        out._prune()
-        return out
+        return self._new(terms)
 
     __rmul__ = __mul__
 
     def coefficient(self, tb, tf):
         return self.terms.get((tuple(tb), tuple(tf)), 0.0)
-
-    def max_abs(self):
-        return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def min_total_degree(self):
         return min((len(tb) + len(tf) for tb, tf in self.terms), default=0)
@@ -373,35 +372,25 @@ def berezin(omega: FormElement):
 def berezin_fiber(omega: BigradedElement) -> FormElement:
     """Fiberwise Berezin integral: project onto top fiber degree, keep the base form."""
     top = tuple(range(omega.n_fiber))
-    out = FormElement(omega.n_base)
-    for (tb, tf), c in omega.terms.items():
-        if tf == top:
-            out.terms[tb] = out.terms.get(tb, 0) + c
-    out._prune()
-    return out
+    return FormElement(omega.n_base, {tb: c for (tb, tf), c in omega.terms.items() if tf == top})
 
 
-def _scalar_part(omega):
-    if isinstance(omega, FormElement):
-        return omega.coefficient(()), omega - FormElement.scalar(omega.n, omega.coefficient(()))
-    s = omega.coefficient((), ())
-    return s, omega - BigradedElement.scalar(omega.n_base, omega.n_fiber, s)
 
 
 def exp_nilpotent(omega, max_degree=None):
     """exp of a form element; exact because the positive-degree part is nilpotent.
 
-    A scalar part s is split off as exp(s) * exp(omega - s).
+    A scalar part s is split off as exp(s) * exp(omega - s).  A real
+    scalar part goes through libm's exp, row by row for an array, so each
+    row matches its one-element call bit for bit (NumPy's vectorized exp
+    can differ in the last ulp).
     """
-    if isinstance(omega, FormElement):
-        top = omega.n
-        one = FormElement.scalar(omega.n, 1.0)
-    else:
-        top = omega.n_base + omega.n_fiber
-        one = BigradedElement.scalar(omega.n_base, omega.n_fiber, 1.0)
+    top = sum(omega._shape)
     if max_degree is None:
         max_degree = top
-    s, nil = _scalar_part(omega)
+    one = omega.scalar(*omega._shape, 1.0)
+    s = omega.coefficient(()) if isinstance(omega, FormElement) else omega.coefficient((), ())
+    nil = omega - omega.scalar(*omega._shape, s)
     min_deg = (nil.min_total_degree() if isinstance(nil, BigradedElement)
                else min(nil.degrees(), default=top + 1))
     if min_deg < 1:
@@ -413,10 +402,15 @@ def exp_nilpotent(omega, max_degree=None):
     for k in range(1, kmax + 1):
         power = power * nil
         fact *= k
-        if (power.max_abs() if hasattr(power, "max_abs") else 0) == 0:
+        if power.max_abs() == 0:
             break
         result = result + power * (1.0 / fact)
-    scale = np.exp(complex(s)) if isinstance(s, complex) else math.exp(s)
+    if isinstance(s, (int, float)):
+        scale = math.exp(s)
+    elif isinstance(s, np.ndarray) and s.dtype.kind != "c":
+        scale = np.fromiter(map(math.exp, s), float, len(s))
+    else:
+        scale = np.exp(s)
     return result * scale
 
 
@@ -424,13 +418,8 @@ def two_vector(m, n=None) -> FormElement:
     """The 2-vector sum_{i<j} m[i,j] e_i ^ e_j of a skew matrix."""
     m = np.asarray(m)
     d = m.shape[0]
-    n = n or d
-    terms = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            if m[i, j] != 0:
-                terms[(i, j)] = complex(m[i, j])
-    return FormElement(n, terms)
+    return FormElement(n or d, {(i, j): complex(m[i, j])
+                                for i in range(d) for j in range(i + 1, d)})
 
 
 # --------------------------------------------------------------------------

@@ -16,6 +16,12 @@ and the zero-section pullback reproduces the curvature Euler density
 every asserted output follows from eps(n) = 1 for even n (odd fibers are
 excluded).
 
+One private path, `_thom`, evaluates the form on many total-space points
+at once: the exterior algebra carries (N,)-array coefficients, so a batch
+of base points, the Gauss-Hermite fiber plane or a difference stencil is
+one pass through exp and the Berezin integral.  Single-point entry points
+are the same path on scalar coefficients.
+
 Bigraded generators, fixed order: base 0..3 = (dx1, dx2, dv1, dv2) on the
 total space; fiber 0..1 = (e1, e2).
 """
@@ -27,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import connection_form, curvature_density_batch
-from .exterior import BigradedElement, berezin_fiber, exp_nilpotent, pfaffian_numeric
+from .bundles import connection_curvature, connection_form
+from .exterior import (BigradedElement, berezin_fiber, exp_nilpotent,
+                       merge_indices, pfaffian_numeric)
 from .geometry import metric_jets
 from .quadrature import integrate_chart, pairwise_sum
 
@@ -45,36 +52,40 @@ def epsilon(n):
     return 1.0
 
 
+def _berezin_gaussian(q, n):
+    """eps(n) (2 pi)^{-n/2} B_fiber(exp(-q)) for a rank-n fiber."""
+    return berezin_fiber(exp_nilpotent(-1 * q)) * (epsilon(n) * (2 * math.pi) ** (-n / 2))
+
+
+def _hermite_plane(nodes):
+    """Fiber-plane nodes v = sqrt(2) (t_i, t_j), ascending (i, j), and weights
+    for the integral of f(v) dv; the integrands carry their own Gaussian,
+    so the Hermite weight exp(-|t|^2) is divided out."""
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    ti, tj = (a.ravel() for a in np.meshgrid(t, t, indexing="ij"))
+    v = math.sqrt(2.0) * np.column_stack([ti, tj])
+    return v, 2.0 * np.outer(w, w).ravel() * np.exp(ti ** 2 + tj ** 2)
+
+
 def mq_form_point(n, x):
-    """Thom form of a trivial rank-n fiber at fiber point x.
+    """Thom form of a trivial rank-n fiber at fiber point x, (n,) or (N, n).
 
     Returns the degree-n FormElement over the dx generators; the
     coefficient equals (2 pi)^{-n/2} exp(-|x|^2/2) with imaginary residue
     below 1e-12 (asserted by the caller's tests, not silently dropped).
     """
     x = np.asarray(x, dtype=float)
-    eps = epsilon(n)
-    q = BigradedElement.scalar(n, n, 0.5 * float(x @ x))
-    for k in range(n):
-        q = q + BigradedElement(n, n, {((k,), (k,)): 1j})  # i dx^k (x) e_k
-    u = berezin_fiber(exp_nilpotent(-1 * q))
-    return u * (eps * (2 * math.pi) ** (-n / 2))
+    terms = {((), ()): 0.5 * np.vecdot(x, x)}
+    terms.update({((k,), (k,)): 1j for k in range(n)})  # i dx^k (x) e_k
+    return _berezin_gaussian(BigradedElement(n, n, terms), n)
 
 
 def mq_fiber_integral_point(n, nodes=40):
     """Gauss-Hermite integral of the point-model Thom form over the fiber."""
-    t, w = np.polynomial.hermite.hermgauss(nodes)
     if n != 2:
         raise ValueError("point-model quadrature implemented for n = 2")
-    total = np.zeros((), dtype=float)
-    vals = []
-    for i in range(nodes):
-        for j in range(nodes):
-            v = math.sqrt(2.0) * np.array([t[i], t[j]])
-            coeff = mq_form_point(2, v).coefficient((0, 1))
-            # the Gaussian weight sits inside the coefficient; weigh it out
-            vals.append(w[i] * w[j] * 2.0 * coeff.real * math.exp(t[i] ** 2 + t[j] ** 2))
-    return pairwise_sum(vals)
+    v, weights = _hermite_plane(nodes)
+    return pairwise_sum(weights * mq_form_point(2, v).coefficient((0, 1)).real)
 
 
 # --------------------------------------------------------------------------
@@ -85,62 +96,45 @@ _NB = 4  # total-space 1-form generators: dx1, dx2, dv1, dv2
 _NF = 2
 
 
-@dataclass
-class _BundlePointData:
-    theta: np.ndarray        # connection components (theta_1, theta_2)
-    curvature: float         # dx1^dx2 coefficient of d theta
+def _connection(bundle, chart_name, points):
+    """theta components (..., 2) and the dx1^dx2 coefficient of d theta (...)
+    at base points (..., 2), one point or a batch."""
+    points = np.asarray(points, dtype=float)
+    flat = points.reshape(-1, 2)
+    return (connection_form(bundle, chart_name)(flat).reshape(points.shape),
+            connection_curvature(bundle, chart_name, flat).reshape(points.shape[:-1]))
 
 
-def _bundle_point(bundle, chart_name, base_x):
-    base_x = np.asarray(base_x, dtype=float)
-    theta = connection_form(bundle, chart_name)(base_x[None, :])[0]
-    chart = bundle.atlas.chart(chart_name)
-    g = metric_jets(chart, base_x[None, :], order=0)[0][0]
-    dens = curvature_density_batch(bundle, chart_name, base_x[None, :])[0]
-    # density is -(1/2pi) d theta / sqrt(g); undo both factors
-    curv = -2 * math.pi * dens * math.sqrt(np.linalg.det(g))
-    return _BundlePointData(theta, float(curv))
-
-
-def _mq_q(data, v):
-    """Q = |v|^2/2 + i nabla v + T at one point of the total space."""
-    v = np.asarray(v, dtype=float)
-    q = BigradedElement.scalar(_NB, _NF, 0.5 * float(v @ v))
+def _mq_q(theta, curvature, v):
+    """Q = |v|^2/2 + i nabla v + T, row by row over the leading axes."""
+    terms = {((), ()): 0.5 * np.vecdot(v, v)}
     # nabla x^a = dv^a + theta (Jv)^a, J e1 = e2, J e2 = -e1
-    jv = np.array([-v[1], v[0]])
+    jv = (-v[..., 1], v[..., 0])
     for a in range(2):
-        terms = {((2 + a,), (a,)): 1j}  # i dv^a (x) e_a
+        terms[((2 + a,), (a,))] = 1j  # i dv^a (x) e_a
         for mu in range(2):
-            c = data.theta[mu] * jv[a]
-            if c != 0.0:
-                terms[((mu,), (a,))] = 1j * c
-        q = q + BigradedElement(_NB, _NF, terms)
+            terms[((mu,), (a,))] = 1j * (theta[..., mu] * jv[a])
     # curvature block T = (d theta) (x) e1 ^ e2
-    if data.curvature != 0.0:
-        q = q + BigradedElement(_NB, _NF, {((0, 1), (0, 1)): data.curvature})
-    return q
+    terms[((0, 1), (0, 1))] = curvature
+    return BigradedElement(_NB, _NF, terms)
+
+
+def _thom(theta, curvature, v):
+    """eps (2 pi)^{-1} B_fiber(exp(-Q)) over (dx, dv) generators; theta
+    (..., 2), curvature (...) and fiber points v (..., 2) broadcast."""
+    return _berezin_gaussian(_mq_q(theta, curvature, v), _NF)
 
 
 def mq_form_bundle(bundle, chart_name, base_x, fiber_v):
     """Thom form at a total-space point, as a form over (dx, dv) generators."""
-    data = _bundle_point(bundle, chart_name, base_x)
-    u = berezin_fiber(exp_nilpotent(-1 * _mq_q(data, fiber_v)))
-    return u * (epsilon(_NF) * (2 * math.pi) ** (-_NF / 2))
+    return _thom(*_connection(bundle, chart_name, base_x), np.asarray(fiber_v, dtype=float))
 
 
 def mq_fiber_integral(bundle, chart_name, base_x, nodes=40):
     """Fiber integral of the bundle Thom form at one base point."""
-    data = _bundle_point(bundle, chart_name, base_x)
-    t, w = np.polynomial.hermite.hermgauss(nodes)
-    vals = []
-    for i in range(nodes):
-        for j in range(nodes):
-            v = math.sqrt(2.0) * np.array([t[i], t[j]])
-            u = berezin_fiber(exp_nilpotent(-1 * _mq_q(data, v)))
-            coeff = u.coefficient((2, 3))  # pure dv1 ^ dv2 component
-            vals.append(w[i] * w[j] * 2.0 * coeff.real
-                        * math.exp(t[i] ** 2 + t[j] ** 2))
-    return (2 * math.pi) ** (-1) * pairwise_sum(vals)
+    v, weights = _hermite_plane(nodes)
+    u = _thom(*_connection(bundle, chart_name, base_x), v)
+    return pairwise_sum(weights * u.coefficient((2, 3)).real)  # pure dv1 ^ dv2
 
 
 def mq_zero_section_density(bundle, chart_name, points):
@@ -150,28 +144,23 @@ def mq_zero_section_density(bundle, chart_name, points):
     (dx1, dx2) coefficient, computed through the Berezin/exponential
     algebra (not through the Pfaffian shortcut).
     """
-    chart = bundle.atlas.chart(chart_name)
     points = np.asarray(points, dtype=float)
-    g = metric_jets(chart, points, order=0)[0]
-    sqrtg = np.sqrt(np.linalg.det(g))
-    out = np.empty(len(points))
-    for idx, x in enumerate(points):
-        u = mq_form_bundle(bundle, chart_name, x, (0.0, 0.0))
-        c = u.coefficient((0, 1))
-        if abs(c.imag) > 1e-12 * (1 + abs(c)):
-            raise ArithmeticError(f"imaginary residue {c.imag} in Euler density")
-        out[idx] = c.real / sqrtg[idx]
-    return out
+    c = _thom(*_connection(bundle, chart_name, points), np.zeros(2)).coefficient((0, 1))
+    residue = np.abs(np.imag(c)) > 1e-12 * (1 + np.abs(c))
+    if np.any(residue):
+        raise ArithmeticError(
+            f"imaginary residue {np.imag(c)[residue][0]} in Euler density")
+    g = metric_jets(bundle.atlas.chart(chart_name), points, order=0)[0]
+    return np.real(c) / np.sqrt(np.linalg.det(g))
 
 
 def berezin_vs_pfaffian_residual(bundle, chart_name, base_x):
     """|B(exp(-T)) - Pf(-M_T)| at one point: the algebra/Pfaffian bridge."""
-    data = _bundle_point(bundle, chart_name, base_x)
-    u = mq_form_bundle(bundle, chart_name, base_x, (0.0, 0.0))
-    via_algebra = u.coefficient((0, 1)).real
-    m = np.array([[0.0, data.curvature], [-data.curvature, 0.0]])
+    via_algebra = mq_form_bundle(bundle, chart_name, base_x, (0.0, 0.0)).coefficient((0, 1)).real
+    curvature = connection_curvature(bundle, chart_name, [base_x])[0]
+    m = np.array([[0.0, curvature], [-curvature, 0.0]])
     via_pfaffian = (2 * math.pi) ** (-1) * pfaffian_numeric(-m)
-    return abs(via_algebra - via_pfaffian)
+    return float(abs(via_algebra - via_pfaffian))
 
 
 @dataclass
@@ -201,7 +190,6 @@ def contraction(s, element):
         sum_k (-1)^{deg w + k - 1} <s, e_{jk}> w (x) (... without e_{jk}).
     """
     s = np.asarray(s, dtype=float)
-    out = BigradedElement(element.n_base, element.n_fiber)
     terms = {}
     for (tb, tf), c in element.terms.items():
         for k, gen in enumerate(tf):
@@ -211,8 +199,7 @@ def contraction(s, element):
             sign = (-1) ** (len(tb) + k)  # (-1)^{deg w + (k+1) - 1}
             key = (tb, tf[:k] + tf[k + 1:])
             terms[key] = terms.get(key, 0) + sign * coef * c
-    out.terms = {k: v for k, v in terms.items() if v != 0}
-    return out
+    return BigradedElement(element.n_base, element.n_fiber, terms)
 
 
 def covariant_q_residual(bundle, chart_name, base_x, fiber_v):
@@ -223,14 +210,14 @@ def covariant_q_residual(bundle, chart_name, base_x, fiber_v):
     (Bianchi plus a 2-dimensional base); the contraction terms come from
     the a(s) operator above.  Zero residual pins every sign convention.
     """
-    data = _bundle_point(bundle, chart_name, base_x)
+    theta, curvature = _connection(bundle, chart_name, base_x)
     v = np.asarray(fiber_v, dtype=float)
-    q = _mq_q(data, v)
+    q = _mq_q(theta, curvature, v)
 
     # nabla Q
     grad = BigradedElement(_NB, _NF, {((2,), ()): v[0], ((3,), ()): v[1]})
     # nabla(nabla x) = Theta x: Theta = curvature * J
-    theta_x = np.array([-data.curvature * v[1], data.curvature * v[0]])
+    theta_x = np.array([-curvature * v[1], curvature * v[0]])
     for a in range(2):
         if theta_x[a] != 0.0:
             grad = grad + BigradedElement(
@@ -245,26 +232,18 @@ def closedness_residual(bundle, chart_name, base_x, fiber_v, h=1e-4):
 
     Coefficient functions of u over the 4 total-space generators are
     differentiated by central differences in (x1, x2, v1, v2); the
-    3-form d(u) must vanish since B(exp(-Q)) is closed.
+    3-form d(u) must vanish since B(exp(-Q)) is closed.  The whole
+    stencil, rows z0 + h e_c then z0 - h e_c, is one batch.
     """
-    from .exterior import merge_indices
-
-    base_x = np.asarray(base_x, dtype=float)
-    v = np.asarray(fiber_v, dtype=float)
-
-    def coefficients(z):
-        u = mq_form_bundle(bundle, chart_name, z[:2], z[2:])
-        return u
-
-    z0 = np.concatenate([base_x, v])
+    z0 = np.concatenate([np.asarray(base_x, dtype=float),
+                         np.asarray(fiber_v, dtype=float)])
+    z = z0 + h * np.vstack([np.eye(4), -np.eye(4)])
+    theta, curvature = _connection(bundle, chart_name, z[:, :2])
+    u = _thom(theta, curvature, z[:, 2:])
     residual = {}
     for c in range(4):
-        dz = np.zeros(4)
-        dz[c] = h
-        up, dn = coefficients(z0 + dz), coefficients(z0 - dz)
-        keys = set(up.terms) | set(dn.terms)
-        for key in keys:
-            dcoef = (up.coefficient(key) - dn.coefficient(key)) / (2 * h)
+        for key, coef in u.terms.items():
+            dcoef = (coef[c] - coef[4 + c]) / (2 * h)
             sign, merged = merge_indices((c,), key)
             if sign:
                 residual[merged] = residual.get(merged, 0) + sign * dcoef

@@ -35,6 +35,7 @@ the file name and line number.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 
 from .expr import eval_values, parse
@@ -73,9 +74,23 @@ def _const(text, path, line_no):
                             path, line_no)
 
 
+def _int(text, what, path, line_no):
+    """An integer entry, or a positioned SpecFileError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecFileError(f"{what} must be an integer, got {text!r}",
+                            path, line_no) from None
+
+
 def load_manifold_spec(path):
-    with open(path, encoding="utf-8") as handle:
-        raw_lines = handle.readlines()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        raw_lines = io.StringIO(data.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"not UTF-8 text (byte {exc.start})", path,
+                            data.count(b"\n", 0, exc.start) + 1) from None
 
     lines = []
     for i, line in enumerate(raw_lines, start=1):
@@ -127,9 +142,9 @@ def load_manifold_spec(path):
         if key == "name":
             top["name"] = value
         elif key == "dim":
-            top["dim"] = int(value)
+            top["dim"] = _int(value, "dim", path, line_no)
         elif key == "expected_chi":
-            top["expected_chi"] = int(value)
+            top["expected_chi"] = _int(value, "expected_chi", path, line_no)
         elif key.startswith("param "):
             params[key.split(None, 1)[1]] = _const(value, path, line_no)
         else:
@@ -185,7 +200,7 @@ def _build_chart(chart_name, dim, params, body, path, header_line):
                 periodic[axis] = True
             ranges[axis] = (lo, hi)
         elif words[0] == "g" and len(words) == 3:
-            i, j = int(words[1]) - 1, int(words[2]) - 1
+            i, j = (_int(w, "metric index", path, line_no) - 1 for w in words[1:])
             if not (0 <= i <= j < dim):
                 raise SpecFileError("metric indices must be an upper-triangle pair",
                                     path, line_no)
@@ -226,9 +241,10 @@ def _build_field(field_name, atlas, body, path, header_line):
         if key == "type":
             kind = value
         elif key == "expected":
-            expected = int(value)
+            expected = _int(value, "field 'expected'", path, line_no)
         elif words[0] == "component" and len(words) == 3:
-            chart_name, comp_idx = words[1], int(words[2]) - 1
+            chart_name = words[1]
+            comp_idx = _int(words[2], "component index", path, line_no) - 1
             comps = components.setdefault(chart_name, {})
             comps[comp_idx] = value
         else:
@@ -263,11 +279,11 @@ def _build_bundle(bundle_raw, path):
         key, _, value = text.partition(":")
         key, value = key.strip(), value.strip()
         if key == "k":
-            k = int(value)
+            k = _int(value, "bundle 'k'", path, line_no)
         elif key == "sharpness":
-            sharpness = int(value)
+            sharpness = _int(value, "bundle 'sharpness'", path, line_no)
         elif key == "expected_euler":
-            expected = int(value)
+            expected = _int(value, "bundle 'expected_euler'", path, line_no)
         else:
             raise SpecFileError(f"unknown bundle key {key!r}", path, line_no)
     if k is None:

@@ -207,6 +207,7 @@ def test_criterion_7_bundles():
 
 
 def test_criterion_8_mathai_quillen():
+    t0 = time.perf_counter()
     bundle = make_plane_bundle(2)
     rng = np.random.default_rng(8)
     worst_fiber = 0.0
@@ -223,12 +224,13 @@ def test_criterion_8_mathai_quillen():
         worst_pull = max(worst_pull, berezin_vs_pfaffian_residual(
             bundle, "north", [r * math.cos(th), r * math.sin(th)]))
     euler = mq_euler_number(bundle, resolution=96)
+    mq_time = time.perf_counter() - t0
     ok = (worst_fiber < 1e-8 and worst_pull < 1e-10
-          and abs(euler.euler_number - 2) < 1e-5)
+          and abs(euler.euler_number - 2) < 1e-5 and mq_time < 2.0)
     announce("criterion 8 (Thom form)", ok,
              f"fiber integral err {worst_fiber:.1e}; "
              f"pullback residual {worst_pull:.1e}; "
-             f"Euler number {euler.euler_number:.7f}")
+             f"Euler number {euler.euler_number:.7f} ({mq_time:.2f}s)")
 
 
 def test_criterion_9_spectral_supertraces():

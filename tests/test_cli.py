@@ -228,6 +228,49 @@ def test_cli_rejects_bad_node_counts(capsys, argv, message):
     assert captured.out == "" and message in captured.err
 
 
+_NON_INTEGER_CASES = [
+    ("dim", SPHERE_SPEC, "dim: 2", "dim: two"),
+    ("expected_chi", SPHERE_SPEC, "expected_chi: 2", "expected_chi: 2.0"),
+    ("metric-index", SPHERE_SPEC, "g 1 1: r^2", "g 1 x: r^2"),
+    ("field-expected", FIELD_SPEC, "expected: -1", "expected: minus one"),
+    ("component-index", FIELD_SPEC, "component disk 2:", "component disk two:"),
+    ("bundle-k", BUNDLE_SPEC, "  k: 2", "  k: 2.5"),
+    ("bundle-sharpness", BUNDLE_SPEC, "sharpness: 6", "sharpness: six"),
+    ("bundle-expected", BUNDLE_SPEC, "expected_euler: 2", "expected_euler: 2x"),
+]
+_COMMAND_FOR = {SPHERE_SPEC: ["verify-gbc", "--manifold"],
+                FIELD_SPEC: ["index", "--field", "saddle", "--manifold"],
+                BUNDLE_SPEC: ["euler-class", "--bundle"]}
+
+
+@pytest.mark.parametrize("spec, old, new", [c[1:] for c in _NON_INTEGER_CASES],
+                         ids=[c[0] for c in _NON_INTEGER_CASES])
+def test_cli_non_integer_spec_value_is_input_error(tmp_path, capsys, spec, old, new):
+    assert spec.count(old) == 1
+    text = spec.replace(old, new)
+    line = text[:text.index(new)].count("\n") + 1
+    path = write(tmp_path, "bad.mspec", text)
+    code, doc = run_cli(capsys, *_COMMAND_FOR[spec], path)
+    assert code == 2 and doc is None
+    assert f"{path}:{line}: " in run_cli.err and "must be an integer" in run_cli.err
+
+
+def test_cli_non_utf8_spec_is_input_error(tmp_path, capsys):
+    path = tmp_path / "noise.mspec"
+    path.write_bytes(b"schema: 1\nname: x\n" + bytes(range(128, 256)))
+    code, doc = run_cli(capsys, "verify-gbc", "--manifold", str(path))
+    assert code == 2 and doc is None
+    assert f"{path}:3: not UTF-8" in run_cli.err
+    assert "Traceback" not in run_cli.err
+
+
+def test_cli_spec_metric_not_positive_definite_is_input_error(tmp_path, capsys):
+    path = write(tmp_path, "neg.mspec", SPHERE_SPEC.replace("g 1 1: r^2", "g 1 1: -1"))
+    code, doc = run_cli(capsys, "verify-gbc", "--manifold", path, "--res", "8")
+    assert code == 2 and doc is None
+    assert run_cli.err.startswith(f"error: {path}: ")
+
+
 def test_cli_spec_file_roundtrip(tmp_path, capsys):
     path = write(tmp_path, "s.mspec", SPHERE_SPEC)
     code, doc = run_cli(capsys, "verify-gbc", "--manifold", path,

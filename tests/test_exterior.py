@@ -414,3 +414,103 @@ def test_bigraded_a11_elements_commute():
         return BigradedElement(nb, nf, terms)
     a, b = rand_a11(), rand_a11()
     assert (a * b - b * a).max_abs() < 1e-14
+
+
+# ------------------------------------------------ (N,)-array coefficients
+
+N_ROWS = 64
+
+
+def _random_terms(rng, keys, scalar_key=None):
+    """(N,) coefficients: real on forms; on bigraded keys the MQ phases,
+    real on even fiber degree and purely imaginary on odd.  A real scalar
+    part goes under `scalar_key`."""
+    terms = {}
+    for key in keys:
+        c = rng.normal(size=N_ROWS)
+        terms[key] = 1j * c if key and isinstance(key[0], tuple) and len(key[1]) % 2 else c
+    if scalar_key is not None:
+        terms[scalar_key] = rng.normal(size=N_ROWS)
+    return terms
+
+
+def _row(terms, k):
+    return {key: c[k] for key, c in terms.items()}
+
+
+def _assert_rows_equal(batch, rows):
+    for k, single in enumerate(rows):
+        assert set(single.terms) <= set(batch.terms)
+        for key, c in batch.terms.items():
+            got = np.broadcast_to(c, N_ROWS)[k]
+            want = single.terms.get(key, 0.0)
+            assert got == want, (k, key, got, want)
+
+
+_FORM_KEYS = [(), (0,), (2,), (1, 3), (0, 2), (0, 1, 4), (1, 2, 3, 4)]
+_BIG_KEYS = [((0,), (0,)), ((1,), (1,)), ((2,), (0,)), ((3,), (1,)),
+             ((0, 1), (0, 1)), ((2, 3), ()), ((1,), ())]
+
+
+def _op_cases():
+    def form_wedge(ta, tb):
+        return wedge(FormElement(5, ta), FormElement(5, tb))
+
+    def bigraded_product(ta, tb):
+        return BigradedElement(4, 2, ta) * BigradedElement(4, 2, tb)
+
+    def form_exp(ta, tb):
+        return exp_nilpotent(FormElement(5, ta))
+
+    def bigraded_exp(ta, tb):
+        return exp_nilpotent(BigradedElement(4, 2, ta) * -1)
+
+    def berezin_of_product(ta, tb):
+        return berezin_fiber(BigradedElement(4, 2, ta) * BigradedElement(4, 2, tb))
+
+    return [("wedge", form_wedge, _FORM_KEYS, None),
+            ("bigraded_mul", bigraded_product, _BIG_KEYS, None),
+            ("exp_form", form_exp, _FORM_KEYS[1:], ()),
+            ("exp_bigraded", bigraded_exp, _BIG_KEYS, ((), ())),
+            ("berezin_fiber", berezin_of_product, _BIG_KEYS, None)]
+
+
+@pytest.mark.parametrize("name,op,keys,scalar_key", _op_cases(),
+                         ids=[c[0] for c in _op_cases()])
+def test_array_rows_equal_scalar_calls_bitwise(name, op, keys, scalar_key):
+    rng = np.random.default_rng(60)
+    ta = _random_terms(rng, keys, scalar_key)
+    tb = _random_terms(rng, keys)
+    batch = op(ta, tb)
+    _assert_rows_equal(batch, [op(_row(ta, k), _row(tb, k)) for k in range(N_ROWS)])
+
+
+def test_array_rows_general_complex_agree_to_rounding():
+    """Products of general complex coefficients: NumPy's vector loops may
+    fuse multiply-adds, so rows agree to rounding, not bit for bit."""
+    rng = np.random.default_rng(61)
+
+    def rand():
+        return {key: rng.normal(size=N_ROWS) + 1j * rng.normal(size=N_ROWS)
+                for key in _FORM_KEYS}
+
+    ta, tb = rand(), rand()
+    batch = exp_nilpotent(wedge(FormElement(5, ta), FormElement(5, tb)))
+    for k in range(N_ROWS):
+        single = exp_nilpotent(wedge(FormElement(5, _row(ta, k)),
+                                     FormElement(5, _row(tb, k))))
+        for key, c in single.terms.items():
+            assert batch.terms[key][k] == pytest.approx(c, rel=1e-13, abs=1e-13)
+
+
+def test_all_zero_array_coefficient_is_pruned():
+    z = np.zeros(N_ROWS)
+    e = FormElement(3, {(0,): z, (1,): 0.0, (2,): np.eye(N_ROWS)[0]})
+    assert set(e.terms) == {(2,)}
+    b = BigradedElement(2, 2, {((0,), (1,)): z, ((1,), ()): 0, ((), ()): 1.0})
+    assert set(b.terms) == {((), ())}
+    x = FormElement(3, {(0,): np.arange(1.0, N_ROWS + 1)})
+    assert (x - x).is_zero()
+    assert (x * z).is_zero() and (z * x).is_zero()
+    assert (np.arange(N_ROWS) * x).terms[(0,)][2] == 2 * 3.0
+    assert x.max_abs() == N_ROWS

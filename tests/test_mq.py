@@ -8,9 +8,9 @@ import pytest
 from gaussbonnet.bundles import euler_form_transition_batch, make_plane_bundle
 from gaussbonnet.exterior import BigradedElement
 from gaussbonnet.mq import (
-    berezin_vs_pfaffian_residual, closedness_residual, contraction,
-    covariant_q_residual, epsilon, mq_euler_number, mq_fiber_integral,
-    mq_fiber_integral_point, mq_form_bundle, mq_form_point,
+    _connection, _thom, berezin_vs_pfaffian_residual, closedness_residual,
+    contraction, covariant_q_residual, epsilon, mq_euler_number,
+    mq_fiber_integral, mq_fiber_integral_point, mq_form_bundle, mq_form_point,
     mq_zero_section_density,
 )
 
@@ -53,7 +53,44 @@ def test_point_fiber_integral_is_one():
     assert mq_fiber_integral_point(2, nodes=40) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_point_model_batch_rows_equal_single_points():
+    x = np.random.default_rng(7).uniform(-2.0, 2.0, (12, 2))
+    batch = mq_form_point(2, x).coefficient((0, 1))
+    assert batch.shape == (12,)
+    for k in range(12):
+        assert batch[k] == mq_form_point(2, x[k]).coefficient((0, 1))
+
+
 # ---------------------------------------------------------------- bundles
+
+def _annulus_points(rng, count, lo=0.3, hi=2.0):
+    r = rng.uniform(lo, hi, count)
+    th = rng.uniform(0, 2 * math.pi, count)
+    return np.column_stack([r * np.cos(th), r * np.sin(th)])
+
+
+def test_zero_section_density_batch_equals_single_rows():
+    b = make_plane_bundle(2)
+    pts = _annulus_points(np.random.default_rng(11), 16)
+    batch = mq_zero_section_density(b, "north", pts)
+    rows = np.concatenate([mq_zero_section_density(b, "north", pts[k:k + 1])
+                           for k in range(16)])
+    assert np.array_equal(batch, rows)
+
+
+def test_form_bundle_equals_row_of_batched_thom():
+    b = make_plane_bundle(2)
+    rng = np.random.default_rng(12)
+    x = _annulus_points(rng, 10)
+    v = rng.uniform(-1.5, 1.5, (10, 2))
+    theta, curvature = _connection(b, "north", x)
+    batch = _thom(theta, curvature, v)
+    for k in range(10):
+        single = mq_form_bundle(b, "north", x[k], v[k])
+        assert set(single.terms) == set(batch.terms)
+        for key, c in batch.terms.items():
+            assert c[k] == single.terms[key], (k, key)
+
 
 def test_flat_bundle_reduces_to_point_model():
     b = make_plane_bundle(0)
