@@ -73,7 +73,7 @@ def make_plane_bundle(k, sharpness=6, box=3.0):
     minus phi_{alpha beta}; the two flips cancel, so the stored entry
     phi_{name,other} reads k theta in both charts' own coordinates.
     rho = 1/(1 + r^{2s}) in each chart's own radius is an exact analytic
-    partition of unity.
+    partition of unity; `stereo_pair_atlas` raises ValueError for s <= 0.
     """
     atlas = stereo_pair_atlas(box=box, sharpness=sharpness)
     phi = {"north": f"{k}*atan2(x2, x1)", "south": f"{k}*atan2(x2, x1)"}

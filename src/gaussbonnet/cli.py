@@ -119,6 +119,7 @@ def cmd_verify_gbc(args):
         expected=manifold.expected_chi,
         tolerance=tol,
         wall_time=time.perf_counter() - t0,
+        extra={"error_estimate": result.error_estimate},
     ).finalize()
     return report
 

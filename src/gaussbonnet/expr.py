@@ -29,6 +29,7 @@ __all__ = [
     "Expr", "Num", "Var", "Const", "Neg", "BinOp", "Call",
     "Jet2", "ParseError", "UnknownIdentifierError", "EvalDomainError",
     "parse", "eval_jet2", "eval_jet", "eval_values", "expr_to_str",
+    "variable_support",
 ]
 
 FUNCTION_ARITY = {
@@ -260,6 +261,30 @@ def parse(text, variables, parameters=()):
     if tok[0] != "eof":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2], expected="end of input")
     return node
+
+
+def variable_support(node):
+    """Indices of the declared variables that an expression reads.
+
+    Parameters (``Var.index == -1``) and constants are not variables, so an
+    expression whose support misses an index is constant along that axis.
+    """
+    found = set()
+    stack = [node]
+    while stack:
+        nd = stack.pop()
+        if isinstance(nd, Var):
+            if nd.index >= 0:
+                found.add(nd.index)
+        elif isinstance(nd, Neg):
+            stack.append(nd.operand)
+        elif isinstance(nd, BinOp):
+            stack += (nd.left, nd.right)
+        elif isinstance(nd, Call):
+            stack.extend(nd.args)
+        elif not isinstance(nd, (Num, Const)):
+            raise TypeError(f"not an Expr node: {nd!r}")
+    return frozenset(found)
 
 
 # --------------------------------------------------------------------------

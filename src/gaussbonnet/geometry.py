@@ -25,10 +25,11 @@ step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .expr import Expr, eval_jet, parse
+from .expr import Expr, eval_jet, parse, variable_support
 from .exterior import FormElement, SkewFormMatrix
 
 __all__ = [
@@ -106,6 +107,19 @@ class Chart:
         if self.weight is None:
             return np.ones(len(points))
         return eval_jet(self.weight, points, self.params, order=0).val
+
+    @cached_property
+    def support(self):
+        """Axes that the metric entries or the weight read (a frozenset).
+
+        Every other axis is a coordinate Killing field, along which the
+        curvature density, sqrt(det g) and the weight are all constant.
+        Computed on first use, so building a chart stays as cheap as parsing.
+        """
+        exprs = list(self.metric.values())
+        if self.weight is not None:
+            exprs.append(self.weight)
+        return frozenset().union(*map(variable_support, exprs))
 
 
 @dataclass(frozen=True)

@@ -168,8 +168,11 @@ def stereo_pair_atlas(box=3.0, sharpness=6, expected_chi=2):
     The partition of unity is rho(r) = 1 / (1 + r^{2s}); because the
     transition inverts the radius, the same expression in each chart's own
     coordinates sums to one exactly.  Tail mass outside the box is below
-    4 pi / box^{2s+2}.
+    4 pi / box^{2s+2}.  A sharpness s <= 0 raises ValueError: rho then no
+    longer decays inside the box.
     """
+    if sharpness <= 0:
+        raise ValueError(f"sharpness must be positive, got {sharpness}")
     conf = "4/(1+x1^2+x2^2)^2"
     weight = f"1/(1+(x1^2+x2^2)^{sharpness})"
     mk = lambda name: Chart.from_strings(

@@ -5,6 +5,14 @@ endpoints), shifted uniform rule on periodic axes (spectrally accurate for
 smooth periodic integrands).  Sums are reduced by a fixed pairwise tree in
 ascending multi-index order, so results are bitwise reproducible no matter
 how node evaluation is scheduled.
+
+The keyword `axes` of `integrate_chart` and `integrate_atlas` names the
+coordinate axes along which the integrand density(chart, X) * sqrt(det g)
+* weight varies; None (the default) means every axis.  Each other axis
+gets the one-node rule: its midpoint, with weight hi - lo.  That rule is
+exact only if the integrand really is constant along the axis, and the
+caller vouches for it: `Chart.support` does, for any density that reads
+nothing but the chart's metric and weight.
 """
 
 from __future__ import annotations
@@ -64,13 +72,21 @@ def axis_rule(lo, hi, n, periodic):
     return mid + half * x, half * w
 
 
-def chart_nodes(chart, counts):
-    """Tensor-product nodes (N, d) and weights (N,) in ascending multi-index order."""
-    axes = [axis_rule(lo, hi, n, per)
-            for (lo, hi), per, n in zip(chart.ranges, chart.periodic, counts)]
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+def chart_nodes(chart, counts, axes=None):
+    """Tensor-product nodes (N, d) and weights (N,) in ascending multi-index order.
+
+    Axes not in `axes` (None: every axis) get one node, the axis midpoint,
+    with weight hi - lo.
+    """
+    if axes is not None and not set(axes) <= set(range(chart.dim)):
+        raise ValueError(f"axes {sorted(axes)} outside 0..{chart.dim - 1}")
+    rules = [axis_rule(lo, hi, n, per) if axes is None or i in axes
+             else (np.array([0.5 * (lo + hi)]), np.array([hi - lo]))
+             for i, ((lo, hi), per, n)
+             in enumerate(zip(chart.ranges, chart.periodic, counts))]
+    grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
     points = np.column_stack([g.reshape(-1) for g in grids])
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
+    wgrids = np.meshgrid(*[r[1] for r in rules], indexing="ij")
     weights = np.ones(len(points))
     for w in wgrids:
         weights = weights * w.reshape(-1)
@@ -98,12 +114,14 @@ class QuadratureError(RuntimeError):
     pass
 
 
-def integrate_chart(chart, density, spec_or_nodes, chunk=65536):
+def integrate_chart(chart, density, spec_or_nodes, chunk=65536, *, axes=None):
     """Integrate density(chart, X) * sqrt(det g) * weight over the chart box.
 
     `density` is a batched callable mapping (chart, (N, d) points) to (N,)
     values relative to the Riemannian volume.  Node evaluation may be
-    chunked and threaded; the reduction order never changes.
+    chunked and threaded; the reduction order never changes.  `axes`: the
+    axes the integrand varies along (None: all); every other axis is
+    collapsed to one node (see the module docstring).
     """
     if isinstance(spec_or_nodes, QuadratureSpec):
         counts = spec_or_nodes.per_axis(chart.dim)
@@ -111,7 +129,7 @@ def integrate_chart(chart, density, spec_or_nodes, chunk=65536):
         counts = [spec_or_nodes] * chart.dim
     else:
         counts = list(spec_or_nodes)
-    points, weights = chart_nodes(chart, counts)
+    points, weights = chart_nodes(chart, counts, axes)
     values = np.empty(len(points))
     spans = [(s, min(s + chunk, len(points))) for s in range(0, len(points), chunk)]
 
@@ -143,9 +161,14 @@ def integrate_chart(chart, density, spec_or_nodes, chunk=65536):
     return pairwise_sum(values)
 
 
-def integrate_atlas(atlas, density, spec_or_nodes, chunk=65536):
-    """Sum of chart integrals; chart weights realize the partition of unity."""
-    return sum(integrate_chart(c, density, spec_or_nodes, chunk)
+def integrate_atlas(atlas, density, spec_or_nodes, chunk=65536, *, axes=None):
+    """Sum of chart integrals; chart weights realize the partition of unity.
+
+    `axes` is None (all axes) or a callable giving each chart's axes,
+    e.g. ``lambda c: c.support``.
+    """
+    return sum(integrate_chart(c, density, spec_or_nodes, chunk,
+                               axes=None if axes is None else axes(c))
                for c in atlas.charts)
 
 

@@ -143,6 +143,9 @@ def load_manifold_spec(path):
             top["name"] = value
         elif key == "dim":
             top["dim"] = _int(value, "dim", path, line_no)
+            if top["dim"] < 1:
+                raise SpecFileError(f"dim must be at least 1, got {top['dim']}",
+                                    path, line_no)
         elif key == "expected_chi":
             top["expected_chi"] = _int(value, "expected_chi", path, line_no)
         elif key.startswith("param "):
@@ -282,6 +285,10 @@ def _build_bundle(bundle_raw, path):
             k = _int(value, "bundle 'k'", path, line_no)
         elif key == "sharpness":
             sharpness = _int(value, "bundle 'sharpness'", path, line_no)
+            if sharpness <= 0:
+                raise SpecFileError(
+                    f"bundle 'sharpness' must be positive, got {sharpness}",
+                    path, line_no)
         elif key == "expected_euler":
             expected = _int(value, "bundle 'expected_euler'", path, line_no)
         else:

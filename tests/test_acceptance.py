@@ -68,7 +68,7 @@ def test_criterion_2_gbc_dimension_4():
     t4 = verify_gbc(build_manifold("torus4").atlas, resolution=4)
     cp = verify_gbc(build_manifold("cp2").atlas, resolution=20,
                     extrapolate=True, levels=3)
-    ok = (abs(s4.integral - 2) < 1e-3 and s4_time < 120.0
+    ok = (abs(s4.integral - 2) < 1e-3 and s4_time < 10.0
           and abs(prod.integral - 4) < 1e-3
           and abs(t4.integral) < 1e-12
           and abs(cp.integral - 3) < 1e-2)

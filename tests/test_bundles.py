@@ -11,7 +11,9 @@ from gaussbonnet.bundles import (
     winding_of_phi,
 )
 from gaussbonnet.expr import eval_jet
-from gaussbonnet.library import overlap_jacobian, stereo_overlap_maps
+from gaussbonnet.library import (
+    overlap_jacobian, stereo_overlap_maps, stereo_pair_atlas,
+)
 from gaussbonnet.quadrature import integrate_chart
 
 
@@ -19,6 +21,15 @@ def annulus_points(rng, n, lo=0.7, hi=1.4):
     r = rng.uniform(lo, hi, n)
     th = rng.uniform(0, 2 * math.pi, n)
     return np.column_stack([r * np.cos(th), r * np.sin(th)])
+
+
+@pytest.mark.parametrize("sharpness", [0, -3])
+def test_nonpositive_sharpness_rejected(sharpness):
+    """rho = 1/(1 + r^(2s)) must decay inside the chart box."""
+    with pytest.raises(ValueError, match="sharpness"):
+        stereo_pair_atlas(sharpness=sharpness)
+    with pytest.raises(ValueError, match="sharpness"):
+        make_plane_bundle(2, sharpness=sharpness)
 
 
 def test_partition_of_unity_exact():

@@ -1,6 +1,7 @@
 """Spec-file loading, report determinism, CLI dispatch and exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -264,6 +265,31 @@ def test_cli_non_utf8_spec_is_input_error(tmp_path, capsys):
     assert "Traceback" not in run_cli.err
 
 
+_OUT_OF_RANGE_CASES = [
+    ("dim-zero", "schema: 1\nname: x\ndim: 0\nchart c:\nend\n", "dim: 0",
+     ["verify-gbc", "--manifold"], "dim must be at least 1"),
+    ("dim-negative", SPHERE_SPEC.replace("dim: 2", "dim: -2"), "dim: -2",
+     ["verify-gbc", "--manifold"], "dim must be at least 1"),
+    ("sharpness-zero", BUNDLE_SPEC.replace("sharpness: 6", "sharpness: 0"),
+     "sharpness: 0", ["euler-class", "--res", "8", "--bundle"], "must be positive"),
+    ("sharpness-negative", BUNDLE_SPEC.replace("sharpness: 6", "sharpness: -3"),
+     "sharpness: -3", ["euler-class", "--res", "8", "--bundle"], "must be positive"),
+]
+
+
+@pytest.mark.parametrize("text, bad_line, command, message",
+                         [c[1:] for c in _OUT_OF_RANGE_CASES],
+                         ids=[c[0] for c in _OUT_OF_RANGE_CASES])
+def test_cli_out_of_range_spec_value_is_input_error(tmp_path, capsys, text, bad_line,
+                                                    command, message):
+    line = text[:text.index(bad_line)].count("\n") + 1
+    path = write(tmp_path, "bad.mspec", text)
+    code, doc = run_cli(capsys, *command, path)
+    assert code == 2 and doc is None
+    assert f"{path}:{line}: " in run_cli.err and message in run_cli.err
+    assert "Traceback" not in run_cli.err
+
+
 def test_cli_spec_metric_not_positive_definite_is_input_error(tmp_path, capsys):
     path = write(tmp_path, "neg.mspec", SPHERE_SPEC.replace("g 1 1: r^2", "g 1 1: -1"))
     code, doc = run_cli(capsys, "verify-gbc", "--manifold", path, "--res", "8")
@@ -293,6 +319,20 @@ def test_cli_selftest_all_builtins_pass(capsys):
     code, doc = run_cli(capsys, "selftest", "--no-wall-time")
     assert code == 0
     assert all(row["passed"] for row in doc["checks"])
+
+
+def test_cli_verify_gbc_error_estimate(capsys):
+    base = ["verify-gbc", "--manifold", "sphere2", "--res", "32", "--no-wall-time"]
+    code, doc = run_cli(capsys, *base, "--extrapolate")
+    assert code == 0
+    assert math.isfinite(doc["error_estimate"]) and doc["error_estimate"] >= 0.0
+    code, doc = run_cli(capsys, *base)
+    assert code == 0 and doc["error_estimate"] is None
+    outs = []
+    for _ in range(2):
+        main(base + ["--extrapolate"])
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and '"error_estimate": ' in outs[0]
 
 
 def test_report_determinism(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gaussbonnet.expr import (
     BinOp, Call, EvalDomainError, Num, ParseError, UnknownIdentifierError,
-    eval_jet2, eval_values, expr_to_str, parse,
+    eval_jet2, eval_values, expr_to_str, parse, variable_support,
 )
 
 
@@ -171,6 +171,14 @@ def test_params_are_flat():
     jet = eval_jet2(tree, [0.5], {"r": 3.0})
     assert jet.value == pytest.approx(9 * math.sin(0.5))
     assert jet.gradient[0] == pytest.approx(9 * math.cos(0.5))
+
+
+def test_variable_support_skips_parameters_and_constants():
+    names = ("x1", "x2", "x3", "x4")
+    node = parse("r^2*sin(x3)^2 + atan2(x1, pi) - e", names, ("r",))
+    assert variable_support(node) == {0, 2}
+    assert variable_support(parse("r*pi + 2", names, ("r",))) == frozenset()
+    assert variable_support(parse("-pow(x4, x2)", names)) == {1, 3}
 
 
 def test_batched_matches_scalar():

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from gaussbonnet import gbc
 from gaussbonnet.gbc import (
     gb_density_aw, gb_density_pfaffian, gb_density_pfaffian_batch,
     gb_density_pfaffian_reference, integrand_report, verify_gbc,
 )
 from gaussbonnet.geometry import Chart, Atlas
 from gaussbonnet.library import build_manifold
+from gaussbonnet.quadrature import integrate_atlas
+from gaussbonnet.specfile import load_manifold_spec
 
 
 def interior_points(rng, chart, n):
@@ -116,3 +119,68 @@ def test_convergence_table_recorded():
     assert len(res.resolutions) == 3
     assert res.extrapolated
     assert [n for n, _ in res.resolutions] == sorted(n for n, _ in res.resolutions)
+
+
+# ------------------------------------- integration over the chart support
+
+@pytest.mark.parametrize("name, res", [
+    ("sphere4", 8), ("s2xs2", 10), ("cp2", 10), ("sphere2", 32), ("bumpy_sphere", 32),
+])
+def test_collapsed_ladder_matches_full_grid(name, res):
+    """The full tensor grid is the oracle for every collapsed ladder value."""
+    atlas = build_manifold(name).atlas
+    result = verify_gbc(atlas, resolution=res, extrapolate=True)
+    assert len(result.resolutions) == 3
+    for n, value in result.resolutions:
+        full = integrate_atlas(atlas, gb_density_pfaffian_batch, n, axes=None)
+        assert abs(value - full) <= 1e-13 * abs(full), (n, value, full)
+
+
+@pytest.mark.parametrize("name", ["sphere4", "cp2"])
+def test_collapsed_result_deterministic(name, monkeypatch):
+    atlas = build_manifold(name).atlas
+    a = verify_gbc(atlas, resolution=8, extrapolate=True, chunk=50)
+    b = verify_gbc(atlas, resolution=8, extrapolate=True, chunk=10 ** 6)
+    monkeypatch.setenv("GBC_THREADS", "2")
+    c = verify_gbc(atlas, resolution=8, extrapolate=True, chunk=50)
+    assert a.resolutions == b.resolutions == c.resolutions  # bitwise
+    assert a.integral == b.integral == c.integral
+
+
+def _counting_density(monkeypatch):
+    rows = []
+    inner = gbc.gb_density_pfaffian_batch
+
+    def density(chart, points):
+        rows.append(len(points))
+        return inner(chart, points)
+
+    monkeypatch.setattr(gbc, "gb_density_pfaffian_batch", density)
+    return rows
+
+
+def _spec_chart(tmp_path, g11, g22):
+    path = tmp_path / "t.mspec"
+    path.write_text("schema: 1\nname: t\ndim: 2\nexpected_chi: 0\n"
+                    "chart c:\n  range x1: 0 2*pi periodic\n"
+                    "  range x2: 0 2*pi periodic\n"
+                    f"  g 1 1: {g11}\n  g 2 2: {g22}\nend\n")
+    return load_manifold_spec(str(path)).manifold.atlas
+
+
+def test_spec_metric_reading_every_axis_uses_full_grid(tmp_path, monkeypatch):
+    atlas = _spec_chart(tmp_path, "exp(0.2*sin(x2))", "exp(0.2*cos(x1))")
+    assert atlas.charts[0].support == {0, 1}
+    rows = _counting_density(monkeypatch)
+    res = verify_gbc(atlas, resolution=12)
+    assert sum(rows) == 12 ** 2
+    assert res.integral == pytest.approx(0.0, abs=1e-10)
+
+
+def test_spec_metric_missing_an_axis_is_collapsed(tmp_path, monkeypatch):
+    atlas = _spec_chart(tmp_path, "1", "(2 + cos(x1))^2")  # torus of revolution
+    assert atlas.charts[0].support == {0}
+    rows = _counting_density(monkeypatch)
+    res = verify_gbc(atlas, resolution=12)
+    assert sum(rows) == 12
+    assert res.integral == pytest.approx(0.0, abs=1e-10)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gaussbonnet.geometry import Chart
+from gaussbonnet.library import build_manifold, stereo_pair_atlas
 from gaussbonnet.quadrature import (
     QuadratureError, QuadratureSpec, axis_rule, chart_nodes, integrate_chart,
     pairwise_sum, richardson,
@@ -153,3 +154,47 @@ def test_chart_nodes_ascending_multi_index():
     assert np.all(np.diff(pts[:3, 1]) > 0)
     assert pts[0, 0] == pts[1, 0] == pts[2, 0]
     assert w.sum() == pytest.approx(1.0)
+
+
+# ------------------------------------------------------- collapsed axes
+
+@pytest.mark.parametrize("name, support", [
+    ("sphere2", {0}), ("bumpy_sphere", {0}), ("torus2", set()),
+    ("sphere4", {0, 1, 2}), ("s2xs2", {0, 2}), ("cp2", {0, 1}), ("torus4", set()),
+])
+def test_chart_support_builtins(name, support):
+    (chart,) = build_manifold(name).atlas.charts
+    assert chart.support == support
+
+
+def test_chart_support_reads_the_weight():
+    north = stereo_pair_atlas().chart("north")
+    assert north.support == {0, 1}
+    flat = Chart.from_strings("w", 2, [(0, 1), (0, 1)], [True, True],
+                              {(0, 0): "1", (1, 1): "1"}, weight="x2")
+    assert flat.support == {1}
+
+
+def test_chart_nodes_collapse_to_midpoint():
+    chart = polar_sphere()
+    pts, w = chart_nodes(chart, [5, 7], axes={0})
+    full_pts, full_w = chart_nodes(chart, [5, 7])
+    assert pts.shape == (5, 2)
+    assert np.array_equal(pts[:, 0], full_pts[::7, 0])  # ascending order kept
+    assert np.all(pts[:, 1] == math.pi)
+    assert w.sum() == pytest.approx(full_w.sum(), rel=1e-14)
+    pts, w = chart_nodes(chart, [5, 7], axes=())
+    assert pts.tolist() == [[0.5 * math.pi, math.pi]] and w.tolist() == [2 * math.pi ** 2]
+    with pytest.raises(ValueError):
+        chart_nodes(chart, [5, 7], axes={2})
+
+
+def test_collapsed_integral_matches_full_grid():
+    chart = polar_sphere()  # nothing depends on x2
+
+    def dens(c, p):
+        return np.cos(p[:, 0]) ** 2 + 0.5
+
+    full = integrate_chart(chart, dens, 40)
+    collapsed = integrate_chart(chart, dens, 40, axes=chart.support)
+    assert collapsed == pytest.approx(full, rel=1e-14)
