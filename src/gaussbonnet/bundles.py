@@ -26,7 +26,7 @@ import numpy as np
 from .expr import eval_jet, parse
 from .geometry import metric_jets
 from .library import stereo_pair_atlas
-from .quadrature import integrate_chart, richardson
+from .quadrature import integrate_chart
 
 __all__ = ["PlaneBundle", "make_plane_bundle", "euler_form_transition",
            "euler_form_transition_batch", "connection_form", "connection_curvature",
@@ -170,29 +170,18 @@ class GeneralizedGbcResult:
     resolutions: list = field(default_factory=list)
 
 
-def generalized_gbc(bundle, resolution=96, extrapolate=False):
+def generalized_gbc(bundle, resolution=96):
     """Both Euler-number routes; each should equal the clutching integer."""
-    table_pf, table_tr = [], []
-    ladder = ([resolution // 2, 3 * resolution // 4, resolution]
-              if extrapolate else [resolution])
-    for n in ladder:
-        pf = sum(integrate_chart(bundle.atlas.chart(name),
-                                 lambda c, p, nm=name: curvature_density_batch(bundle, nm, p),
-                                 n)
-                 for name in bundle.chart_names())
-        tr = sum(integrate_chart(bundle.atlas.chart(name),
-                                 lambda c, p, nm=name: euler_form_transition_batch(bundle, nm, p),
-                                 n)
-                 for name in bundle.chart_names())
-        table_pf.append((n, pf))
-        table_tr.append((n, tr))
-    if extrapolate and len(ladder) > 1:
-        pf = richardson(table_pf)[0]
-        tr = richardson(table_tr)[0]
-    else:
-        pf, tr = table_pf[-1][1], table_tr[-1][1]
-    return GeneralizedGbcResult(pf, tr, bundle.k,
-                                [(n, a, b) for (n, a), (_, b) in zip(table_pf, table_tr)])
+
+    def route(density):
+        return sum(integrate_chart(bundle.atlas.chart(name),
+                                   lambda c, p, nm=name: density(bundle, nm, p),
+                                   resolution)
+                   for name in bundle.chart_names())
+
+    pf = route(curvature_density_batch)
+    tr = route(euler_form_transition_batch)
+    return GeneralizedGbcResult(pf, tr, bundle.k, [(resolution, pf, tr)])
 
 
 def winding_of_phi(bundle, name="north", radius=1.0, samples=720):

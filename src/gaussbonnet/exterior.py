@@ -4,8 +4,10 @@ Everything here is sparse and exact over complex coefficients: wedge
 products with merge-permutation signs, Pfaffians of skew matrices whose
 entries are even-degree forms, Berezin integrals (projection onto the top
 exterior coefficient), nilpotent exponentials, derivation extensions of
-endomorphisms to antisymmetric powers, and the alternating-trace
-identities that drive the curvature cancellation machinery.
+endomorphisms to antisymmetric powers (dense matrices, applied from one
+cached read-only table per (d, p) that holds all of the merge-sign
+bookkeeping), and the alternating-trace identities that drive the
+curvature cancellation machinery.
 
 A coefficient is a scalar or an (N,) array: one element carries N stacked
 elements with one sparsity pattern, and row k equals the one-element
@@ -24,6 +26,7 @@ Sign conventions, fixed once:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -32,7 +35,7 @@ import numpy as np
 
 __all__ = [
     "FormElement", "BigradedElement", "SkewFormMatrix",
-    "wedge_sign", "merge_indices", "perm_sign", "pfaffian", "pfaffian_terms",
+    "merge_indices", "perm_sign", "pfaffian", "pfaffian_terms",
     "pfaffian_definition", "pfaffian_numeric", "berezin", "berezin_fiber", "exp_nilpotent",
     "two_vector", "dp_extend", "dp_extend4", "supertrace",
     "patodi_coefficient", "killing_double_sum", "lambda_basis",
@@ -60,10 +63,6 @@ def merge_indices(a, b):
             if ai > bj:
                 inversions += 1
     return (-1) ** inversions, tuple(sorted(merged))
-
-
-def wedge_sign(a, b):
-    return merge_indices(a, b)[0]
 
 
 class _SparseElement:
@@ -156,16 +155,6 @@ class FormElement(_SparseElement):
     @classmethod
     def generator(cls, n, i):
         return cls(n, {(i,): 1.0})
-
-    def copy(self):
-        out = FormElement(self.n)
-        out.terms = dict(self.terms)
-        return out
-
-    def degree_part(self, k):
-        out = FormElement(self.n)
-        out.terms = {idx: c for idx, c in self.terms.items() if len(idx) == k}
-        return out
 
     def degrees(self):
         return sorted({len(idx) for idx in self.terms})
@@ -375,8 +364,6 @@ def berezin_fiber(omega: BigradedElement) -> FormElement:
     return FormElement(omega.n_base, {tb: c for (tb, tf), c in omega.terms.items() if tf == top})
 
 
-
-
 def exp_nilpotent(omega, max_degree=None):
     """exp of a form element; exact because the positive-degree part is nilpotent.
 
@@ -431,31 +418,50 @@ def lambda_basis(d, p):
     return list(itertools.combinations(range(d), p))
 
 
-def dp_extend(a, p):
-    """Derivation extension of an endomorphism to Lambda^p.
+@functools.lru_cache(maxsize=None)
+def _dp_table(d, p):
+    """D^p on Lambda^p of R^d as a linear function of the endomorphism a.
 
-    Acts in one slot at a time with merge signs; D^0 = 0, D^1 = a.
-    Matrix is on the lexicographic basis of index tuples.
+    Returns a read-only (5, T) integer array with rows i, j, row, col, sign:
+    entry t adds sign * a[j, i] to D^p(a)[row, col] (e_j replaces e_i in
+    one slot of the column's basis tuple).  Entries are made in (column,
+    slot, j) order and sorted stably by (i, j): every diagonal entry still
+    sums its slots in order, and the entries with one (i, j) are D^p(E_ij)
+    for the elementary endomorphism taking e_i to e_j.
     """
-    a = np.asarray(a, dtype=float)
-    d = a.shape[0]
-    if not 0 <= p <= d:
-        raise ValueError(f"degree p={p} out of range 0..{d}")
     basis = lambda_basis(d, p)
     pos = {idx: k for k, idx in enumerate(basis)}
-    m = np.zeros((len(basis), len(basis)))
+    entries = []
     for col, idx in enumerate(basis):
-        for slot in range(p):
-            i = idx[slot]
+        for slot, i in enumerate(idx):
             others = idx[:slot] + idx[slot + 1:]
             for j in range(d):
-                coeff = a[j, i]
-                if coeff == 0.0 or j in others:
+                if j in others:
                     continue
                 # e_j replaces slot `slot`: move it to the front (slot swaps),
                 # then merge into the ordered remainder
                 sign, merged = merge_indices((j,), others)
-                m[pos[merged], col] += (-1) ** slot * sign * coeff
+                entries.append((i, j, pos[merged], col, (-1) ** slot * sign))
+    entries.sort(key=lambda e: e[:2])
+    table = np.array(entries, dtype=np.intp).reshape(-1, 5).T
+    table.setflags(write=False)
+    return table
+
+
+def dp_extend(a, p):
+    """Derivation extension of an endomorphism, or a stack of them, to Lambda^p.
+
+    Acts in one slot at a time with merge signs; D^0 = 0, D^1 = a.
+    Matrix is on the lexicographic basis of index tuples; a (..., d, d)
+    stack gives a (..., C(d, p), C(d, p)) stack.
+    """
+    a = np.asarray(a, dtype=float)
+    d = a.shape[-1]
+    if not 0 <= p <= d:
+        raise ValueError(f"degree p={p} out of range 0..{d}")
+    i, j, rows, cols, signs = _dp_table(d, p)
+    m = np.zeros(a.shape[:-2] + (math.comb(d, p),) * 2)
+    np.add.at(m, (..., rows, cols), signs * a[..., j, i])
     return m
 
 
@@ -465,25 +471,19 @@ def dp_extend4(a, p):
     Computed as sum_{ij} D^p(E_ij) o D^p(a[i,j,:,:]) where E_ij is the
     elementary endomorphism taking e_i to e_j; bilinearity in the two
     endomorphism slots makes this the induced linear map on 4-tensors.
+    D^p(E_ij) is the (i, j) block of the D^p table, a signed selection of
+    rows, so the sum is one signed gather accumulated in (i, j) order.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[0]
     if a.shape != (d, d, d, d):
         raise ValueError("expected a d^4 tensor")
-    if not 0 <= p <= d:
-        raise ValueError(f"degree p={p} out of range 0..{d}")
-    size = math.comb(d, p)
-    out = np.zeros((size, size))
-    for i in range(d):
-        for j in range(d):
-            # slice (k,l) is an operator in the same e_k* (x) e_l convention
-            # as E_ij, so its operator matrix is the transposed array
-            second = dp_extend(a[i, j].T, p)
-            if not second.any():
-                continue
-            eij = np.zeros((d, d))
-            eij[j, i] = 1.0  # e_i* (x) e_j maps e_i to e_j
-            out += dp_extend(eij, p) @ second
+    # slice (k,l) is an operator in the same e_k* (x) e_l convention as
+    # E_ij, so its operator matrix is the transposed array
+    second = dp_extend(a.transpose(0, 1, 3, 2), p)
+    i, j, rows, cols, signs = _dp_table(d, p)
+    out = np.zeros(second.shape[2:])
+    np.add.at(out, rows, signs[:, None] * second[i, j, cols])
     return out
 
 

@@ -107,9 +107,6 @@ class IntegrandReport:
     aw_density: float
     discrepancy: float
 
-    def within_tolerance(self):
-        return self.discrepancy < 1e-9 * (1.0 + abs(self.pfaffian_density))
-
 
 def integrand_report(chart, x):
     pf = gb_density_pfaffian(chart, x)

@@ -233,13 +233,18 @@ def _cholesky_psd(g, chart, points):
             f"metric not positive definite on chart {chart.name!r} at {bad}")
 
 
+def _christoffels(g_inv, dg):
+    """(t, gamma): t[n,l,i,j] = d_i g_jl + d_j g_il - d_l g_ij and
+    gamma[n,k,i,j] = 0.5 g^{kl} t[l,i,j], one batched matmul."""
+    n, d = g_inv.shape[:2]
+    t = dg.transpose(0, 3, 1, 2) + dg.transpose(0, 3, 2, 1) - dg
+    return t, 0.5 * np.matmul(g_inv, t.reshape(n, d, d * d)).reshape(n, d, d, d)
+
+
 def christoffels_at(chart, points):
     """Batched Christoffel symbols Gamma^k_{ij} (order-1 metric jets only)."""
     g, dg, _ = metric_jets(chart, points, order=1)
-    g_inv = np.linalg.inv(g)
-    t = dg.transpose(0, 3, 1, 2) + dg.transpose(0, 3, 2, 1) - dg
-    # t[n,l,i,j] = d_i g_jl + d_j g_il - d_l g_ij
-    return 0.5 * np.einsum("nkl,nlij->nkij", g_inv, t, optimize=True)
+    return _christoffels(np.linalg.inv(g), dg)[1]
 
 
 @dataclass
@@ -265,9 +270,7 @@ def point_geometry_batch(chart, points):
 
     # contractions below are batched matmuls on reshaped tensors (the
     # einsum equivalents are kept in comments; matmul is 2-3x faster here)
-    t = dg.transpose(0, 3, 1, 2) + dg.transpose(0, 3, 2, 1) - dg
-    # gamma[n,k,i,j] = 0.5 g^{kl} t[l,i,j]
-    gamma = 0.5 * np.matmul(g_inv, t.reshape(n, d, d * d)).reshape(n, d, d, d)
+    t, gamma = _christoffels(g_inv, dg)
 
     # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}
     dginv = -np.matmul(np.matmul(g_inv[:, None], dg), g_inv[:, None])

@@ -19,6 +19,9 @@ transport integrand radial):
   -(h'' + ((d-1)/r + g'/(2g)) h');
 * the diagonal value u1(x, x) is the r -> 0 limit of that integral and
   must equal scalar_curvature / 6.
+
+u0, u1 and H_N at one (x, y) share one Newton solve of u = log_x(y) and
+r = |u|; on the diagonal (r = 0) u1 is the limit above.
 """
 
 from __future__ import annotations
@@ -236,9 +239,6 @@ class RadialParametrix:
         r = self.r[j]
         return -(h2 + (1.0 / r + gp / (2.0 * self.detg[j])) * h1)
 
-    def u0_at(self, r):
-        return float(np.interp(r, self.r, self.u0))
-
     def u1_at(self, r_target):
         """Transport integral u1(x, y) at radius r_target along the ray."""
         j_end = int(round(r_target / self.h))
@@ -251,26 +251,36 @@ class RadialParametrix:
         return -integral / r * self.detg[j_end] ** -0.25
 
 
-def parametrix_u0(chart, x, y):
-    """det(g)^{-1/4} at y in normal coordinates centered at x; u0(x, x) = 1."""
+def _normal_log(chart, x, y):
+    """(normal coordinates at x, u = log_x(y), r = |u|): the one log solve
+    that u0, u1 and the kernel at (x, y) share."""
     nc = NormalCoordinates(chart, np.asarray(x, dtype=float))
     u = nc.log(np.asarray(y, dtype=float))
-    r = float(np.linalg.norm(u))
+    return nc, u, float(np.linalg.norm(u))
+
+
+def _u0(nc, u, r):
+    return 1.0 if r == 0.0 else float(nc.det_g_batch(u[None, :])[0] ** -0.25)
+
+
+def _u1(chart, x, u, r, grid=33):
     if r == 0.0:
-        return 1.0
-    return float(nc.det_g_batch(u[None, :])[0] ** -0.25)
+        return parametrix_u1_diag(chart, x)
+    return RadialParametrix(chart, x, direction=u / r, r_max=r, grid=grid).u1_at(r)
+
+
+def parametrix_u0(chart, x, y):
+    """det(g)^{-1/4} at y in normal coordinates centered at x; u0(x, x) = 1."""
+    return _u0(*_normal_log(chart, x, y))
 
 
 def parametrix_u1(chart, x, y, grid=33):
     """Off-diagonal u1(x, y) via the radial transport integral.
 
-    The grid is aligned so the target radius lands exactly on a node.
+    The grid is aligned so the target radius lands exactly on a node.  On
+    the diagonal this is the limit parametrix_u1_diag(chart, x).
     """
-    nc = NormalCoordinates(chart, np.asarray(x, dtype=float))
-    u = nc.log(np.asarray(y, dtype=float))
-    r = float(np.linalg.norm(u))
-    rp = RadialParametrix(chart, x, direction=u / r, r_max=r, grid=grid)
-    return rp.u1_at(r)
+    return _u1(chart, x, *_normal_log(chart, x, y)[1:], grid)
 
 
 def parametrix_u1_diag(chart, x, r0=0.15, directions=((1, 0), (0, 1))):
@@ -292,12 +302,10 @@ def parametrix_kernel(chart, n_terms, t, x, y):
     """H_N(t, x, y) = (4 pi t)^{-1} e^{-r^2/4t} (u0 + t u1), N <= 1, d = 2."""
     if n_terms not in (0, 1):
         raise ValueError("parametrix implemented to first order only")
-    nc = NormalCoordinates(chart, np.asarray(x, dtype=float))
-    u = nc.log(np.asarray(y, dtype=float))
-    r = float(np.linalg.norm(u))
-    total = parametrix_u0(chart, x, y)
+    nc, u, r = _normal_log(chart, x, y)
+    total = _u0(nc, u, r)
     if n_terms == 1:
-        total += t * parametrix_u1(chart, x, y)
+        total += t * _u1(chart, x, u, r)
     return (4 * math.pi * t) ** -1 * math.exp(-r * r / (4 * t)) * total
 
 

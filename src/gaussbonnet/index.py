@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import eval_jet, parse
-from .quadrature import axis_rule
+from .quadrature import axis_rule, product_rule
 
 __all__ = ["VectorFieldSpec", "ZeroRecord", "IndexResult", "DegreeError",
            "find_zeros", "local_degree", "index_sum", "field_consistency_residual"]
@@ -84,10 +84,6 @@ class IndexResult:
     zeros: list
     expected: int | None
     dropped: list = field(default_factory=list)
-
-    @property
-    def matches(self):
-        return self.expected is None or self.total == self.expected
 
 
 # --------------------------------------------------------------------------
@@ -262,12 +258,7 @@ def _sphere_degree(fieldspec, chart_name, center, radius, n_nodes=48):
     # angles: phi_1..phi_{m-1} in (0, pi) Gauss, phi_m in (0, 2 pi) uniform
     rules = [axis_rule(0.0, math.pi, n_nodes, False) for _ in range(m - 1)]
     rules.append(axis_rule(0.0, 2 * math.pi, 2 * n_nodes, True))
-    grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-    weights = np.meshgrid(*[r[1] for r in rules], indexing="ij")
-    w = np.ones_like(grids[0])
-    for wg in weights:
-        w = w * wg
-    angles = np.column_stack([g.reshape(-1) for g in grids])
+    angles, w = product_rule(rules)
     n = len(angles)
 
     # embedding of S^{d-1}: component k is prod_{j<k} sin(phi_j) times
@@ -300,7 +291,7 @@ def _sphere_degree(fieldspec, chart_name, center, radius, n_nodes=48):
     du = du - np.einsum("nmc,nc,nk->nmk", du, u, u)
     mats = np.concatenate([u[:, None, :], du], axis=1)  # rows: u, du_1.., du_m
     dets = np.linalg.det(mats)
-    total = float(np.sum(dets * w.reshape(-1)))
+    total = float(np.sum(dets * w))
     sphere_vol = 2 * math.pi ** (d / 2) / math.gamma(d / 2)
     return total / sphere_vol
 

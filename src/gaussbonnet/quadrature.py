@@ -25,8 +25,9 @@ import numpy as np
 
 from .geometry import metric_jets
 
-__all__ = ["QuadratureSpec", "axis_rule", "chart_nodes", "integrate_chart",
-           "integrate_atlas", "pairwise_sum", "richardson", "worker_count"]
+__all__ = ["QuadratureSpec", "axis_rule", "product_rule", "chart_nodes",
+           "integrate_chart", "integrate_atlas", "pairwise_sum", "richardson",
+           "worker_count"]
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,13 @@ def chart_nodes(chart, counts, axes=None):
              else (np.array([0.5 * (lo + hi)]), np.array([hi - lo]))
              for i, ((lo, hi), per, n)
              in enumerate(zip(chart.ranges, chart.periodic, counts))]
+    return product_rule(rules)
+
+
+def product_rule(rules):
+    """Tensor product of per-axis (nodes, weights) rules: nodes (N, d) and
+    weights (N,) in ascending multi-index order, each weight the product
+    of its axis weights taken in axis order."""
     grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
     points = np.column_stack([g.reshape(-1) for g in grids])
     wgrids = np.meshgrid(*[r[1] for r in rules], indexing="ij")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaussbonnet.exterior import (
-    BigradedElement, FormElement, SkewFormMatrix, berezin, berezin_fiber,
+    _dp_table, BigradedElement, FormElement, SkewFormMatrix, berezin, berezin_fiber,
     dp_extend, dp_extend4, exp_nilpotent, killing_double_sum, lambda_basis,
     patodi_coefficient, pfaffian, pfaffian_definition, pfaffian_numeric,
     pfaffian_terms, supertrace, two_vector, wedge,
@@ -514,3 +514,91 @@ def test_all_zero_array_coefficient_is_pruned():
     assert (x * z).is_zero() and (z * x).is_zero()
     assert (np.arange(N_ROWS) * x).terms[(0,)][2] == 2 * 3.0
     assert x.max_abs() == N_ROWS
+
+
+# ------------------------------------------------ the D^p table engine
+
+def _dp_via_wedges(a, p):
+    """D^p(a) column by column: D^p(a) e_I is the sum over slots of the
+    wedge product of the e_i with a acting on one slot (no table)."""
+    d = a.shape[0]
+    basis = lambda_basis(d, p)
+    m = np.zeros((len(basis), len(basis)))
+    for col, idx in enumerate(basis):
+        image = FormElement(d)
+        for slot in range(p):
+            prod = FormElement.scalar(d)
+            for k, i in enumerate(idx):
+                factor = (FormElement(d, {(j,): a[j, i] for j in range(d)})
+                          if k == slot else FormElement.generator(d, i))
+                prod = wedge(prod, factor)
+            image = image + prod
+        for row, key in enumerate(basis):
+            m[row, col] = image.coefficient(key).real
+    return m
+
+
+def _dp_extend4_by_products(a, p):
+    """sum_ij D^p(E_ij) @ D^p(a[i,j].T), one elementary matrix at a time."""
+    d = a.shape[0]
+    size = math.comb(d, p)
+    out = np.zeros((size, size))
+    for i in range(d):
+        for j in range(d):
+            second = dp_extend(a[i, j].T, p)
+            if not second.any():
+                continue
+            eij = np.zeros((d, d))
+            eij[j, i] = 1.0
+            out += dp_extend(eij, p) @ second
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_dp_extend_matches_wedge_products(d):
+    rng = np.random.default_rng(60 + d)
+    a = rng.normal(size=(d, d))
+    a[rng.random((d, d)) < 0.3] = 0.0
+    for p in range(d + 1):
+        assert np.allclose(dp_extend(a, p), _dp_via_wedges(a, p),
+                           rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_dp_extend4_equals_elementary_products_bitwise(d):
+    rng = np.random.default_rng(70 + d)
+    for sparsity in (0.0, 0.6):
+        a = rng.normal(size=(d,) * 4)
+        a[rng.random(a.shape) < sparsity] = 0.0
+        for p in range(d + 1):
+            got, want = dp_extend4(a, p), _dp_extend4_by_products(a, p)
+            assert np.array_equal(got, want), (d, p)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (d, p)
+
+
+def test_stacked_dp_extend_rows_equal_single_calls():
+    rng = np.random.default_rng(80)
+    d = 4
+    stack = rng.normal(size=(3, 2, d, d))
+    for p in range(d + 1):
+        got = dp_extend(stack, p)
+        assert got.shape == (3, 2, math.comb(d, p), math.comb(d, p))
+        for k in range(3):
+            for l in range(2):
+                assert np.array_equal(got[k, l], dp_extend(stack[k, l], p))
+
+
+def test_dp_results_are_fresh_and_tables_read_only():
+    rng = np.random.default_rng(81)
+    a, t = rng.normal(size=(4, 4)), rng.normal(size=(4,) * 4)
+    first, first4 = dp_extend(a, 2), dp_extend4(t, 2)
+    keep, keep4 = first.copy(), first4.copy()
+    first[...] = 7.0
+    first4[...] = 7.0
+    assert np.array_equal(dp_extend(a, 2), keep)
+    assert np.array_equal(dp_extend4(t, 2), keep4)
+    table = _dp_table(4, 2)
+    with pytest.raises(ValueError):
+        table[4, 0] = 0
+    with pytest.raises(ValueError):
+        table[2][0] = 0

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from gaussbonnet.expr import eval_jet
+from gaussbonnet.library import build_manifold
 from gaussbonnet.geometry import (
-    Chart, GeometryError, NormalCoordinates, geodesic, geodesic_batch,
+    Chart, GeometryError, NormalCoordinates, christoffels_at, geodesic, geodesic_batch,
     geodesic_transport, metric_jets, parallel_transport, point_geometry, point_geometry_batch,
 )
 
@@ -372,3 +373,15 @@ def test_log_map_nonconvergence_reports():
     nc = NormalCoordinates(polar_sphere(), [math.pi / 2, 1.0], radius=0.3)
     with pytest.raises(GeometryError):
         nc.log([math.pi / 2, 2.2])
+
+
+@pytest.mark.parametrize("name", ["cp2", "sphere4"])
+def test_christoffels_at_equals_batch_gamma_bitwise(name):
+    chart = build_manifold(name).atlas.charts[0]
+    rng = np.random.default_rng(5)
+    lo, hi = np.array(chart.ranges).T
+    pts = lo + (hi - lo) * (0.05 + 0.9 * rng.random((40, chart.dim)))
+    want = point_geometry_batch(chart, pts).gamma
+    assert np.array_equal(christoffels_at(chart, pts), want)
+    for k in range(3):
+        assert np.array_equal(christoffels_at(chart, pts[k:k + 1])[0], want[k])

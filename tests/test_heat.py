@@ -1,6 +1,7 @@
 """Spectral traces, supertraces, asymptotics and the short-time parametrix."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from gaussbonnet.geometry import Chart, NormalCoordinates, point_geometry
 from gaussbonnet.heat import (
     FlatTorusSpectrum, RoundSphereSpectrum, asymptotic_fit, heat_trace,
-    parametrix_kernel, parametrix_u0, parametrix_u1_diag,
+    parametrix_kernel, parametrix_u0, parametrix_u1, parametrix_u1_diag,
     spectral_kernel_s2, supertrace_fit, supertrace_heat, torus_image_kernel,
 )
 
@@ -256,3 +257,29 @@ def test_parametrix_vs_spectral_kernel():
 def test_parametrix_order_guard():
     with pytest.raises(ValueError):
         parametrix_kernel(flat_torus_chart(), 2, 0.01, [0.5, 0.5], [0.6, 0.5])
+
+
+def test_parametrix_kernel_is_its_terms_bitwise():
+    chart = polar_sphere()
+    x = [math.pi / 2, 1.0]
+    nc = NormalCoordinates(chart, x)
+    y = nc.exp([0.3, 0.2])
+    r = nc.distance(y)
+    u0, u1 = parametrix_u0(chart, x, y), parametrix_u1(chart, x, y)
+    for t in (0.02, 0.005):
+        want = (4 * math.pi * t) ** -1 * math.exp(-r * r / (4 * t)) * (u0 + t * u1)
+        assert parametrix_kernel(chart, 1, t, x, y) == want
+
+
+def test_parametrix_on_the_diagonal():
+    """At r = 0, u1 is its diagonal limit and H_1 = (1 + t u1) / (4 pi t)."""
+    chart = polar_sphere()
+    x = [math.pi / 2, 1.0]
+    u1 = parametrix_u1_diag(chart, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parametrix_u1(chart, x, x) == u1
+        for t in (0.02, 0.01, 0.005):
+            h1 = parametrix_kernel(chart, 1, t, x, x)
+            assert h1 == (4 * math.pi * t) ** -1 * (1.0 + t * u1)
+            assert h1 == pytest.approx(spectral_kernel_s2(t, 0.0), rel=1e-4)

@@ -10,7 +10,7 @@ from gaussbonnet.geometry import Chart
 from gaussbonnet.library import build_manifold, stereo_pair_atlas
 from gaussbonnet.quadrature import (
     QuadratureError, QuadratureSpec, axis_rule, chart_nodes, integrate_chart,
-    pairwise_sum, richardson,
+    pairwise_sum, product_rule, richardson,
 )
 
 
@@ -154,6 +154,24 @@ def test_chart_nodes_ascending_multi_index():
     assert np.all(np.diff(pts[:3, 1]) > 0)
     assert pts[0, 0] == pts[1, 0] == pts[2, 0]
     assert w.sum() == pytest.approx(1.0)
+
+
+def test_product_rule_multiplies_axis_weights_in_order():
+    rules = [axis_rule(0.0, 1.0, 3, False), axis_rule(0.0, 2.0, 4, True),
+             axis_rule(-1.0, 1.0, 2, False)]
+    pts, w = product_rule(rules)
+    assert pts.shape == (24, 3) and w.shape == (24,)
+    k = 0
+    for a in range(3):
+        for b in range(4):
+            for c in range(2):
+                assert pts[k].tolist() == [rules[0][0][a], rules[1][0][b], rules[2][0][c]]
+                assert w[k] == 1.0 * rules[0][1][a] * rules[1][1][b] * rules[2][1][c]
+                k += 1
+    chart = polar_sphere()
+    got = chart_nodes(chart, [5, 6])
+    want = product_rule([axis_rule(0, math.pi, 5, False), axis_rule(0, 2 * math.pi, 6, True)])
+    assert all(np.array_equal(g, h) for g, h in zip(got, want))
 
 
 # ------------------------------------------------------- collapsed axes
