@@ -30,8 +30,8 @@ from .quadrature import integrate_chart
 
 __all__ = ["PlaneBundle", "make_plane_bundle", "euler_form_transition",
            "euler_form_transition_batch", "connection_form", "connection_curvature",
-           "curvature_density_batch", "generalized_gbc", "winding_of_phi",
-           "GeneralizedGbcResult"]
+           "connection_and_curvature", "curvature_density_batch", "generalized_gbc",
+           "winding_of_phi", "GeneralizedGbcResult"]
 
 
 @dataclass
@@ -118,40 +118,38 @@ def euler_form_transition(bundle, name, x):
         bundle, name, np.asarray(x, dtype=float)[None, :])[0])
 
 
-def connection_form(bundle, name):
-    """theta_alpha = sum_gamma rho_gamma d phi_gamma,alpha as a callable.
+def connection_and_curvature(bundle, name, points):
+    """theta_alpha (N, 2) and the dx1 ^ dx2 coefficient of d theta_alpha (N,)
+    at (N, 2) points, from one evaluation of the phi and rho jets.
 
-    Returns (N, 2) one-form components at (N, 2) points; an SO(2)
-    connection by construction (single angle entry of the skew matrix).
-    """
-    def theta(points):
-        points = np.asarray(points, dtype=float)
-        chart = bundle.atlas.chart(name)
-        phi_jet = eval_jet(bundle.parsed_phi[name], points, chart.params, order=1)
-        rho_other = _rho_other_jets(bundle, name, points)[0]
-        return -rho_other[:, None] * phi_jet.grad  # d phi_other,this = -d phi_this,other
-
-    return theta
-
-
-def connection_curvature(bundle, name, points):
-    """The dx1 ^ dx2 coefficient of d theta_alpha at (N, 2) points.
-
-    d theta = d rho_beta ^ d phi_beta,alpha because d^2 phi = 0; assembled
-    from 2-jets of theta's ingredients (independent of the transition
-    route only in code path, equal as forms).
+    theta_alpha = sum_gamma rho_gamma d phi_gamma,alpha, an SO(2) connection
+    by construction (single angle entry of the skew matrix).  d theta =
+    d rho_beta ^ d phi_beta,alpha because d^2 phi = 0; assembled from 2-jets
+    of theta's ingredients (independent of the transition route only in
+    code path, equal as forms).
     """
     chart = bundle.atlas.chart(name)
     points = np.asarray(points, dtype=float)
     phi_jet = eval_jet(bundle.parsed_phi[name], points, chart.params, order=2)
     rho_val, drho = _rho_other_jets(bundle, name, points)
+    theta = -rho_val[:, None] * phi_jet.grad  # d phi_other,this = -d phi_this,other
     dphi = -phi_jet.grad
     hphi = -phi_jet.hess
     # d(rho dphi) coefficient of dx^dy:
     #   d_x(rho phi_y) - d_y(rho phi_x) = rho_x phi_y - rho_y phi_x
     #   (+ rho (phi_yx - phi_xy) = 0, kept for an honest jet assembly)
-    return (drho[:, 0] * dphi[:, 1] - drho[:, 1] * dphi[:, 0]
-            + rho_val * (hphi[:, 0, 1] - hphi[:, 1, 0]))
+    return theta, (drho[:, 0] * dphi[:, 1] - drho[:, 1] * dphi[:, 0]
+                   + rho_val * (hphi[:, 0, 1] - hphi[:, 1, 0]))
+
+
+def connection_form(bundle, name):
+    """theta_alpha of `connection_and_curvature` as a callable of (N, 2) points."""
+    return lambda points: connection_and_curvature(bundle, name, points)[0]
+
+
+def connection_curvature(bundle, name, points):
+    """The dx1 ^ dx2 coefficient of d theta_alpha at (N, 2) points."""
+    return connection_and_curvature(bundle, name, points)[1]
 
 
 def curvature_density_batch(bundle, name, points):

@@ -6,6 +6,14 @@ expressions.  This module parses them into immutable ASTs and evaluates
 value, gradient and Hessian in one pass by truncated Taylor (jet)
 arithmetic, batched over numpy arrays of evaluation points.
 
+Each node is compiled once, on its first evaluation, into a jet program
+cached on the node; it is not a dataclass field, so equality, hashing and
+printing still compare trees.  `variable_support` comes from the same walk.
+The power rule is settled when a power is compiled: an exponent that reads
+no coordinate is constant across the batch, and an integral value k with
+|k| <= 1024 is repeated multiplication, so any base sign is legal; every
+other exponent is exp(b log a) and needs a positive base.
+
 Grammar (whitespace insensitive)::
 
     expr    := term { ("+"|"-") term }
@@ -22,6 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,12 +41,6 @@ __all__ = [
     "parse", "eval_jet2", "eval_jet", "eval_values", "expr_to_str",
     "variable_support",
 ]
-
-FUNCTION_ARITY = {
-    "sin": 1, "cos": 1, "tan": 1, "exp": 1, "log": 1, "sqrt": 1,
-    "sinh": 1, "cosh": 1, "tanh": 1, "atan": 1, "atan2": 2,
-    "abs": 1, "pow": 2,
-}
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
@@ -72,6 +76,11 @@ class EvalDomainError(ArithmeticError):
 
 class Expr:
     __slots__ = ()
+
+    @cached_property
+    def _program(self):
+        """This node's compiled jet program; not a field, so not in eq/hash/repr."""
+        return _compile(self)
 
 
 @dataclass(frozen=True)
@@ -263,30 +272,6 @@ def parse(text, variables, parameters=()):
     return node
 
 
-def variable_support(node):
-    """Indices of the declared variables that an expression reads.
-
-    Parameters (``Var.index == -1``) and constants are not variables, so an
-    expression whose support misses an index is constant along that axis.
-    """
-    found = set()
-    stack = [node]
-    while stack:
-        nd = stack.pop()
-        if isinstance(nd, Var):
-            if nd.index >= 0:
-                found.add(nd.index)
-        elif isinstance(nd, Neg):
-            stack.append(nd.operand)
-        elif isinstance(nd, BinOp):
-            stack += (nd.left, nd.right)
-        elif isinstance(nd, Call):
-            stack.extend(nd.args)
-        elif not isinstance(nd, (Num, Const)):
-            raise TypeError(f"not an Expr node: {nd!r}")
-    return frozenset(found)
-
-
 # --------------------------------------------------------------------------
 # Printing (round-trips through parse)
 # --------------------------------------------------------------------------
@@ -362,7 +347,8 @@ class _Jet:
         self.hess = hess
 
 
-def _const_jet(value, n, d, order):
+def _const_jet(value, points, order):
+    n, d = points.shape
     val = np.full(n, float(value))
     grad = np.zeros((n, d)) if order >= 1 else None
     hess = np.zeros((n, d, d)) if order >= 2 else None
@@ -417,34 +403,72 @@ def _chain(a, f0, f1=None, f2=None):
     return _Jet(f0, grad, hess)
 
 
-def _chain2(a, b, f0, fa, fb, faa, fab, fbb, order):
-    """Second-order chain rule for a binary function f(a, b)."""
-    grad = hess = None
-    if order >= 1:
-        grad = fa[:, None] * a.grad + fb[:, None] * b.grad
+def _sqrt_derivatives(v, rt):
+    with np.errstate(divide="ignore"):
+        return 0.5 / rt, -0.25 / (rt * v)
+
+
+# name: (f, (f', f'') from (v, f(v)), domain test or None, domain error)
+_UNARY = {
+    "sin": (np.sin, lambda v, s: (np.cos(v), -s), None, None),
+    "cos": (np.cos, lambda v, c: (-np.sin(v), -c), None, None),
+    "tan": (np.tan, lambda v, t: (sec2 := 1.0 + t * t, 2.0 * t * sec2), None, None),
+    "exp": (np.exp, lambda v, ex: (ex, ex), None, None),
+    "log": (np.log, lambda v, f: (inv := 1.0 / v, -inv * inv),
+            lambda v: v <= 0.0, "log of nonpositive value"),
+    "sqrt": (np.sqrt, _sqrt_derivatives, lambda v: v < 0.0, "sqrt of negative value"),
+    "sinh": (np.sinh, lambda v, sh: (np.cosh(v), sh), None, None),
+    "cosh": (np.cosh, lambda v, ch: (np.sinh(v), ch), None, None),
+    "tanh": (np.tanh, lambda v, th: (sech2 := 1.0 - th * th, -2.0 * th * sech2), None, None),
+    "atan": (np.arctan, lambda v, f: (1.0 / (den := 1.0 + v * v), -2.0 * v / (den * den)),
+             None, None),
+    # derivatives taken away from the kink; sign(0) treated as 0
+    "abs": (np.abs, lambda v, f: (np.sign(v), np.zeros_like(v)), None, None),
+}
+FUNCTION_ARITY = {**dict.fromkeys(_UNARY, 1), "atan2": 2, "pow": 2}
+_RECIPROCAL = (lambda v: 1.0 / v, lambda v, inv: (-inv * inv, 2.0 * inv * inv * inv),
+               lambda v: v == 0.0, "division by zero")
+
+
+def _unary(entry, a, node, order):
+    f, derivatives, outside, reason = entry
+    if outside is not None and np.any(outside(a.val)):
+        raise EvalDomainError(reason, node)
+    f0 = f(a.val)
+    if order == 0:
+        return _Jet(f0)
+    return _chain(a, f0, *derivatives(a.val, f0))
+
+
+def _atan2(y, x, node, order):
+    if np.any((x.val == 0.0) & (y.val == 0.0)):
+        raise EvalDomainError("atan2(0, 0) is undefined", node)
+    f0 = np.arctan2(y.val, x.val)
+    if order == 0:
+        return _Jet(f0)
+    r2 = x.val * x.val + y.val * y.val
+    fy, fx = x.val / r2, -y.val / r2
+    grad = fy[:, None] * y.grad + fx[:, None] * x.grad
+    hess = None
     if order >= 2:
-        oaa = a.grad[:, :, None] * a.grad[:, None, :]
-        obb = b.grad[:, :, None] * b.grad[:, None, :]
-        oab = a.grad[:, :, None] * b.grad[:, None, :]
-        hess = (fa[:, None, None] * a.hess + fb[:, None, None] * b.hess
-                + faa[:, None, None] * oaa + fbb[:, None, None] * obb
-                + fab[:, None, None] * (oab + oab.transpose(0, 2, 1)))
+        r4 = r2 * r2
+        fyy = -2.0 * x.val * y.val / r4
+        fxx = 2.0 * x.val * y.val / r4
+        fxy = (y.val * y.val - x.val * x.val) / r4
+        oyy = y.grad[:, :, None] * y.grad[:, None, :]
+        oxx = x.grad[:, :, None] * x.grad[:, None, :]
+        oyx = y.grad[:, :, None] * x.grad[:, None, :]
+        hess = (fy[:, None, None] * y.hess + fx[:, None, None] * x.hess
+                + fyy[:, None, None] * oyy + fxx[:, None, None] * oxx
+                + fxy[:, None, None] * (oyx + oyx.transpose(0, 2, 1)))
     return _Jet(f0, grad, hess)
 
 
-def _reciprocal(b, node, order):
-    if np.any(b.val == 0.0):
-        raise EvalDomainError("division by zero", node)
-    inv = 1.0 / b.val
-    if order == 0:
-        return _Jet(inv)
-    return _chain(b, inv, -inv * inv, 2.0 * inv * inv * inv if order >= 2 else None)
-
-
-def _int_power(a, n):
-    """a**n by repeated multiplication (n != 0); valid for any base sign."""
-    invert = n < 0
-    n = abs(n)
+def _int_power(a, k, node, points, order):
+    """a^k by repeated multiplication, then 1/a^|k| for k < 0; any base sign."""
+    if k == 0:
+        return _const_jet(1.0, points, order)
+    n = abs(k)
     result = None
     base = a
     while n:
@@ -453,141 +477,115 @@ def _int_power(a, n):
         n >>= 1
         if n:
             base = _mul(base, base)
-    return result, invert
+    return _unary(_RECIPROCAL, result, node, order) if k < 0 else result
 
 
-def _eval(node, points, params, order):
-    n, d = points.shape
+def _integer_exponent(b):
+    """int(k) for an integral exponent value k with |k| <= 1024, else None."""
+    k = b.val[0]
+    return int(round(k)) if k == round(k) and abs(k) <= 1024 else None
 
-    def rec(nd):
-        if isinstance(nd, Num):
-            return _const_jet(nd.value, n, d, order)
-        if isinstance(nd, Const):
-            return _const_jet(CONSTANTS[nd.name], n, d, order)
-        if isinstance(nd, Var):
-            if nd.index >= 0:
-                return _var_jet(points, nd.index, order)
-            if nd.name not in params:
-                raise EvalDomainError("unbound parameter", nd)
-            return _const_jet(params[nd.name], n, d, order)
-        if isinstance(nd, Neg):
-            return _neg(rec(nd.operand))
-        if isinstance(nd, BinOp):
-            a = rec(nd.left)
-            if nd.op == "+":
-                return _add(a, rec(nd.right))
-            if nd.op == "-":
-                return _add(a, rec(nd.right), sign=-1.0)
-            if nd.op == "*":
-                return _mul(a, rec(nd.right))
-            if nd.op == "/":
-                b = rec(nd.right)
-                return _mul(a, _reciprocal(b, nd, order))
-            if nd.op == "^":
-                return power(a, rec(nd.right), nd)
-        if isinstance(nd, Call):
-            args = [rec(arg) for arg in nd.args]
-            return call(nd, args)
-        raise TypeError(f"not an Expr node: {nd!r}")
 
-    def power(a, b, nd):
-        # Integer exponents (constant across the batch, flat jet) are computed
-        # by repeated multiplication so negative bases stay legal.
-        is_const = (b.grad is None or not b.grad.any()) and \
-                   (b.hess is None or not b.hess.any())
-        if is_const and b.val.size and np.all(b.val == b.val[0]):
-            ival = b.val[0]
-            if ival == round(ival) and abs(ival) <= 1024:
-                k = int(round(ival))
-                if k == 0:
-                    return _const_jet(1.0, n, d, order)
-                res, invert = _int_power(a, k)
-                if invert:
-                    res = _reciprocal(res, nd, order)
-                return res
+# --------------------------------------------------------------------------
+# Compilation: one jet program per node
+# --------------------------------------------------------------------------
+
+# One point in no coordinates: where a coordinate-free exponent is evaluated.
+_NO_POINTS = np.empty((1, 0))
+
+# Neg, BinOp and Call nodes other than powers: op(*child jets, node, order)
+_OPS = {
+    "neg": lambda a, node, order: _neg(a),
+    "+": lambda a, b, node, order: _add(a, b),
+    "-": lambda a, b, node, order: _add(a, b, sign=-1.0),
+    "*": lambda a, b, node, order: _mul(a, b),
+    "/": lambda a, b, node, order: _mul(a, _unary(_RECIPROCAL, b, node, order)),
+    "atan2": _atan2,
+    **{name: partial(_unary, entry) for name, entry in _UNARY.items()},
+}
+
+
+class _Program(NamedTuple):
+    run: Callable  # run(points, params, order) -> _Jet
+    support: frozenset  # indices of the coordinates the node reads
+    reads_params: bool
+
+
+def _compiled(node):
+    if not isinstance(node, Expr):
+        raise TypeError(f"not an Expr node: {node!r}")
+    return node._program
+
+
+def variable_support(node):
+    """Indices of the declared variables that an expression reads.
+
+    Parameters (``Var.index == -1``) and constants are not variables, so an
+    expression whose support misses an index is constant along that axis.
+    The support comes from the walk that compiles the node.
+    """
+    return _compiled(node).support
+
+
+def _compile(node):
+    """Build ``node``'s program over its children's; the left operand runs first."""
+    if isinstance(node, (Num, Const)):
+        value = node.value if isinstance(node, Num) else CONSTANTS[node.name]
+        return _Program(lambda pts, params, order: _const_jet(value, pts, order),
+                        frozenset(), False)
+    if isinstance(node, Var):
+        index, name = node.index, node.name
+        if index >= 0:
+            return _Program(lambda pts, params, order: _var_jet(pts, index, order),
+                            frozenset((index,)), False)
+
+        def parameter(pts, params, order):
+            if name not in params:
+                raise EvalDomainError("unbound parameter", node)
+            return _const_jet(params[name], pts, order)
+
+        return _Program(parameter, frozenset(), True)
+    if isinstance(node, Neg):
+        key, children = "neg", (node.operand,)
+    elif isinstance(node, BinOp):
+        key, children = node.op, (node.left, node.right)
+    else:
+        key, children = node.func, node.args
+    progs = [_compiled(child) for child in children]
+    f = progs[0].run
+    if key in ("^", "pow"):
+        run = _power(node, *progs)
+    elif len(progs) == 1:
+        op = _OPS[key]
+        run = lambda pts, params, order: op(f(pts, params, order), node, order)
+    else:
+        op, g = _OPS[key], progs[1].run
+        run = lambda pts, params, order: op(
+            f(pts, params, order), g(pts, params, order), node, order)
+    return _Program(run, frozenset().union(*(p.support for p in progs)),
+                    any(p.reads_params for p in progs))
+
+
+def _power(node, base, exponent):
+    """The power rule of the module docstring, settled from the exponent's support."""
+    a_run, b_run = base.run, exponent.run
+    per_call = not exponent.support and exponent.reads_params
+    folded = (None if exponent.support or per_call
+              else _integer_exponent(b_run(_NO_POINTS, {}, 0)))
+
+    def run(pts, params, order):
+        a = a_run(pts, params, order)
+        k = _integer_exponent(b_run(_NO_POINTS, params, 0)) if per_call else folded
+        if k is not None:
+            return _int_power(a, k, node, pts, order)
+        b = b_run(pts, params, order)
         if np.any(a.val <= 0.0):
-            raise EvalDomainError("power with non-integer exponent needs positive base", nd)
-        # a^b = exp(b*log a)
-        return call(Call("exp", (nd,)), [_mul(b, _log(a, nd))])
+            raise EvalDomainError(
+                "power needs a positive base unless its exponent is a constant integer", node)
+        log_a = _unary(_UNARY["log"], a, node, order)
+        return _unary(_UNARY["exp"], _mul(b, log_a), node, order)
 
-    def _log(a, nd):
-        if np.any(a.val <= 0.0):
-            raise EvalDomainError("log of nonpositive value", nd)
-        f0 = np.log(a.val)
-        if order == 0:
-            return _Jet(f0)
-        inv = 1.0 / a.val
-        return _chain(a, f0, inv, -inv * inv if order >= 2 else None)
-
-    def call(nd, args):
-        name = nd.func
-        if name == "atan2":
-            y, x = args
-            if np.any((x.val == 0.0) & (y.val == 0.0)):
-                raise EvalDomainError("atan2(0, 0) is undefined", nd)
-            f0 = np.arctan2(y.val, x.val)
-            if order == 0:
-                return _Jet(f0)
-            r2 = x.val * x.val + y.val * y.val
-            fy, fx = x.val / r2, -y.val / r2
-            r4 = r2 * r2
-            fyy = -2.0 * x.val * y.val / r4
-            fxx = 2.0 * x.val * y.val / r4
-            fxy = (y.val * y.val - x.val * x.val) / r4
-            return _chain2(y, x, f0, fy, fx, fyy, fxy, fxx, order)
-        if name == "pow":
-            return power(args[0], args[1], nd)
-        a = args[0]
-        v = a.val
-        if name == "sin":
-            s, c = np.sin(v), np.cos(v)
-            return _chain(a, s, c, -s) if order else _Jet(s)
-        if name == "cos":
-            s, c = np.sin(v), np.cos(v)
-            return _chain(a, c, -s, -c) if order else _Jet(c)
-        if name == "tan":
-            t = np.tan(v)
-            sec2 = 1.0 + t * t
-            return _chain(a, t, sec2, 2.0 * t * sec2) if order else _Jet(t)
-        if name == "exp":
-            ex = np.exp(v)
-            return _chain(a, ex, ex, ex) if order else _Jet(ex)
-        if name == "log":
-            return _log(a, nd)
-        if name == "sqrt":
-            if np.any(v < 0.0):
-                raise EvalDomainError("sqrt of negative value", nd)
-            with np.errstate(divide="ignore"):
-                rt = np.sqrt(v)
-                if order == 0:
-                    return _Jet(rt)
-                f1 = 0.5 / rt
-                f2 = -0.25 / (rt * v) if order >= 2 else None
-            return _chain(a, rt, f1, f2)
-        if name == "sinh":
-            sh, ch = np.sinh(v), np.cosh(v)
-            return _chain(a, sh, ch, sh) if order else _Jet(sh)
-        if name == "cosh":
-            sh, ch = np.sinh(v), np.cosh(v)
-            return _chain(a, ch, sh, ch) if order else _Jet(ch)
-        if name == "tanh":
-            th = np.tanh(v)
-            sech2 = 1.0 - th * th
-            return _chain(a, th, sech2, -2.0 * th * sech2) if order else _Jet(th)
-        if name == "atan":
-            f0 = np.arctan(v)
-            if order == 0:
-                return _Jet(f0)
-            den = 1.0 + v * v
-            return _chain(a, f0, 1.0 / den,
-                          -2.0 * v / (den * den) if order >= 2 else None)
-        if name == "abs":
-            # derivatives taken away from the kink; sign(0) treated as 0
-            s = np.sign(v)
-            return _chain(a, np.abs(v), s, np.zeros_like(v)) if order else _Jet(np.abs(v))
-        raise TypeError(f"unknown function {name!r}")
-
-    return rec(node)
+    return run
 
 
 def eval_jet(node, points, params=None, order=2):
@@ -595,7 +593,7 @@ def eval_jet(node, points, params=None, order=2):
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError("points must have shape (N, d)")
-    return _eval(node, points, params or {}, order)
+    return _compiled(node).run(points, params or {}, order)
 
 
 def eval_values(node, points, params=None):

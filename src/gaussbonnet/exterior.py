@@ -364,7 +364,7 @@ def berezin_fiber(omega: BigradedElement) -> FormElement:
     return FormElement(omega.n_base, {tb: c for (tb, tf), c in omega.terms.items() if tf == top})
 
 
-def exp_nilpotent(omega, max_degree=None):
+def exp_nilpotent(omega):
     """exp of a form element; exact because the positive-degree part is nilpotent.
 
     A scalar part s is split off as exp(s) * exp(omega - s).  A real
@@ -373,8 +373,6 @@ def exp_nilpotent(omega, max_degree=None):
     can differ in the last ulp).
     """
     top = sum(omega._shape)
-    if max_degree is None:
-        max_degree = top
     one = omega.scalar(*omega._shape, 1.0)
     s = omega.coefficient(()) if isinstance(omega, FormElement) else omega.coefficient((), ())
     nil = omega - omega.scalar(*omega._shape, s)
@@ -382,7 +380,7 @@ def exp_nilpotent(omega, max_degree=None):
                else min(nil.degrees(), default=top + 1))
     if min_deg < 1:
         raise ValueError("positive-degree part expected after scalar split")
-    kmax = max_degree // max(min_deg, 1)
+    kmax = top // min_deg
     result = one
     power = one
     fact = 1.0

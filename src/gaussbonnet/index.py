@@ -189,38 +189,26 @@ def find_zeros(fieldspec, scan_resolution=48, merge_tol=None):
 
 
 def _local_minima(grid, periodic):
-    """Strict local minima that are plausibly near a zero.
+    """Strict local minima that are plausibly near a zero, as ascending flat indices.
 
     A candidate must also be small compared to the spread across its own
     neighborhood, which rejects the everywhere-flat profile of a
-    nowhere-zero field without losing steep genuine zeros.
+    nowhere-zero field without losing steep genuine zeros.  Periodic axes
+    wrap; on the others an out-of-range neighbour is NaN, so it enters
+    neither the comparison nor the spread.
     """
-    flat = grid.reshape(-1)
-    shape = grid.shape
-    out = []
-    for flat_idx in range(flat.size):
-        idx = np.unravel_index(flat_idx, shape)
-        val = grid[idx]
-        is_min = True
-        spread = 0.0
-        for axis in range(len(shape)):
-            for step in (-1, 1):
-                j = list(idx)
-                j[axis] += step
-                if periodic[axis]:
-                    j[axis] %= shape[axis]
-                elif not 0 <= j[axis] < shape[axis]:
-                    continue
-                other = grid[tuple(j)]
-                spread = max(spread, other - val)
-                if other < val:
-                    is_min = False
-                    break
-            if not is_min:
-                break
-        if is_min and val < 4.0 * spread + 1e-9:
-            out.append(flat_idx)
-    return out
+    is_min = np.ones(grid.shape, dtype=bool)
+    spread = np.zeros(grid.shape)
+    for axis in range(grid.ndim):
+        for step in (-1, 1):
+            other = np.roll(grid, -step, axis=axis)  # other[i] = grid[i + step]
+            if not periodic[axis]:
+                edge = [slice(None)] * grid.ndim
+                edge[axis] = -1 if step == 1 else 0
+                other[tuple(edge)] = np.nan
+            is_min &= ~(other < grid)
+            spread = np.fmax(spread, other - grid)
+    return np.flatnonzero(is_min & (grid < 4.0 * spread + 1e-9)).tolist()
 
 
 # --------------------------------------------------------------------------

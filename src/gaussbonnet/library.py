@@ -32,7 +32,6 @@ class Manifold:
     extrapolate: bool = False
     quick_res: int = 32
     quick_tol: float = 1e-3
-    slow: bool = False
 
 
 def sphere2(radius=1.0):
@@ -130,7 +129,7 @@ def cp2():
         [False, False, True, True], g)
     return Manifold("cp2", Atlas((chart,), expected_chi=3, name="cp2"),
                     3, default_res=20, default_tol=1e-2, extrapolate=True,
-                    quick_res=10, quick_tol=1e-2, slow=True)
+                    quick_res=10, quick_tol=1e-2)
 
 
 # --------------------------------------------------------------------------

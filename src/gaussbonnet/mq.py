@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import connection_curvature, connection_form
+from .bundles import connection_and_curvature, connection_curvature
 from .exterior import (BigradedElement, berezin_fiber, exp_nilpotent,
                        merge_indices, pfaffian_numeric)
 from .geometry import metric_jets
@@ -100,9 +100,8 @@ def _connection(bundle, chart_name, points):
     """theta components (..., 2) and the dx1^dx2 coefficient of d theta (...)
     at base points (..., 2), one point or a batch."""
     points = np.asarray(points, dtype=float)
-    flat = points.reshape(-1, 2)
-    return (connection_form(bundle, chart_name)(flat).reshape(points.shape),
-            connection_curvature(bundle, chart_name, flat).reshape(points.shape[:-1]))
+    theta, curvature = connection_and_curvature(bundle, chart_name, points.reshape(-1, 2))
+    return theta.reshape(points.shape), curvature.reshape(points.shape[:-1])
 
 
 def _mq_q(theta, curvature, v):

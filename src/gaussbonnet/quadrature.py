@@ -32,14 +32,12 @@ __all__ = ["QuadratureSpec", "axis_rule", "product_rule", "chart_nodes",
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Per-axis node counts plus Richardson levels.
+    """Per-axis node counts.
 
     nodes: int (same count on every axis) or a per-axis sequence.
-    levels: number of coarser refinements used for extrapolation.
     """
 
     nodes: object = 32
-    levels: int = 1
 
     def per_axis(self, dim):
         if isinstance(self.nodes, int):

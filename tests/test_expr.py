@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gaussbonnet.expr import (
     BinOp, Call, EvalDomainError, Num, ParseError, UnknownIdentifierError,
-    eval_jet2, eval_values, expr_to_str, parse, variable_support,
+    eval_jet, eval_jet2, eval_values, expr_to_str, parse, variable_support,
 )
 
 
@@ -135,6 +135,40 @@ def test_negative_integer_exponent():
     assert jet.gradient[0] == pytest.approx(-2 / 8)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_integer_powers_agree_bit_for_bit(order):
+    """A literal, a pow call and a parameter exponent take one power rule."""
+    x = np.array([[-2.0]])
+
+    def jet(text, k=None):
+        out = eval_jet(parse(text, ["x1"], ["k"]), x, {"k": k}, order=order)
+        return [a.tobytes() for a in (out.val, out.grad, out.hess) if a is not None]
+
+    assert jet("x1^3") == jet("pow(x1, 3)") == jet("x1^k", 3.0)
+    assert jet("x1^-2") == jet("x1^k", -2.0)
+    assert jet("x1^3")[0] == np.array([-8.0]).tobytes()
+
+
+def test_exponent_reading_a_coordinate_needs_positive_base():
+    tree = parse("x1^(x2-x2)", ["x1", "x2"])
+    assert eval_jet2(tree, [2.0, 0.3]).value == 1.0
+    with pytest.raises(EvalDomainError, match="positive base"):
+        eval_jet2(tree, [-2.0, 0.3])
+
+
+def test_compiled_program_stays_out_of_eq_hash_repr():
+    text = "r^2*sin(x1)^2 + atan2(x2, x1) - 1/x2"
+    first, second = (parse(text, ["x1", "x2"], ["r"]) for _ in range(2))
+    pts = np.array([[0.4, 1.3], [1.1, -0.7]])
+    before = eval_jet(first, pts, {"r": 1.5})
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second)
+    after = eval_jet(first, pts, {"r": 1.5})
+    for a, b in ((before.val, after.val), (before.grad, after.grad),
+                 (before.hess, after.hess)):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_noninteger_power_requires_positive_base():
     tree = parse("x1^0.5", ["x1"])
     assert eval_jet2(tree, [4.0]).value == pytest.approx(2.0)
@@ -179,13 +213,14 @@ def test_variable_support_skips_parameters_and_constants():
     assert variable_support(node) == {0, 2}
     assert variable_support(parse("r*pi + 2", names, ("r",))) == frozenset()
     assert variable_support(parse("-pow(x4, x2)", names)) == {1, 3}
+    with pytest.raises(TypeError):
+        variable_support("x1")
 
 
 def test_batched_matches_scalar():
     tree = parse("sinh(x1)*cos(x2) + x1/x2", ["x1", "x2"])
     rng = np.random.default_rng(0)
     pts = rng.uniform(0.5, 1.5, size=(16, 2))
-    from gaussbonnet.expr import eval_jet
     batch = eval_jet(tree, pts)
     for i in range(len(pts)):
         one = eval_jet2(tree, pts[i])

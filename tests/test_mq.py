@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from gaussbonnet.bundles import euler_form_transition_batch, make_plane_bundle
+from gaussbonnet.bundles import (
+    connection_curvature, connection_form, euler_form_transition_batch, make_plane_bundle,
+)
+from gaussbonnet.expr import eval_jet
 from gaussbonnet.exterior import BigradedElement
 from gaussbonnet.mq import (
     _connection, _thom, berezin_vs_pfaffian_residual, closedness_residual,
@@ -90,6 +93,26 @@ def test_form_bundle_equals_row_of_batched_thom():
         assert set(single.terms) == set(batch.terms)
         for key, c in batch.terms.items():
             assert c[k] == single.terms[key], (k, key)
+
+
+@pytest.mark.parametrize("k", [-2, 1, 3])
+def test_connection_rows_equal_form_and_curvature(k):
+    """One phi/rho evaluation per batch gives theta and d theta bit for bit,
+    row by row; theta also equals the order-1 jet assembly."""
+    b = make_plane_bundle(k)
+    for name in b.chart_names():
+        x = _annulus_points(np.random.default_rng(13), 12)
+        theta, curvature = _connection(b, name, x)
+        chart = b.atlas.chart(name)
+        phi = eval_jet(b.parsed_phi[name], x, chart.params, order=1)
+        rho = eval_jet(b.parsed_rho[name], x, chart.params, order=1)
+        assert np.array_equal(theta, -(1.0 - rho.val)[:, None] * phi.grad)
+        for row in range(len(x)):
+            one_theta, one_curvature = _connection(b, name, x[row])
+            assert one_theta.tobytes() == connection_form(b, name)(x[row:row + 1])[0].tobytes()
+            assert one_theta.tobytes() == theta[row].tobytes()
+            assert one_curvature == connection_curvature(b, name, x[row:row + 1])[0]
+            assert one_curvature == curvature[row]
 
 
 def test_flat_bundle_reduces_to_point_model():
