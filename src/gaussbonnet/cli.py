@@ -149,7 +149,9 @@ def cmd_index(args):
         extra={"zeros": [
             {"chart": z.chart, "x": [float(v) for v in z.x],
              "degree": z.local_degree, "raw_degree": z.raw_degree}
-            for z in result.zeros]},
+            for z in result.zeros],
+            "dropped": [{"chart": chart, "x": [float(v) for v in x]}
+                        for chart, x in result.dropped]},
     ).finalize()
     return report
 
@@ -310,7 +312,9 @@ def build_parser():
     p.add_argument("--manifold", required=True,
                    help="built-in name or manifold-spec file")
     p.add_argument("--res", type=_node_count, default=None)
-    p.add_argument("--extrapolate", action="store_true")
+    p.add_argument("--extrapolate", action="store_true",
+                   help="run the ladder res/2, 3*res/4, res and report "
+                        "error_estimate, a bound on the finest level's error")
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_verify_gbc)
 

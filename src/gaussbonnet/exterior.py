@@ -331,10 +331,15 @@ def pfaffian_definition(a: SkewFormMatrix) -> FormElement:
 
 
 def pfaffian_numeric(m) -> float:
-    """Pfaffian of a plain scalar skew matrix."""
-    pf = pfaffian(SkewFormMatrix.from_scalars(m))
-    c = pf.coefficient(())
-    return c.real if isinstance(c, complex) else float(c)
+    """Pfaffian of a plain scalar skew matrix, by the pfaffian_terms recursion."""
+    m = np.asarray(m)
+    d = m.shape[0]
+    if d % 2:
+        raise ValueError("dimension must be even")
+    if m.shape != (d, d) or np.any(m + m.T != 0):
+        raise ValueError("matrix must be exactly skew-symmetric")
+    rows = m.tolist()
+    return float(pfaffian_terms(lambda i, j: {(): rows[i][j]}, d)[()].real)
 
 
 def perm_sign(sigma):
@@ -510,8 +515,15 @@ def patodi_coefficient(mats):
     return total
 
 
+@functools.lru_cache(maxsize=None)
+def _signed_perms(d):
+    """Permutations of range(d) as a (d!, d) index array, and their signs."""
+    perms = np.array(list(itertools.permutations(range(d))), dtype=np.intp)
+    return perms, np.array([float(perm_sign(sigma)) for sigma in perms])
+
+
 def killing_double_sum(a, pairing="interleaved"):
-    """Double permutation contraction of a 4-tensor.
+    """Double permutation contraction of a 4-tensor, or of a (..., d, d, d, d) stack.
 
     pairing="interleaved": sum over s1, s2 of
         sgn(s1) sgn(s2) prod_m a[s1(2m-1), s2(2m-1), s1(2m), s2(2m)]
@@ -522,26 +534,27 @@ def killing_double_sum(a, pairing="interleaved"):
     the contraction used for curvature tensors, where the two index pairs
     are the antisymmetric pairs.  The two pairings agree after swapping
     tensor slots 2 and 3.
+
+    For each s1 the terms of every s2 are gathered at once; the running
+    total adds them one by one in (s1, s2) order, so each tensor of a stack
+    gives the value of its one-tensor call.
     """
     a = np.asarray(a, dtype=float)
-    d = a.shape[0]
+    d = a.shape[-1]
+    if a.ndim < 4 or a.shape[-4:] != (d,) * 4:
+        raise ValueError("expected a d^4 tensor or a stack of them")
     if d % 2:
         raise ValueError("even dimension required")
     if pairing == "blocks":
-        return killing_double_sum(a.transpose(0, 2, 1, 3), "interleaved")
-    if pairing != "interleaved":
+        a = np.swapaxes(a, -3, -2)
+    elif pairing != "interleaved":
         raise ValueError("pairing must be 'interleaved' or 'blocks'")
-    half = d // 2
-    total = 0.0
-    perms = list(itertools.permutations(range(d)))
-    signs = {sigma: perm_sign(sigma) for sigma in perms}
-    for s1 in perms:
-        for s2 in perms:
-            prod = 1.0
-            for m in range(half):
-                prod *= a[s1[2 * m], s2[2 * m], s1[2 * m + 1], s2[2 * m + 1]]
-                if prod == 0.0:
-                    break
-            if prod:
-                total += signs[s1] * signs[s2] * prod
-    return total
+    perms, signs = _signed_perms(d)
+    total = np.zeros(a.shape[:-4] + (1,))
+    for s1, sg1 in zip(perms, signs):
+        prod = a[..., s1[0], perms[:, 0], s1[1], perms[:, 1]]
+        for m in range(2, d, 2):
+            prod = prod * a[..., s1[m], perms[:, m], s1[m + 1], perms[:, m + 1]]
+        total = np.add.accumulate(np.concatenate([total, sg1 * signs * prod], axis=-1),
+                                  axis=-1)[..., -1:]
+    return total[..., 0][()]  # a NumPy scalar for one tensor

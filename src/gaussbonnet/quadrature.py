@@ -26,8 +26,7 @@ import numpy as np
 from .geometry import metric_jets
 
 __all__ = ["QuadratureSpec", "axis_rule", "product_rule", "chart_nodes",
-           "integrate_chart", "integrate_atlas", "pairwise_sum", "richardson",
-           "worker_count"]
+           "integrate_chart", "integrate_atlas", "pairwise_sum", "worker_count"]
 
 
 @dataclass(frozen=True)
@@ -176,52 +175,3 @@ def integrate_atlas(atlas, density, spec_or_nodes, chunk=65536, *, axes=None):
     return sum(integrate_chart(c, density, spec_or_nodes, chunk,
                                axes=None if axes is None else axes(c))
                for c in atlas.charts)
-
-
-def richardson(values):
-    """Extrapolate (node_count, value) pairs in powers of 1/n.
-
-    The convergence order is inferred from the observed difference ratio
-    (floored at 2); extrapolation is Neville's algorithm in h = 1/n^order.
-    Returns (extrapolated, error_estimate).
-    """
-    if len(values) < 2:
-        raise ValueError("need at least two refinement levels")
-    ns = np.array([float(n) for n, _ in values])
-    vs = np.array([float(v) for _, v in values])
-    if np.any(np.diff(ns) <= 0):
-        raise ValueError("node counts must be strictly increasing")
-    if np.allclose(np.diff(vs), 0.0, atol=0.0):
-        return float(vs[-1]), 0.0
-    order = 2.0
-    if len(values) >= 3:
-        d1, d2 = vs[-2] - vs[-3], vs[-1] - vs[-2]
-        if d2 != 0.0 and d1 / d2 > 1.0:
-            target = d1 / d2
-            n1, n2, n3 = ns[-3], ns[-2], ns[-1]
-
-            def ratio(q):
-                return (n2 ** -q - n1 ** -q) / (n3 ** -q - n2 ** -q)
-
-            lo_q, hi_q = 0.25, 16.0
-            if ratio(lo_q) <= target <= ratio(hi_q):
-                for _ in range(80):
-                    mid = 0.5 * (lo_q + hi_q)
-                    if ratio(mid) < target:
-                        lo_q = mid
-                    else:
-                        hi_q = mid
-                order = 0.5 * (lo_q + hi_q)
-            else:
-                order = hi_q if target > ratio(hi_q) else lo_q
-            order = float(np.clip(order, 2.0, 16.0))
-    h = 1.0 / ns ** order
-    # Lagrange interpolation through (h_i, v_i), evaluated at h = 0
-    total = 0.0
-    for i in range(len(vs)):
-        coeff = 1.0
-        for j in range(len(vs)):
-            if j != i:
-                coeff *= h[j] / (h[j] - h[i])
-        total += vs[i] * coeff
-    return float(total), abs(float(total) - float(vs[-1]))

@@ -61,13 +61,13 @@ def test_criterion_1_gbc_surfaces():
 def test_criterion_2_gbc_dimension_4():
     t0 = time.perf_counter()
     s4 = verify_gbc(build_manifold("sphere4").atlas, resolution=32,
-                    extrapolate=True, levels=3)
+                    extrapolate=True)
     s4_time = time.perf_counter() - t0
     prod = verify_gbc(build_manifold("s2xs2").atlas, resolution=24,
-                      extrapolate=True, levels=3)
+                      extrapolate=True)
     t4 = verify_gbc(build_manifold("torus4").atlas, resolution=4)
     cp = verify_gbc(build_manifold("cp2").atlas, resolution=20,
-                    extrapolate=True, levels=3)
+                    extrapolate=True)
     ok = (abs(s4.integral - 2) < 1e-3 and s4_time < 10.0
           and abs(prod.integral - 4) < 1e-3
           and abs(t4.integral) < 1e-12

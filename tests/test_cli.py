@@ -167,6 +167,27 @@ def test_cli_index_builtins(capsys):
     assert code == 0 and doc["value"] == 3.0
 
 
+def test_cli_index_reports_dropped_candidates(tmp_path, capsys):
+    """A deep |X| minimum that Newton cannot refine is listed under
+    "dropped", byte-stable under --no-wall-time."""
+    spec = FIELD_SPEC.replace("expected: -1", "expected: 0").replace(
+        "component disk 1: x1", "component disk 1: x1^2 + 1e-7").replace(
+        "component disk 2: -x2", "component disk 2: x2")
+    argv = ["index", "--field", "saddle", "--manifold",
+            write(tmp_path, "f.mspec", spec), "--scan", "40", "--no-wall-time"]
+    outs = []
+    for _ in range(2):
+        main(argv)
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    doc = json.loads(outs[0])
+    assert doc["zeros"] == [] and len(doc["dropped"]) >= 1
+    assert doc["dropped"][0]["chart"] == "disk"
+    assert abs(doc["dropped"][0]["x"][0]) < 0.2  # near the fake minimum
+    code, doc = run_cli(capsys, "index", "--field", "morse", "--no-wall-time")
+    assert code == 0 and doc["dropped"] == []
+
+
 def test_cli_euler_class(capsys):
     code, doc = run_cli(capsys, "euler-class", "--bundle", "k=2",
                         "--res", "96", "--no-wall-time")

@@ -152,6 +152,33 @@ def test_pfaffian_rejects_odd_dimension():
         SkewFormMatrix.from_scalars(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_pfaffian_numeric_matches_form_route_bitwise(d):
+    """The scalar recursion gives the FormElement Pfaffian's float, signs of
+    zero included, also for sparse and integer-valued matrices."""
+    rng = np.random.default_rng(d + 30)
+    for k in range(40):
+        m = random_skew(rng, d)
+        if k % 2:
+            m[np.triu(rng.random((d, d)) < 0.5)] = 0.0
+            m = np.round(np.triu(m) - np.triu(m).T)
+        want = pfaffian(SkewFormMatrix.from_scalars(m)).coefficient(())
+        want = want.real if isinstance(want, complex) else float(want)
+        got = pfaffian_numeric(m)
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+
+def test_pfaffian_numeric_rejects_odd_and_non_skew():
+    with pytest.raises(ValueError):
+        pfaffian_numeric(np.zeros((3, 3)))
+    m = random_skew(np.random.default_rng(0), 4)
+    m[1, 2] += 1e-12
+    with pytest.raises(ValueError):
+        pfaffian_numeric(m)
+    with pytest.raises(ValueError):
+        pfaffian_numeric(np.eye(2))  # nonzero diagonal
+
+
 def test_pfaffian_with_two_form_entries():
     # block-diagonal matrix of 2-forms: Pf = a*e01 ^ b*e23
     n = 4
@@ -384,6 +411,16 @@ def test_killing_double_sum_pairings_agree_after_slot_swap():
     a = rng.normal(size=(2, 2, 2, 2))
     assert killing_double_sum(a, "blocks") == pytest.approx(
         killing_double_sum(a.transpose(0, 2, 1, 3), "interleaved"))
+
+
+@pytest.mark.parametrize("pairing", ["interleaved", "blocks"])
+@pytest.mark.parametrize("d", [2, 4])
+def test_killing_double_sum_stack_matches_single_calls(d, pairing):
+    stack = np.random.default_rng(d + 60).normal(size=(3, 5) + (d,) * 4)
+    got = killing_double_sum(stack, pairing)
+    assert got.shape == (3, 5)
+    want = np.array([[killing_double_sum(t, pairing) for t in row] for row in stack])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # same bits
 
 
 def test_supertrace_identity_family():

@@ -1,16 +1,18 @@
 """Curvature integrand (both routes) and chi-recovery on built-in spaces."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from gaussbonnet import gbc
+from gaussbonnet.exterior import perm_sign
 from gaussbonnet.gbc import (
-    gb_density_aw, gb_density_pfaffian, gb_density_pfaffian_batch,
+    gb_density_aw, gb_density_aw_batch, gb_density_pfaffian, gb_density_pfaffian_batch,
     gb_density_pfaffian_reference, integrand_report, verify_gbc,
 )
-from gaussbonnet.geometry import Chart, Atlas
+from gaussbonnet.geometry import Atlas, Chart, point_geometry_batch
 from gaussbonnet.library import build_manifold
 from gaussbonnet.quadrature import integrate_atlas
 from gaussbonnet.specfile import load_manifold_spec
@@ -115,10 +117,49 @@ def test_odd_dimension_rejected():
 
 def test_convergence_table_recorded():
     res = verify_gbc(build_manifold("sphere2").atlas, resolution=32,
-                     extrapolate=True, levels=3)
+                     extrapolate=True)
     assert len(res.resolutions) == 3
-    assert res.extrapolated
+    assert res.error_estimate is not None
     assert [n for n, _ in res.resolutions] == sorted(n for n, _ in res.resolutions)
+
+
+@pytest.mark.parametrize("name, res", [
+    ("sphere4", 4), ("sphere4", 5), ("sphere4", 8), ("sphere4", 12),
+    ("cp2", 20), ("s2xs2", 24), ("sphere2", 2),
+])
+def test_error_estimate_bounds_finest_level(name, res):
+    """The ladder reports its finest level, and error_estimate bounds its
+    actual distance from chi (metadata, never computed by the pipeline)."""
+    manifold = build_manifold(name)
+    result = verify_gbc(manifold.atlas, resolution=res, extrapolate=True)
+    assert len(result.resolutions) >= 2
+    assert result.integral == result.resolutions[-1][1]
+    assert result.error_estimate >= abs(result.integral - manifold.expected_chi)
+
+
+def _aw_density_loop(chart, points):
+    """The double permutation sum written out as a loop over (s1, s2)."""
+    d = chart.dim
+    perms = list(itertools.permutations(range(d)))
+    rf = point_geometry_batch(chart, points).riemann_frame
+    total = np.zeros(len(points))
+    for s1 in perms:
+        for s2 in perms:
+            prod = rf[:, s1[0], s1[1], s2[0], s2[1]].copy()
+            for m in range(1, d // 2):
+                prod *= rf[:, s1[2 * m], s1[2 * m + 1], s2[2 * m], s2[2 * m + 1]]
+            total += (perm_sign(s1) * perm_sign(s2)) * prod
+    const = (2 * math.pi) ** (-d / 2) / (2 ** d * math.factorial(d // 2))
+    return gbc.CALIBRATED_SIGN * const * total
+
+
+@pytest.mark.parametrize("name", ["sphere2", "torus2", "sphere4", "s2xs2", "cp2"])
+def test_aw_batch_matches_permutation_loop(name):
+    chart = build_manifold(name).atlas.charts[0]
+    pts = interior_points(np.random.default_rng(3), chart, 200)
+    got = gb_density_aw_batch(chart, pts)
+    want = _aw_density_loop(chart, pts)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # same bits
 
 
 # ------------------------------------- integration over the chart support

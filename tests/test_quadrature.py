@@ -1,4 +1,4 @@
-"""Quadrature rules, determinism, and Richardson extrapolation."""
+"""Quadrature rules, determinism and axis collapse."""
 
 import math
 import os
@@ -10,7 +10,7 @@ from gaussbonnet.geometry import Chart
 from gaussbonnet.library import build_manifold, stereo_pair_atlas
 from gaussbonnet.quadrature import (
     QuadratureError, QuadratureSpec, axis_rule, chart_nodes, integrate_chart,
-    pairwise_sum, product_rule, richardson,
+    pairwise_sum, product_rule,
 )
 
 
@@ -99,42 +99,6 @@ def test_weighted_chart_integral():
                                weight="x1")
     got = integrate_chart(chart, one, 16)
     assert got == pytest.approx(0.5, abs=1e-14)
-
-
-# ------------------------------------------------------------- richardson
-
-def test_richardson_constant_sequence():
-    val, err = richardson([(8, 2.0), (16, 2.0), (32, 2.0)])
-    assert val == 2.0 and err == 0.0
-
-
-def test_richardson_recovers_quadratic_model():
-    limit, c = 1.7, -0.4
-    seq = [(n, limit + c / n ** 2) for n in (16, 32, 64)]
-    val, err = richardson(seq)
-    assert val == pytest.approx(limit, abs=1e-12)
-    assert err == pytest.approx(abs(seq[-1][1] - limit), rel=1e-6)
-
-
-def test_richardson_two_levels():
-    limit, c = -0.3, 2.0
-    seq = [(10, limit + c / 100), (20, limit + c / 400)]
-    val, _ = richardson(seq)  # assumed order 2
-    assert val == pytest.approx(limit, abs=1e-13)
-
-
-def test_richardson_nonuniform_ratio():
-    limit, c, q = 5.0, 3.0, 4.0
-    seq = [(n, limit + c / n ** q) for n in (16, 24, 32)]
-    val, _ = richardson(seq)
-    assert val == pytest.approx(limit, abs=1e-9)
-
-
-def test_richardson_needs_two_levels():
-    with pytest.raises(ValueError):
-        richardson([(8, 1.0)])
-    with pytest.raises(ValueError):
-        richardson([(8, 1.0), (8, 2.0)])
 
 
 def test_quadrature_spec_validation():
