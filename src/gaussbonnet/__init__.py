@@ -19,6 +19,6 @@ from .index import VectorFieldSpec, ZeroRecord, find_zeros, index_sum, local_deg
 from .bundles import PlaneBundle, generalized_gbc, make_plane_bundle
 from .library import build_field, build_manifold, manifold_names
 from .mq import mq_euler_number, mq_fiber_integral, mq_form_bundle, mq_form_point
-from .quadrature import QuadratureSpec, integrate_atlas, integrate_chart
+from .quadrature import integrate_atlas, integrate_chart
 
 __version__ = "0.1.0"

@@ -46,7 +46,6 @@ class PlaneBundle:
     atlas: object
     phi: dict
     rho: dict
-    expected_euler: int = 0
     parsed_phi: dict = field(default_factory=dict, repr=False)
     parsed_rho: dict = field(default_factory=dict, repr=False)
 
@@ -79,7 +78,7 @@ def make_plane_bundle(k, sharpness=6, box=3.0):
     phi = {"north": f"{k}*atan2(x2, x1)", "south": f"{k}*atan2(x2, x1)"}
     rho = {"north": f"1/(1+(x1^2+x2^2)^{sharpness})",
            "south": f"1/(1+(x1^2+x2^2)^{sharpness})"}
-    return PlaneBundle(k, atlas, phi, rho, expected_euler=k)
+    return PlaneBundle(k, atlas, phi, rho)
 
 
 def _rho_other_jets(bundle, name, points):
@@ -164,12 +163,11 @@ def curvature_density_batch(bundle, name, points):
 class GeneralizedGbcResult:
     pf_integral: float
     transition_integral: float
-    k: int
-    resolutions: list = field(default_factory=list)
 
 
 def generalized_gbc(bundle, resolution=96):
-    """Both Euler-number routes; each should equal the clutching integer."""
+    """Both Euler-number routes at one resolution; each should equal the
+    clutching integer, which the caller compares."""
 
     def route(density):
         return sum(integrate_chart(bundle.atlas.chart(name),
@@ -179,7 +177,7 @@ def generalized_gbc(bundle, resolution=96):
 
     pf = route(curvature_density_batch)
     tr = route(euler_form_transition_batch)
-    return GeneralizedGbcResult(pf, tr, bundle.k, [(resolution, pf, tr)])
+    return GeneralizedGbcResult(pf, tr)
 
 
 def winding_of_phi(bundle, name="north", radius=1.0, samples=720):

@@ -1,13 +1,18 @@
 """Command-line front end.
 
 Subcommands: verify-gbc, index, euler-class, mq, heat, selftest.  Every
-command emits a JSON report on stdout and exits 0 on pass, 1 on a numeric
-failure, 2 on input errors.  GBC_THREADS caps the quadrature worker pool.
+command returns a Report whose expected values come from topology
+metadata; `Report.finalize` alone decides pass/fail.  `main` prints it
+as JSON on stdout and exits 0 on pass or when nothing was declared to
+compare (passed null), 1 on a numeric failure (a NaN fails), 2 on input
+errors and 3 on an internal error, each error as one stderr line.
+GBC_THREADS caps the quadrature worker pool.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -22,7 +27,7 @@ from .quadrature import QuadratureError
 from .report import Report, report_to_csv, report_to_json
 from .specfile import SpecFileError, load_manifold_spec
 
-EXIT_PASS, EXIT_NUMERIC, EXIT_INPUT = 0, 1, 2
+EXIT_PASS, EXIT_NUMERIC, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3
 
 
 class InputError(ValueError):
@@ -79,8 +84,19 @@ def _int_at_least(lo):
     return parse
 
 
-# quadrature and scan node counts: QuadratureSpec.per_axis requires >= 2
+# quadrature and scan node counts
 _node_count = _int_at_least(2)
+
+
+def _positive_float(text):
+    """argparse type: a finite number > 0 (tolerances and times)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return value
 
 
 def _bundle_res(text):
@@ -101,16 +117,15 @@ def cmd_verify_gbc(args):
     res = args.res or manifold.default_res
     tol = args.tol if args.tol is not None else manifold.default_tol
     extrapolate = args.extrapolate or manifold.extrapolate
-    t0 = time.perf_counter()
     try:
         result = gbc_mod.verify_gbc(manifold.atlas, resolution=res,
                                     extrapolate=extrapolate)
     except QuadratureError as exc:
         if args.manifold in library.MANIFOLDS:
             raise
-        # a spec-file metric that cannot be evaluated is bad input
+        # a spec-file metric or weight that cannot be evaluated is bad input
         raise InputError(f"{args.manifold}: {exc}") from None
-    report = Report(
+    return Report(
         command="verify-gbc",
         inputs={"manifold": args.manifold, "res": res,
                 "extrapolate": extrapolate, "tol": tol},
@@ -118,15 +133,13 @@ def cmd_verify_gbc(args):
         value=result.integral,
         expected=manifold.expected_chi,
         tolerance=tol,
-        wall_time=time.perf_counter() - t0,
         extra={"error_estimate": result.error_estimate},
     ).finalize()
-    return report
 
 
 def cmd_index(args):
-    t0 = time.perf_counter()
-    if args.manifold and args.manifold not in library.MANIFOLDS:
+    from_file = bool(args.manifold) and args.manifold not in library.MANIFOLDS
+    if from_file:
         doc = _load_spec(args.manifold, f"cannot read manifold-spec file {args.manifold!r}")
         if args.field not in doc.fields:
             raise InputError(f"{args.manifold}: no field {args.field!r}")
@@ -136,8 +149,16 @@ def cmd_index(args):
             fieldspec = library.build_field(args.field)
         except (KeyError, ValueError) as exc:
             raise InputError(f"--field {args.field!r}: {exc}")
-    result = index_mod.index_sum(fieldspec, scan_resolution=args.scan)
-    report = Report(
+    try:
+        result = index_mod.index_sum(fieldspec, scan_resolution=args.scan)
+    except (ArithmeticError, index_mod.DegreeError) as exc:
+        # zeros not isolated at this --scan, or a spec-file component that
+        # leaves its domain, are bad input; a built-in's domain error is not
+        if not (from_file or isinstance(exc, index_mod.DegreeError)):
+            raise
+        where = f"{args.manifold}: field" if from_file else "--field"
+        raise InputError(f"{where} {args.field!r}: {exc}") from None
+    return Report(
         command="index",
         inputs={"field": args.field, "scan": args.scan,
                 "manifold": args.manifold},
@@ -145,7 +166,6 @@ def cmd_index(args):
         expected=(None if fieldspec.expected is None
                   else float(fieldspec.expected)),
         tolerance=0.5,  # integer comparison
-        wall_time=time.perf_counter() - t0,
         extra={"zeros": [
             {"chart": z.chart, "x": [float(v) for v in z.x],
              "degree": z.local_degree, "raw_degree": z.raw_degree}
@@ -153,32 +173,25 @@ def cmd_index(args):
             "dropped": [{"chart": chart, "x": [float(v) for v in x]}
                         for chart, x in result.dropped]},
     ).finalize()
-    return report
 
 
 def cmd_euler_class(args):
     bundle = _parse_bundle(args.bundle)
-    t0 = time.perf_counter()
     result = bundles_mod.generalized_gbc(bundle, resolution=args.res)
-    report = Report(
+    return Report(
         command="euler-class",
         inputs={"bundle": args.bundle, "res": args.res, "tol": args.tol},
-        resolutions=[(n, pf) for n, pf, _ in result.resolutions],
+        resolutions=[(args.res, result.pf_integral)],
         value=result.pf_integral,
         expected=float(bundle.k),
         tolerance=args.tol,
-        wall_time=time.perf_counter() - t0,
         extra={"transition_integral": result.transition_integral,
                "pfaffian_integral": result.pf_integral},
-    ).finalize()
-    if abs(result.transition_integral - bundle.k) >= args.tol:
-        report.passed = False
-    return report
+    ).finalize((result.transition_integral, bundle.k, args.tol))
 
 
 def cmd_mq(args):
     bundle = _parse_bundle(args.bundle)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(0)
     fiber_integrals = []
     for _ in range(args.base_points):
@@ -188,117 +201,91 @@ def cmd_mq(args):
         fiber_integrals.append(
             mq_mod.mq_fiber_integral(bundle, "north", x, nodes=args.fiber_nodes))
     euler = mq_mod.mq_euler_number(bundle, resolution=args.res)
-    worst_fiber = max(abs(v - 1.0) for v in fiber_integrals)
-    report = Report(
+    return Report(
         command="mq",
         inputs={"bundle": args.bundle, "fiber_nodes": args.fiber_nodes,
                 "res": args.res, "base_points": args.base_points},
         value=euler.euler_number,
         expected=float(bundle.k),
         tolerance=args.tol,
-        wall_time=time.perf_counter() - t0,
         extra={"fiber_integrals": fiber_integrals,
-               "worst_fiber_error": worst_fiber},
-    ).finalize()
-    if worst_fiber >= 1e-8:
-        report.passed = False
-    return report
+               "worst_fiber_error": max(abs(v - 1.0) for v in fiber_integrals)},
+    ).finalize(*((v, 1.0, 1e-8) for v in fiber_integrals))  # each fiber integrates to 1
 
 
+# heat model spaces: (spectrum, Euler characteristic as topology metadata)
 _SPACES = {
-    "t1": lambda: heat_mod.FlatTorusSpectrum((1.0,)),
-    "t2": lambda: heat_mod.FlatTorusSpectrum((1.0, 1.0)),
-    "t4": lambda: heat_mod.FlatTorusSpectrum((1.0,) * 4),
-    "s2": lambda: heat_mod.RoundSphereSpectrum(1.0),
+    "t1": (heat_mod.FlatTorusSpectrum((1.0,)), 0.0),
+    "t2": (heat_mod.FlatTorusSpectrum((1.0, 1.0)), 0.0),
+    "t4": (heat_mod.FlatTorusSpectrum((1.0,) * 4), 0.0),
+    "s2": (heat_mod.RoundSphereSpectrum(1.0), 2.0),
 }
-
-_SPACE_CHI = {"t1": 0.0, "t2": 0.0, "t4": 0.0, "s2": 2.0}
 
 
 def cmd_heat(args):
     if args.space not in _SPACES:
         raise InputError(f"unknown space {args.space!r}; have {sorted(_SPACES)}")
     try:
-        t_values = [float(v) for v in args.t.split(",") if v]
-    except ValueError:
-        raise InputError(f"bad --t list {args.t!r}")
-    if not t_values or any(t <= 0 for t in t_values):
+        t_values = [_positive_float(v) for v in args.t.split(",") if v]
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"bad --t list {args.t!r}: {exc}") from None
+    if not t_values:
         raise InputError("--t needs positive comma-separated times")
-    model = _SPACES[args.space]()
-    t0 = time.perf_counter()
+    model, chi = _SPACES[args.space]
     rows = []
-    worst = 0.0
     for t in t_values:
         st = heat_mod.supertrace_heat(model, t, tail_tol=args.tail_tol)
         rows.append({"t": t, "supertrace": st.value, "tail_bound": st.tail_bound})
-        worst = max(worst, abs(st.value - _SPACE_CHI[args.space]))
-    report = Report(
+    return Report(
         command="heat",
         inputs={"space": args.space, "t": t_values, "tail_tol": args.tail_tol},
         value=rows[-1]["supertrace"],
-        expected=_SPACE_CHI[args.space],
+        expected=chi,
         tolerance=args.tol,
-        wall_time=time.perf_counter() - t0,
-        extra={"supertraces": rows, "worst_error": worst},
-    ).finalize()
-    report.passed = bool(worst < args.tol)
-    return report
+        extra={"supertraces": rows,
+               "worst_error": max(abs(r["supertrace"] - chi) for r in rows)},
+    ).finalize(*((r["supertrace"], chi, args.tol) for r in rows))
 
 
-def cmd_selftest(args):
-    """Quick-tier pass/fail matrix across every built-in object."""
-    t0 = time.perf_counter()
-    rows = []
-
-    def record(name, value, expected, tol):
-        ok = abs(value - expected) < tol
-        rows.append({"check": name, "value": value, "expected": expected,
-                     "tolerance": tol, "passed": bool(ok)})
-        return ok
-
-    ok = True
+def _selftest_argvs():
+    """The quick tier: each built-in object through its own subcommand."""
+    argvs = []
     for name in library.manifold_names():
         manifold = library.build_manifold(name)
         if manifold.atlas.dim % 2:
             continue  # curvature integrand vanishes identically in odd dim
-        res = gbc_mod.verify_gbc(manifold.atlas, resolution=manifold.quick_res,
-                                 extrapolate=manifold.extrapolate)
-        ok &= record(f"gbc:{name}", res.integral, manifold.expected_chi,
-                     manifold.quick_tol)
-    for fname in ("morse", "rotation", "constant", "z", "z2"):
-        result = index_mod.index_sum(library.build_field(fname),
-                                     scan_resolution=32)
-        ok &= record(f"index:{fname}", float(result.total),
-                     float(result.expected), 0.5)
-    for k in (-2, -1, 0, 1, 2, 3):
-        bundle = bundles_mod.make_plane_bundle(k)
-        res = bundles_mod.generalized_gbc(bundle, resolution=96)
-        ok &= record(f"bundle:k={k}", res.pf_integral, float(k), 1e-4)
-        if k in (1, 2, 3):
-            deg = index_mod.index_sum(library.build_field("section_zk", k=k),
-                                      scan_resolution=32)
-            ok &= record(f"section:z^{k}", float(deg.total), float(k), 0.5)
-    ok &= record("mq:fiber", mq_mod.mq_fiber_integral(
-        bundles_mod.make_plane_bundle(2), "north", [0.8, 0.3], nodes=24), 1.0, 1e-8)
-    for space in ("t2", "s2"):
-        model = _SPACES[space]()
-        st = heat_mod.supertrace_heat(model, 0.25)
-        ok &= record(f"heat:{space}", st.value, _SPACE_CHI[space], 1e-10)
-    for row in rows:
-        mark = "pass" if row["passed"] else "FAIL"
-        print(f"[{mark}] {row['check']:>16}: {row['value']:+.6f} "
-              f"(expected {row['expected']:+g}, tol {row['tolerance']:g})",
+        argvs.append(["verify-gbc", "--manifold", name, "--res", str(manifold.quick_res),
+                      "--tol", repr(manifold.quick_tol)]
+                     + ["--extrapolate"] * manifold.extrapolate)
+    argvs += [["index", "--field", name, "--scan", "32"]
+              for name in ("morse", "rotation", "constant", "z", "z2", "z^1", "z^2", "z^3")]
+    argvs += [["euler-class", "--bundle", f"k={k}", "--tol", "1e-4"] for k in range(-2, 4)]
+    argvs.append(["mq", "--bundle", "k=2", "--fiber-nodes", "24", "--base-points", "1"])
+    argvs += [["heat", "--space", space, "--t", "0.25"] for space in ("t2", "s2")]
+    return argvs
+
+
+def cmd_selftest(args):
+    """Quick-tier pass/fail matrix: one row per subcommand report."""
+    parser = build_parser()
+    rows = []
+    for argv in _selftest_argvs():
+        sub = parser.parse_args(argv)
+        report = sub.func(sub)
+        rows.append({"check": argv, "value": report.value, "expected": report.expected,
+                     "tolerance": report.tolerance, "passed": report.passed})
+        mark = "pass" if report.passed else "FAIL"
+        print(f"[{mark}] {' '.join(argv)}: {report.value:+.6f} "
+              f"(expected {report.expected:+g}, tol {report.tolerance:g})",
               file=sys.stderr)
-    report = Report(
+    return Report(
         command="selftest",
         inputs={},
-        value=float(sum(r["passed"] for r in rows)),
+        value=float(sum(row["passed"] is True for row in rows)),
         expected=float(len(rows)),
         tolerance=0.5,
-        wall_time=time.perf_counter() - t0,
         extra={"checks": rows},
     ).finalize()
-    return report
 
 
 def build_parser():
@@ -315,7 +302,7 @@ def build_parser():
     p.add_argument("--extrapolate", action="store_true",
                    help="run the ladder res/2, 3*res/4, res and report "
                         "error_estimate, a bound on the finest level's error")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_positive_float, default=None)
     p.set_defaults(func=cmd_verify_gbc)
 
     p = sub.add_parser("index", help="sum local degrees of a field's zeros")
@@ -330,7 +317,7 @@ def build_parser():
                        "Pfaffian-connection integrals of a plane bundle")
     p.add_argument("--bundle", required=True, help="k=<int> or spec file")
     p.add_argument("--res", type=_bundle_res, default=96)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--tol", type=_positive_float, default=1e-5)
     p.set_defaults(func=cmd_euler_class)
 
     p = sub.add_parser("mq", help="Thom-form fiber integrals and Euler number")
@@ -338,14 +325,14 @@ def build_parser():
     p.add_argument("--fiber-nodes", type=_node_count, default=40)
     p.add_argument("--base-points", type=_int_at_least(1), default=10)
     p.add_argument("--res", type=_bundle_res, default=96)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--tol", type=_positive_float, default=1e-5)
     p.set_defaults(func=cmd_mq)
 
     p = sub.add_parser("heat", help="spectral heat supertraces")
     p.add_argument("--space", required=True, help="t1 | t2 | t4 | s2")
     p.add_argument("--t", required=True, help="comma-separated times")
-    p.add_argument("--tail-tol", type=float, default=1e-12)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tail-tol", type=_positive_float, default=1e-12)
+    p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.set_defaults(func=cmd_heat)
 
     p = sub.add_parser("selftest", help="quick pass/fail matrix over all built-ins")
@@ -360,18 +347,22 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
         report = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a fault of the program, never of the input
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    report.wall_time = time.perf_counter() - t0
     print(report_to_json(report, include_wall_time=not args.no_wall_time))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write(report_to_csv(report))
-    return EXIT_PASS if report.passed else EXIT_NUMERIC
+    return EXIT_NUMERIC if report.passed is False else EXIT_PASS
 
 
 if __name__ == "__main__":

@@ -124,17 +124,14 @@ class Chart:
 
 @dataclass(frozen=True)
 class Atlas:
-    """Charts plus coverage mode and optional overlap identifications.
+    """Charts plus optional overlap identifications.
 
     identifications: list of (name_a, name_b, map_ab, map_ba) where map_ab
     sends chart-a coordinates to chart-b coordinates on the overlap.
     """
 
     charts: tuple
-    expected_chi: int | None = None
-    mode: str = "single"            # "single" (almost everywhere) | "weighted"
     identifications: tuple = ()
-    name: str = ""
 
     @property
     def dim(self):

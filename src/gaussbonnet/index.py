@@ -82,7 +82,6 @@ class ZeroRecord:
 class IndexResult:
     total: int
     zeros: list
-    expected: int | None
     dropped: list = field(default_factory=list)
 
 
@@ -100,6 +99,8 @@ def _newton_refine(fieldspec, chart_name, x0, max_iter=60, tol=1e-12):
         if nrm < tol:
             return x
         jac = grads[0]
+        if not np.all(np.isfinite(jac)):
+            return None  # the field is not differentiable here
         try:
             step = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError:
@@ -133,19 +134,21 @@ def find_zeros(fieldspec, scan_resolution=48, merge_tol=None):
 
     Zeros closer than half a scan cell are indistinguishable at scan
     resolution and are merged (Newton stalls at that scale for degenerate
-    zeros anyway; the two-radius degree check guards correctness).
+    zeros anyway; the two-radius degree check guards correctness).  Two
+    distinct zeros of one chart within 1.5 scan cells on every axis mean
+    the scan does not isolate them (a curve or surface of zeros refines
+    to one zero per scan point): DegreeError.
     Returns (zeros, dropped) where dropped collects Newton failures
     (reported, not silently ignored).
     """
     atlas = fieldspec.atlas
     candidates = []
     dropped = []
-    cell = {}
+    cell = {}  # scan cell widths per axis
     for chart in atlas.charts:
         if chart.name not in fieldspec.parsed:
             continue
-        cell[chart.name] = min((hi - lo) / scan_resolution
-                               for lo, hi in chart.ranges)
+        cell[chart.name] = np.array([hi - lo for lo, hi in chart.ranges]) / scan_resolution
         pts, shape = _grid(chart, scan_resolution)
         norms = np.linalg.norm(fieldspec.values(chart.name, pts), axis=1)
         grid = norms.reshape(shape)
@@ -161,20 +164,16 @@ def find_zeros(fieldspec, scan_resolution=48, merge_tol=None):
             candidates.append((chart.name, refined))
     zeros = []
     for cname, x in candidates:
-        tol = merge_tol if merge_tol is not None else 0.45 * cell[cname]
-        duplicate = False
-        for zname, zx in zeros:
-            if zname == cname and np.linalg.norm(zx - x) < tol:
-                duplicate = True
-                break
-            for oname, ox in atlas.other_coords(cname, x):
-                if oname == zname and np.linalg.norm(ox - zx) < tol:
-                    duplicate = True
-                    break
-            if duplicate:
-                break
-        if not duplicate:
-            zeros.append((cname, x))
+        tol = merge_tol if merge_tol is not None else 0.45 * cell[cname].min()
+        images = [(cname, x), *atlas.other_coords(cname, x)]
+        if any(zname == name and np.linalg.norm(zx - y) < tol
+               for zname, zx in zeros for name, y in images):
+            continue  # duplicate
+        if any(zname == cname and np.all(np.abs(zx - x) <= 1.5 * cell[cname])
+               for zname, zx in zeros):
+            raise DegreeError(f"zeros near {x} on chart {cname!r} are not "
+                              f"isolated at scan resolution {scan_resolution}")
+        zeros.append((cname, x))
     # prefer the representative closer to its chart origin
     deduped = []
     for cname, x in zeros:
@@ -323,7 +322,8 @@ def _default_radius(chart, x):
 
 
 def index_sum(fieldspec, scan_resolution=48, radius=None):
-    """Sum of local degrees over all zeros, compared to the expected integer."""
+    """Sum of local degrees over all zeros (the caller compares it with the
+    field's declared `expected`)."""
     zeros, dropped = find_zeros(fieldspec, scan_resolution)
     records = []
     for cname, x in zeros:
@@ -331,7 +331,7 @@ def index_sum(fieldspec, scan_resolution=48, radius=None):
         r = radius if radius is not None else min(0.25, _default_radius(chart, x))
         records.append(local_degree(fieldspec, cname, x, r))
     total = sum(rec.local_degree for rec in records)
-    return IndexResult(total, records, fieldspec.expected, dropped)
+    return IndexResult(total, records, dropped)
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ PI = math.pi
 class Manifold:
     name: str
     atlas: Atlas
-    expected_chi: int
+    expected_chi: int | None  # topology metadata; None: nothing declared
     default_res: int = 64
     default_tol: float = 1e-6
     extrapolate: bool = False
@@ -38,16 +38,16 @@ def sphere2(radius=1.0):
     chart = Chart.from_strings(
         "polar", 2, [(0.0, PI), (0.0, 2 * PI)], [False, True],
         {(0, 0): "r^2", (1, 1): "r^2*sin(x1)^2"}, params={"r": radius})
-    return Manifold("sphere2", Atlas((chart,), expected_chi=2, name="sphere2"),
-                    2, default_res=128, default_tol=1e-6,
+    return Manifold("sphere2", Atlas((chart,)), 2,
+                    default_res=128, default_tol=1e-6,
                     quick_res=48, quick_tol=1e-5)
 
 
 def torus2():
     chart = Chart.from_strings("flat", 2, [(0.0, 1.0), (0.0, 1.0)], [True, True],
                                {(0, 0): "1", (1, 1): "1"})
-    return Manifold("torus2", Atlas((chart,), expected_chi=0, name="torus2"),
-                    0, default_res=8, default_tol=1e-12,
+    return Manifold("torus2", Atlas((chart,)), 0,
+                    default_res=8, default_tol=1e-12,
                     quick_res=4, quick_tol=1e-12)
 
 
@@ -56,8 +56,8 @@ def bumpy_sphere(eps=0.3):
     chart = Chart.from_strings(
         "polar", 2, [(0.0, PI), (0.0, 2 * PI)], [False, True],
         {(0, 0): factor, (1, 1): f"{factor}*sin(x1)^2"}, params={"eps": eps})
-    return Manifold("bumpy_sphere", Atlas((chart,), expected_chi=2, name="bumpy_sphere"),
-                    2, default_res=128, default_tol=1e-4,
+    return Manifold("bumpy_sphere", Atlas((chart,)), 2,
+                    default_res=128, default_tol=1e-4,
                     quick_res=64, quick_tol=1e-3)
 
 
@@ -69,8 +69,8 @@ def sphere4(radius=1.0):
     chart = Chart.from_strings(
         "polar", 4, [(0.0, PI)] * 3 + [(0.0, 2 * PI)],
         [False, False, False, True], g, params={"r": radius})
-    return Manifold("sphere4", Atlas((chart,), expected_chi=2, name="sphere4"),
-                    2, default_res=32, default_tol=1e-3, extrapolate=True,
+    return Manifold("sphere4", Atlas((chart,)), 2,
+                    default_res=32, default_tol=1e-3, extrapolate=True,
                     quick_res=12, quick_tol=1e-3)
 
 
@@ -80,16 +80,16 @@ def s2xs2():
     chart = Chart.from_strings(
         "product", 4, [(0.0, PI), (0.0, 2 * PI), (0.0, PI), (0.0, 2 * PI)],
         [False, True, False, True], g)
-    return Manifold("s2xs2", Atlas((chart,), expected_chi=4, name="s2xs2"),
-                    4, default_res=24, default_tol=1e-3, extrapolate=True,
+    return Manifold("s2xs2", Atlas((chart,)), 4,
+                    default_res=24, default_tol=1e-3, extrapolate=True,
                     quick_res=10, quick_tol=1e-3)
 
 
 def torus4():
     chart = Chart.from_strings("flat", 4, [(0.0, 1.0)] * 4, [True] * 4,
                                {(i, i): "1" for i in range(4)})
-    return Manifold("torus4", Atlas((chart,), expected_chi=0, name="torus4"),
-                    0, default_res=4, default_tol=1e-12,
+    return Manifold("torus4", Atlas((chart,)), 0,
+                    default_res=4, default_tol=1e-12,
                     quick_res=3, quick_tol=1e-12)
 
 
@@ -101,8 +101,8 @@ def sphere3(radius=1.0):
     chart = Chart.from_strings(
         "polar", 3, [(0.0, PI), (0.0, PI), (0.0, 2 * PI)],
         [False, False, True], g, params={"r": radius})
-    return Manifold("sphere3", Atlas((chart,), expected_chi=0, name="sphere3"),
-                    0, default_res=24, default_tol=1e-6,
+    return Manifold("sphere3", Atlas((chart,)), 0,
+                    default_res=24, default_tol=1e-6,
                     quick_res=12, quick_tol=1e-6)
 
 
@@ -127,13 +127,13 @@ def cp2():
     chart = Chart.from_strings(
         "affine", 4, [(0.0, PI / 2), (0.0, PI / 2), (0.0, 2 * PI), (0.0, 2 * PI)],
         [False, False, True, True], g)
-    return Manifold("cp2", Atlas((chart,), expected_chi=3, name="cp2"),
-                    3, default_res=20, default_tol=1e-2, extrapolate=True,
+    return Manifold("cp2", Atlas((chart,)), 3,
+                    default_res=20, default_tol=1e-2, extrapolate=True,
                     quick_res=10, quick_tol=1e-2)
 
 
 # --------------------------------------------------------------------------
-# Two-chart stereographic sphere (weighted mode): the home of fields,
+# Two-chart stereographic sphere with analytic weights: the home of fields,
 # sections and plane bundles.
 # --------------------------------------------------------------------------
 
@@ -161,7 +161,7 @@ def overlap_jacobian(x):
                      [2 * a * b, b * b - a * a]]) / r2 ** 2
 
 
-def stereo_pair_atlas(box=3.0, sharpness=6, expected_chi=2):
+def stereo_pair_atlas(box=3.0, sharpness=6):
     """Unit sphere as north/south stereographic disks with analytic weights.
 
     The partition of unity is rho(r) = 1 / (1 + r^{2s}); because the
@@ -179,9 +179,7 @@ def stereo_pair_atlas(box=3.0, sharpness=6, expected_chi=2):
         {(0, 0): conf, (1, 1): conf}, weight=weight)
     north, south = mk("north"), mk("south")
     ab, ba = stereo_overlap_maps()
-    return Atlas((north, south), expected_chi=expected_chi, mode="weighted",
-                 identifications=(("north", "south", ab, ba),),
-                 name="sphere2_stereo")
+    return Atlas((north, south), identifications=(("north", "south", ab, ba),))
 
 
 MANIFOLDS = {
@@ -263,6 +261,8 @@ def field_registry():
     def section_zk(k=1):
         # z^k on the north chart of the k-clutched plane bundle, constant
         # on the south chart; validated up to positive rescaling
+        if k < 0:
+            raise ValueError(f"z^K needs K >= 0, got {k}")
         north = _complex_power_components(k)
         return VectorFieldSpec(f"section_z{k}", "section",
                                {"north": north, "south": ("1", "0")},

@@ -165,7 +165,6 @@ def berezin_vs_pfaffian_residual(bundle, chart_name, base_x):
 @dataclass
 class MqEulerResult:
     euler_number: float
-    k: int
 
 
 def mq_euler_number(bundle, resolution=96):
@@ -175,7 +174,7 @@ def mq_euler_number(bundle, resolution=96):
         lambda c, p, nm=name: mq_zero_section_density(bundle, nm, p),
         resolution)
         for name in bundle.chart_names())
-    return MqEulerResult(total, bundle.k)
+    return MqEulerResult(total)
 
 
 # --------------------------------------------------------------------------

@@ -19,35 +19,13 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import metric_jets
 
-__all__ = ["QuadratureSpec", "axis_rule", "product_rule", "chart_nodes",
-           "integrate_chart", "integrate_atlas", "pairwise_sum", "worker_count"]
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Per-axis node counts.
-
-    nodes: int (same count on every axis) or a per-axis sequence.
-    """
-
-    nodes: object = 32
-
-    def per_axis(self, dim):
-        if isinstance(self.nodes, int):
-            counts = [self.nodes] * dim
-        else:
-            counts = list(self.nodes)
-            if len(counts) != dim:
-                raise ValueError("per-axis node list does not match dimension")
-        if any(n < 2 for n in counts):
-            raise ValueError("node counts must be >= 2")
-        return counts
+__all__ = ["axis_rule", "product_rule", "chart_nodes", "integrate_chart",
+           "integrate_atlas", "pairwise_sum", "worker_count"]
 
 
 def worker_count():
@@ -73,9 +51,13 @@ def axis_rule(lo, hi, n, periodic):
 def chart_nodes(chart, counts, axes=None):
     """Tensor-product nodes (N, d) and weights (N,) in ascending multi-index order.
 
-    Axes not in `axes` (None: every axis) get one node, the axis midpoint,
-    with weight hi - lo.
+    `counts` holds one node count >= 1 per axis.  Axes not in `axes`
+    (None: every axis) get one node, the axis midpoint, with weight hi - lo.
     """
+    counts = list(counts)
+    if len(counts) != chart.dim or any(n < 1 for n in counts):
+        raise ValueError(f"need {chart.dim} node counts >= 1 on chart "
+                         f"{chart.name!r}, got {counts}")
     if axes is not None and not set(axes) <= set(range(chart.dim)):
         raise ValueError(f"axes {sorted(axes)} outside 0..{chart.dim - 1}")
     rules = [axis_rule(lo, hi, n, per) if axes is None or i in axes
@@ -128,12 +110,8 @@ def integrate_chart(chart, density, spec_or_nodes, chunk=65536, *, axes=None):
     axes the integrand varies along (None: all); every other axis is
     collapsed to one node (see the module docstring).
     """
-    if isinstance(spec_or_nodes, QuadratureSpec):
-        counts = spec_or_nodes.per_axis(chart.dim)
-    elif isinstance(spec_or_nodes, int):
-        counts = [spec_or_nodes] * chart.dim
-    else:
-        counts = list(spec_or_nodes)
+    counts = ([spec_or_nodes] * chart.dim if isinstance(spec_or_nodes, int)
+              else spec_or_nodes)
     points, weights = chart_nodes(chart, counts, axes)
     values = np.empty(len(points))
     spans = [(s, min(s + chunk, len(points))) for s in range(0, len(points), chunk)]
@@ -143,9 +121,10 @@ def integrate_chart(chart, density, spec_or_nodes, chunk=65536, *, axes=None):
         pts = points[s:e]
         try:
             dens = np.asarray(density(chart, pts), dtype=float)
+            weight = chart.weight_values(pts)
         except Exception as exc:
             raise QuadratureError(
-                f"density evaluation failed on chart {chart.name!r} "
+                f"integrand evaluation failed on chart {chart.name!r} "
                 f"(first node of block: {pts[0]}): {exc}") from exc
         g = metric_jets(chart, pts, order=0)[0]
         det = np.linalg.det(g)
@@ -154,7 +133,7 @@ def integrate_chart(chart, density, spec_or_nodes, chunk=65536, *, axes=None):
             raise QuadratureError(
                 f"metric not positive definite on chart {chart.name!r} "
                 f"at node {bad}")
-        values[s:e] = dens * np.sqrt(det) * chart.weight_values(pts) * weights[s:e]
+        values[s:e] = dens * np.sqrt(det) * weight * weights[s:e]
 
     workers = worker_count()
     if workers > 1 and len(spans) > 1:

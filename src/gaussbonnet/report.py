@@ -1,6 +1,7 @@
 """Verification reports with deterministic JSON serialization.
 
-Key order is fixed by construction and floats serialize through Python's
+`Report.finalize` is the one pass/fail rule of every command.  Key order
+is fixed by construction and floats serialize through Python's
 shortest-roundtrip repr, so identical inputs produce byte-identical
 documents (wall_time is reported but excluded from determinism claims).
 """
@@ -26,11 +27,17 @@ class Report:
     wall_time: float = 0.0
     extra: dict = field(default_factory=dict)
 
-    def finalize(self):
-        if self.expected is not None and self.value is not None:
+    def finalize(self, *also):
+        """Set abs_error and passed from the declared expected value.
+
+        passed holds when |v - e| < tol for the headline (value, expected,
+        tolerance) and for every (v, e, tol) triple in `also`, so a NaN
+        fails.  With nothing declared (expected None) both stay None.
+        """
+        if self.expected is not None:
             self.abs_error = abs(self.value - self.expected)
-            if self.tolerance is not None:
-                self.passed = bool(self.abs_error < self.tolerance)
+            self.passed = all(abs(v - e) < tol for v, e, tol in
+                              [(self.value, self.expected, self.tolerance), *also])
         return self
 
 

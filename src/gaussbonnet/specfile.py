@@ -30,12 +30,15 @@ The schema (version 1) is documented in docs/manifold_spec.md; briefly::
 
 `#` starts a comment; range bounds are constant expressions without
 spaces; metric indices are 1-based upper triangle.  Parse errors carry
-the file name and line number.
+the file name and line number.  `expected_chi` and a field's `expected`
+are optional topology metadata: without them a report has nothing to
+compare, and its `expected` and `passed` are null.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 from .expr import eval_values, parse
@@ -56,10 +59,9 @@ class SpecFileError(ValueError):
 
 @dataclass
 class SpecDocument:
-    name: str
-    dim: int
-    expected_chi: int | None
-    manifold: Manifold
+    """A loaded spec file; `manifold` is None for a file without charts."""
+
+    manifold: Manifold | None
     fields: dict = field(default_factory=dict)
     bundle: object = None
 
@@ -165,11 +167,8 @@ def load_manifold_spec(path):
     if not built_charts and bundle_raw is None:
         raise SpecFileError("no charts declared", path, 1)
 
-    atlas = Atlas(tuple(built_charts), expected_chi=top["expected_chi"],
-                  name=name) if built_charts else None
-    manifold = Manifold(name, atlas, top["expected_chi"] or 0) if atlas else None
-
-    doc = SpecDocument(name, dim, top["expected_chi"], manifold)
+    atlas = Atlas(tuple(built_charts)) if built_charts else None
+    doc = SpecDocument(Manifold(name, atlas, top["expected_chi"]) if atlas else None)
 
     for field_name, (line_no, body) in fields_raw.items():
         doc.fields[field_name] = _build_field(field_name, atlas, body, path, line_no)
@@ -201,6 +200,9 @@ def _build_chart(chart_name, dim, params, body, path, header_line):
                 if parts[2] != "periodic":
                     raise SpecFileError(f"unknown range flag {parts[2]!r}", path, line_no)
                 periodic[axis] = True
+            if not -math.inf < lo < hi < math.inf:
+                raise SpecFileError(f"range needs finite lo < hi, got {lo!r} {hi!r}",
+                                    path, line_no)
             ranges[axis] = (lo, hi)
         elif words[0] == "g" and len(words) == 3:
             i, j = (_int(w, "metric index", path, line_no) - 1 for w in words[1:])

@@ -65,7 +65,6 @@ def test_k1_integral_is_plus_one():
     res = generalized_gbc(make_plane_bundle(1), resolution=96)
     assert res.transition_integral == pytest.approx(1.0, abs=1e-6)
     assert res.pf_integral == pytest.approx(1.0, abs=1e-6)
-    assert res.resolutions == [(96, res.pf_integral, res.transition_integral)]
 
 
 @pytest.mark.parametrize("k", [-2, -1, 1, 2, 3])

@@ -69,16 +69,17 @@ def write(tmp_path, name, text):
 
 def test_load_sphere_spec(tmp_path):
     doc = load_manifold_spec(write(tmp_path, "s.mspec", SPHERE_SPEC))
-    assert doc.name == "file-sphere"
-    assert doc.expected_chi == 2
+    assert doc.manifold.name == "file-sphere"
+    assert doc.manifold.expected_chi == 2
     res = verify_gbc(doc.manifold.atlas, resolution=48)
     assert res.integral == pytest.approx(2.0, abs=1e-8)
 
 
 def test_load_field_spec(tmp_path):
     doc = load_manifold_spec(write(tmp_path, "f.mspec", FIELD_SPEC))
-    result = index_sum(doc.fields["saddle"], scan_resolution=24)
-    assert result.total == -1 == result.expected
+    field = doc.fields["saddle"]
+    result = index_sum(field, scan_resolution=24)
+    assert result.total == -1 == field.expected
 
 
 def test_load_bundle_spec(tmp_path):
@@ -295,6 +296,10 @@ _OUT_OF_RANGE_CASES = [
      "sharpness: 0", ["euler-class", "--res", "8", "--bundle"], "must be positive"),
     ("sharpness-negative", BUNDLE_SPEC.replace("sharpness: 6", "sharpness: -3"),
      "sharpness: -3", ["euler-class", "--res", "8", "--bundle"], "must be positive"),
+    ("range-empty", SPHERE_SPEC.replace("range x1: 0 pi", "range x1: 1 1"),
+     "range x1: 1 1", ["verify-gbc", "--manifold"], "range needs finite lo < hi"),
+    ("range-overflow", SPHERE_SPEC.replace("range x1: 0 pi", "range x1: -2*1e308 0"),
+     "range x1: -2*1e308 0", ["verify-gbc", "--manifold"], "range needs finite lo < hi"),
 ]
 
 
@@ -373,3 +378,135 @@ def test_report_wall_time_excluded_from_determinism(capsys):
     for doc in docs:
         assert doc.pop("wall_time") >= 0.0
     assert docs[0] == docs[1]
+
+
+# ------------------------------------------------------ one verdict rule
+
+def _nan_on_call(original, which, patch):
+    """Wrap `original` so that call number `which` (0-based) returns
+    patch(result) instead of result."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(None)
+        return patch(result) if len(calls) - 1 == which else result
+
+    return wrapped
+
+
+@pytest.mark.parametrize("argv, target, which, patch", [
+    (["heat", "--space", "s2", "--t", "0.1,0.5"], "heat_mod.supertrace_heat", 0,
+     lambda st: st._replace(value=math.nan)),
+    (["euler-class", "--bundle", "k=2", "--res", "32", "--tol", "1"],
+     "bundles_mod.generalized_gbc", 0,
+     lambda r: type(r)(r.pf_integral, math.nan)),
+    (["mq", "--bundle", "k=2", "--fiber-nodes", "24", "--base-points", "2",
+      "--res", "32", "--tol", "1"], "mq_mod.mq_fiber_integral", 1, lambda v: math.nan),
+], ids=["heat-supertrace", "euler-class-transition", "mq-second-fiber"])
+def test_cli_nan_anywhere_fails(capsys, monkeypatch, argv, target, which, patch):
+    """A NaN in any compared number is a numeric failure, never a pass."""
+    from gaussbonnet import cli
+
+    module, name = target.split(".")
+    original = getattr(getattr(cli, module), name)
+    monkeypatch.setattr(getattr(cli, module), name, _nan_on_call(original, which, patch))
+    code, doc = run_cli(capsys, *argv, "--no-wall-time")
+    assert code == 1 and doc["passed"] is False
+
+
+def test_cli_nothing_declared_passes_with_null_verdict(tmp_path, capsys):
+    """Without expected_chi or a field's expected there is nothing to compare:
+    expected and passed are null and the exit code is 0."""
+    path = write(tmp_path, "s.mspec", SPHERE_SPEC.replace("expected_chi: 2\n", ""))
+    code, doc = run_cli(capsys, "verify-gbc", "--manifold", path, "--res", "16",
+                        "--no-wall-time")
+    assert code == 0
+    assert doc["expected"] is None and doc["abs_error"] is None and doc["passed"] is None
+    assert doc["value"] == pytest.approx(2.0, abs=1e-6)
+    path = write(tmp_path, "f.mspec", FIELD_SPEC.replace("  expected: -1\n", ""))
+    code, doc = run_cli(capsys, "index", "--field", "saddle", "--manifold", path,
+                        "--scan", "24", "--no-wall-time")
+    assert code == 0
+    assert doc["expected"] is None and doc["passed"] is None and doc["value"] == -1.0
+
+
+def test_cli_internal_error_exit_code(capsys, monkeypatch):
+    """A fault of the program exits 3 with one stderr line, no traceback."""
+    from gaussbonnet import cli
+
+    def boom(*args, **kwargs):
+        raise MemoryError("cannot allocate the node grid")
+
+    monkeypatch.setattr(cli.gbc_mod, "verify_gbc", boom)
+    code, doc = run_cli(capsys, "verify-gbc", "--manifold", "sphere2")
+    assert code == 3 and doc is None
+    assert run_cli.err == "error: internal: MemoryError: cannot allocate the node grid\n"
+
+
+def test_cli_selftest_runs_each_object_through_its_subcommand(capsys):
+    code, doc = run_cli(capsys, "selftest", "--no-wall-time")
+    assert code == 0 and doc["value"] == doc["expected"] == 24.0
+    rows = doc["checks"]
+    assert [sorted(row) for row in rows] == [
+        ["check", "expected", "passed", "tolerance", "value"]] * 24
+    objects = [tuple(row["check"][:3]) for row in rows]
+    assert len(set(objects)) == 24
+    assert {argv[0] for argv in objects} == {"verify-gbc", "index", "euler-class",
+                                             "mq", "heat"}
+    assert sum(argv[0] == "verify-gbc" for argv in objects) == 7  # even built-ins
+    assert sum(argv[0] == "index" for argv in objects) == 8
+    assert [argv[2] for argv in objects if argv[0] == "euler-class"] == [
+        f"k={k}" for k in range(-2, 4)]
+
+
+# ----------------------------------------- bad input exits 2, named
+
+_DOMAIN_WEIGHT = SPHERE_SPEC.replace("  g 2 2: r^2*sin(x1)^2\n",
+                                     "  g 2 2: r^2*sin(x1)^2\n  weight: log(x1-1)\n")
+_DOMAIN_COMPONENT = FIELD_SPEC.replace("component disk 1: x1", "component disk 1: log(x1)")
+_ZERO_PLANE = FIELD_SPEC.replace("component disk 1: x1", "component disk 1: 0")
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (_DOMAIN_WEIGHT, ["verify-gbc", "--res", "8", "--manifold"], "log of nonpositive"),
+    (_DOMAIN_COMPONENT, ["index", "--field", "saddle", "--scan", "8", "--manifold"],
+     "log of nonpositive"),
+    (_ZERO_PLANE, ["index", "--field", "saddle", "--scan", "8", "--manifold"],
+     "not isolated"),
+], ids=["weight-log", "component-log", "zero-line"])
+def test_cli_spec_expression_outside_domain_is_input_error(tmp_path, capsys, text,
+                                                           argv, message):
+    path = write(tmp_path, "bad.mspec", text)
+    code, doc = run_cli(capsys, *argv, path)
+    assert code == 2 and doc is None
+    assert run_cli.err.startswith(f"error: {path}: ") and message in run_cli.err
+
+
+def test_cli_negative_section_power_is_input_error(capsys):
+    code, doc = run_cli(capsys, "index", "--field", "z^-1")
+    assert code == 2 and doc is None
+    assert "--field 'z^-1'" in run_cli.err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "0", "0.1,nan"])
+def test_cli_heat_times_must_be_positive_finite(capsys, t):
+    code, doc = run_cli(capsys, "heat", "--space", "s2", "--t", t)
+    assert code == 2 and doc is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["heat", "--space", "s2", "--t", "1", "--tol", "nan"],
+    ["heat", "--space", "s2", "--t", "1", "--tail-tol", "inf"],
+    ["verify-gbc", "--manifold", "sphere2", "--tol", "0"],
+    ["euler-class", "--bundle", "k=1", "--tol=-1e-5"],
+    ["mq", "--bundle", "k=1", "--tol", "x"],
+], ids=["heat-tol-nan", "heat-tail-tol-inf", "verify-gbc-tol-0",
+        "euler-class-tol-negative", "mq-tol-x"])
+def test_cli_tolerances_must_be_positive_finite(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tol: " in captured.err
+    assert "not a positive finite number" in captured.err or "not a number" in captured.err

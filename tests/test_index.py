@@ -19,7 +19,7 @@ def disk_chart(half=2.0, name="disk"):
 
 
 def disk_atlas(half=2.0):
-    return Atlas((disk_chart(half),), expected_chi=None)
+    return Atlas((disk_chart(half),))
 
 
 def flat_field(components, half=2.0, expected=None):
@@ -85,7 +85,7 @@ def test_vanishing_on_circle_rejected():
 def test_degree_dimension_three():
     chart = Chart.from_strings("box", 3, [(-1, 1)] * 3, [False] * 3,
                                {(i, i): "1" for i in range(3)})
-    atlas = Atlas((chart,), expected_chi=None)
+    atlas = Atlas((chart,))
     identity = VectorFieldSpec("id", "vector", {"box": ("x1", "x2", "x3")},
                                atlas)
     rec = local_degree(identity, "box", [0.0, 0.0, 0.0], 0.4)
@@ -140,14 +140,15 @@ def test_near_zero_without_root_is_dropped_with_report():
 def test_morse_field_index_two():
     field = build_field("morse")
     result = index_sum(field, scan_resolution=48)
-    assert result.total == 2 == result.expected
+    assert result.total == 2 == field.expected
     degrees = sorted(rec.local_degree for rec in result.zeros)
     assert degrees == [-1, 1, 1, 1]
 
 
 def test_constant_field_torus_zero():
-    result = index_sum(build_field("constant"), scan_resolution=16)
-    assert result.total == 0 == result.expected
+    field = build_field("constant")
+    result = index_sum(field, scan_resolution=16)
+    assert result.total == 0 == field.expected
 
 
 def test_rotation_field_index_two():
@@ -167,7 +168,7 @@ def test_section_degree_sum(k):
     """z^k sections of the k-clutched bundle: one zero of degree k."""
     field = build_field("section_zk", k=k)
     result = index_sum(field, scan_resolution=32)
-    assert result.total == k == result.expected
+    assert result.total == k == field.expected
     assert len(result.zeros) == 1 and result.zeros[0].chart == "north"
 
 

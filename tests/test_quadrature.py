@@ -9,7 +9,7 @@ import pytest
 from gaussbonnet.geometry import Chart
 from gaussbonnet.library import build_manifold, stereo_pair_atlas
 from gaussbonnet.quadrature import (
-    QuadratureError, QuadratureSpec, axis_rule, chart_nodes, integrate_chart,
+    QuadratureError, axis_rule, chart_nodes, integrate_chart,
     pairwise_sum, product_rule,
 )
 
@@ -101,13 +101,19 @@ def test_weighted_chart_integral():
     assert got == pytest.approx(0.5, abs=1e-14)
 
 
-def test_quadrature_spec_validation():
-    spec = QuadratureSpec(nodes=(4, 8))
-    assert spec.per_axis(2) == [4, 8]
-    with pytest.raises(ValueError):
-        spec.per_axis(3)
-    with pytest.raises(ValueError):
-        QuadratureSpec(nodes=1).per_axis(1)
+def test_chart_nodes_count_validation():
+    """One count >= 1 per axis: a one-node axis is the midpoint rule."""
+    chart = polar_sphere()
+    pts, w = chart_nodes(chart, (4, 8))
+    assert pts.shape == (32, 2)
+    pts, w = chart_nodes(chart, [1, 1])
+    assert pts.tolist() == [[math.pi / 2, math.pi]]
+    assert w[0] == pytest.approx(2 * math.pi ** 2)
+    for counts in ([16], [16, 8, 4], [0, 4]):
+        with pytest.raises(ValueError, match="node counts"):
+            chart_nodes(chart, counts)
+        with pytest.raises(ValueError, match="node counts"):
+            integrate_chart(chart, one, counts)
 
 
 def test_chart_nodes_ascending_multi_index():
