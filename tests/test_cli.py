@@ -219,13 +219,17 @@ def test_cli_heat(capsys):
 def test_cli_heat_bad_inputs(capsys):
     assert run_cli(capsys, "heat", "--space", "s9", "--t", "1")[0] == 2
     assert run_cli(capsys, "heat", "--space", "s2", "--t", "-1")[0] == 2
+    for t in ("nan", "inf", "0", "0.1,nan"):
+        assert run_cli(capsys, "heat", "--space", "s2", "--t", t) == (2, None)
 
 
 @pytest.mark.parametrize("argv, message", [
     (["index", "--field", "z", "--manifold", "/missing.mspec"], "cannot read"),
     (["index", "--field", "z^x"], "--field 'z^x'"),
     (["euler-class", "--bundle", "/missing.mspec"], "neither k=<int> nor a file"),
-], ids=["index-missing-spec", "index-bad-field", "euler-class-missing-spec"])
+    (["index", "--field", "z^-1"], "--field 'z^-1': z^K needs K >= 0"),
+], ids=["index-missing-spec", "index-bad-field", "euler-class-missing-spec",
+        "index-negative-power"])
 def test_cli_bad_spec_is_input_error(capsys, argv, message):
     code, doc = run_cli(capsys, *argv)
     assert code == 2 and doc is None
@@ -241,8 +245,15 @@ def test_cli_bad_spec_is_input_error(capsys, argv, message):
     (["mq", "--bundle", "k=1", "--base-points", "0"], "minimum 1"),
     (["verify-gbc", "--manifold", "sphere2", "--res", "0"], "minimum 2"),
     (["verify-gbc", "--manifold", "sphere2", "--res", "x"], "not an integer"),
+    (["heat", "--space", "s2", "--t", "1", "--tol", "nan"], "positive finite"),
+    (["heat", "--space", "s2", "--t", "1", "--tail-tol", "inf"], "positive finite"),
+    (["verify-gbc", "--manifold", "sphere2", "--tol", "0"], "positive finite"),
+    (["euler-class", "--bundle", "k=1", "--tol=-1e-5"], "positive finite"),
+    (["mq", "--bundle", "k=1", "--tol", "x"], "'x' is not a number"),
 ], ids=["euler-class-odd-res", "mq-odd-res", "euler-class-res-1", "index-scan-0",
-        "mq-fiber-nodes-1", "mq-base-points-0", "verify-gbc-res-0", "verify-gbc-res-x"])
+        "mq-fiber-nodes-1", "mq-base-points-0", "verify-gbc-res-0", "verify-gbc-res-x",
+        "heat-tol-nan", "heat-tail-tol-inf", "verify-gbc-tol-0", "euler-class-tol-negative",
+        "mq-tol-x"])
 def test_cli_rejects_bad_node_counts(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -342,9 +353,22 @@ def test_cli_csv_output(tmp_path, capsys):
 
 
 def test_cli_selftest_all_builtins_pass(capsys):
+    """Each built-in object runs through its own subcommand: one row each."""
     code, doc = run_cli(capsys, "selftest", "--no-wall-time")
     assert code == 0
     assert all(row["passed"] for row in doc["checks"])
+    assert doc["value"] == doc["expected"] == 24.0
+    rows = doc["checks"]
+    assert [sorted(row) for row in rows] == [
+        ["check", "expected", "passed", "tolerance", "value"]] * 24
+    objects = [tuple(row["check"][:3]) for row in rows]
+    assert len(set(objects)) == 24
+    assert {argv[0] for argv in objects} == {"verify-gbc", "index", "euler-class",
+                                             "mq", "heat"}
+    assert sum(argv[0] == "verify-gbc" for argv in objects) == 7  # even built-ins
+    assert sum(argv[0] == "index" for argv in objects) == 8
+    assert [argv[2] for argv in objects if argv[0] == "euler-class"] == [
+        f"k={k}" for k in range(-2, 4)]
 
 
 def test_cli_verify_gbc_error_estimate(capsys):
@@ -444,22 +468,6 @@ def test_cli_internal_error_exit_code(capsys, monkeypatch):
     assert run_cli.err == "error: internal: MemoryError: cannot allocate the node grid\n"
 
 
-def test_cli_selftest_runs_each_object_through_its_subcommand(capsys):
-    code, doc = run_cli(capsys, "selftest", "--no-wall-time")
-    assert code == 0 and doc["value"] == doc["expected"] == 24.0
-    rows = doc["checks"]
-    assert [sorted(row) for row in rows] == [
-        ["check", "expected", "passed", "tolerance", "value"]] * 24
-    objects = [tuple(row["check"][:3]) for row in rows]
-    assert len(set(objects)) == 24
-    assert {argv[0] for argv in objects} == {"verify-gbc", "index", "euler-class",
-                                             "mq", "heat"}
-    assert sum(argv[0] == "verify-gbc" for argv in objects) == 7  # even built-ins
-    assert sum(argv[0] == "index" for argv in objects) == 8
-    assert [argv[2] for argv in objects if argv[0] == "euler-class"] == [
-        f"k={k}" for k in range(-2, 4)]
-
-
 # ----------------------------------------- bad input exits 2, named
 
 _DOMAIN_WEIGHT = SPHERE_SPEC.replace("  g 2 2: r^2*sin(x1)^2\n",
@@ -481,32 +489,3 @@ def test_cli_spec_expression_outside_domain_is_input_error(tmp_path, capsys, tex
     code, doc = run_cli(capsys, *argv, path)
     assert code == 2 and doc is None
     assert run_cli.err.startswith(f"error: {path}: ") and message in run_cli.err
-
-
-def test_cli_negative_section_power_is_input_error(capsys):
-    code, doc = run_cli(capsys, "index", "--field", "z^-1")
-    assert code == 2 and doc is None
-    assert "--field 'z^-1'" in run_cli.err
-
-
-@pytest.mark.parametrize("t", ["nan", "inf", "0", "0.1,nan"])
-def test_cli_heat_times_must_be_positive_finite(capsys, t):
-    code, doc = run_cli(capsys, "heat", "--space", "s2", "--t", t)
-    assert code == 2 and doc is None
-
-
-@pytest.mark.parametrize("argv", [
-    ["heat", "--space", "s2", "--t", "1", "--tol", "nan"],
-    ["heat", "--space", "s2", "--t", "1", "--tail-tol", "inf"],
-    ["verify-gbc", "--manifold", "sphere2", "--tol", "0"],
-    ["euler-class", "--bundle", "k=1", "--tol=-1e-5"],
-    ["mq", "--bundle", "k=1", "--tol", "x"],
-], ids=["heat-tol-nan", "heat-tail-tol-inf", "verify-gbc-tol-0",
-        "euler-class-tol-negative", "mq-tol-x"])
-def test_cli_tolerances_must_be_positive_finite(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "tol: " in captured.err
-    assert "not a positive finite number" in captured.err or "not a number" in captured.err
