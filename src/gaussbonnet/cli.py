@@ -358,10 +358,14 @@ def main(argv=None):
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     report.wall_time = time.perf_counter() - t0
-    print(report_to_json(report, include_wall_time=not args.no_wall_time))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(report_to_csv(report))
+        try:
+            with open(args.csv, "w", encoding="utf-8") as handle:
+                handle.write(report_to_csv(report))
+        except OSError as exc:
+            print(f"error: --csv {args.csv}: {exc.strerror}", file=sys.stderr)
+            return EXIT_INPUT
+    print(report_to_json(report, include_wall_time=not args.no_wall_time))
     return EXIT_NUMERIC if report.passed is False else EXIT_PASS
 
 

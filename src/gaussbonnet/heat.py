@@ -20,8 +20,10 @@ transport integrand radial):
 * the diagonal value u1(x, x) is the r -> 0 limit of that integral and
   must equal scalar_curvature / 6.
 
-u0, u1 and H_N at one (x, y) share one Newton solve of u = log_x(y) and
-r = |u|; on the diagonal (r = 0) u1 is the limit above.
+u0, u1 and H_N at one (x, y) are read from one record: one Newton solve of
+u = log_x(y), r = |u|, and one batched det(g) shoot along the ray u / r
+on a grid with a node at r.  On the diagonal (r = 0) u0 = 1 and u1 is the
+limit above, from one shoot along both coordinate rays.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import NormalCoordinates
+from .quadrature import product_rule
 
 __all__ = [
     "FlatTorusSpectrum", "RoundSphereSpectrum", "HeatValue",
@@ -200,112 +203,99 @@ def _poly_fit(t, y, degree, cond_limit):
 # --------------------------------------------------------------------------
 
 class RadialParametrix:
-    """u0 and u1 along one radial geodesic from a chart point.
+    """u0 and the transport integrand along k radial geodesics from the
+    center of one set of normal coordinates.
 
-    Builds det(g) in normal coordinates on a 1-d radial grid (batched
-    shooting), then applies the radial-Laplacian transport integral.
+    Shoots det(g) on a uniform radial grid along every ray in one
+    `det_g_batch` call; row i of every array belongs to directions[i].
     Restricted to the pointwise-isotropic model charts, where u0 is a
     function of the radius alone.
     """
 
-    def __init__(self, chart, x0, direction=(1.0, 0.0), r_max=0.8,
-                 grid=33, radius=None):
-        self.nc = NormalCoordinates(chart, x0, radius=radius)
-        self.r_max = min(r_max, 0.95 * self.nc.radius)
-        direction = np.asarray(direction, dtype=float)
-        self.direction = direction / np.linalg.norm(direction)
+    def __init__(self, nc, directions, r_max, grid=33):
+        directions = np.asarray(directions, dtype=float)
+        self.directions = directions / np.linalg.norm(directions, axis=1,
+                                                      keepdims=True)
         # one extra step past r_max keeps central differences centered
-        self.h = self.r_max / (grid - 1)
+        self.h = r_max / (grid - 1)
         self.r = np.arange(grid + 2) * self.h
-        us = self.r[1:, None] * self.direction[None, :]
-        dets = np.concatenate([[1.0], self.nc.det_g_batch(us)])
-        self.detg = dets
-        self.u0 = dets ** -0.25
+        k, d = self.directions.shape
+        us = self.r[None, 1:, None] * self.directions[:, None, :]
+        dets = nc.det_g_batch(us.reshape(-1, d)).reshape(k, grid + 1)
+        self.detg = np.concatenate([np.ones((k, 1)), dets], axis=1)
+        self.u0 = self.detg ** -0.25
 
-    def _d1(self, f, j):
-        return (f[j + 1] - f[j - 1]) / (2 * self.h)
-
-    def _d2(self, f, j):
-        return (f[j + 1] - 2 * f[j] + f[j - 1]) / self.h ** 2
-
-    def laplacian_u0(self, j):
-        """Geometer's Laplacian of the radial function u0 at grid index j."""
-        if j == 0:
-            # radial limit Delta h(0) = -d h''(0); symmetric stencil, h'(0)=0
-            return -2.0 * 2.0 * (self.u0[1] - self.u0[0]) / self.h ** 2
-        h1 = self._d1(self.u0, j)
-        h2 = self._d2(self.u0, j)
-        gp = self._d1(self.detg, j)
-        r = self.r[j]
-        return -(h2 + (1.0 / r + gp / (2.0 * self.detg[j])) * h1)
+    def laplacian_u0(self):
+        """Geometer's Laplacian of the radial u0 at nodes 0..grid, (k, grid + 1)."""
+        f, g, h = self.u0, self.detg, self.h
+        # radial limit Delta f(0) = -d f''(0); symmetric stencil, f'(0) = 0
+        at0 = -2.0 * 2.0 * (f[:, 1] - f[:, 0]) / h ** 2
+        f1 = (f[:, 2:] - f[:, :-2]) / (2 * h)
+        f2 = (f[:, 2:] - 2 * f[:, 1:-1] + f[:, :-2]) / h ** 2
+        gp = (g[:, 2:] - g[:, :-2]) / (2 * h)
+        rest = -(f2 + (1.0 / self.r[1:-1] + gp / (2.0 * g[:, 1:-1])) * f1)
+        return np.concatenate([at0[:, None], rest], axis=1)
 
     def u1_at(self, r_target):
-        """Transport integral u1(x, y) at radius r_target along the ray."""
-        j_end = int(round(r_target / self.h))
-        if not 1 <= j_end <= len(self.r) - 2:
+        """Transport integral u1 at radius r_target along every ray, (k,)."""
+        j = int(round(r_target / self.h))
+        if not 1 <= j <= len(self.r) - 2:
             raise ValueError("target radius off the parametrix grid")
-        integrand = np.array([self.detg[j] ** 0.25 * self.laplacian_u0(j)
-                              for j in range(j_end + 1)])
-        integral = np.trapezoid(integrand, dx=self.h)
-        r = self.r[j_end]
-        return -integral / r * self.detg[j_end] ** -0.25
+        integrand = self.detg[:, :j + 1] ** 0.25 * self.laplacian_u0()[:, :j + 1]
+        integral = np.trapezoid(integrand, dx=self.h, axis=1)
+        return -integral / self.r[j] * self.detg[:, j] ** -0.25
 
 
-def _normal_log(chart, x, y):
-    """(normal coordinates at x, u = log_x(y), r = |u|): the one log solve
-    that u0, u1 and the kernel at (x, y) share."""
-    nc = NormalCoordinates(chart, np.asarray(x, dtype=float))
-    u = nc.log(np.asarray(y, dtype=float))
-    return nc, u, float(np.linalg.norm(u))
+def _u1_diag(nc):
+    """r -> 0 limit of u1: the transport integral at radius 0.15, averaged
+    over the two coordinate rays of one record."""
+    rp = RadialParametrix(nc, np.eye(2), r_max=1.25 * 0.15, grid=41)
+    return float(np.mean(rp.u1_at(0.15)))
 
 
-def _u0(nc, u, r):
-    return 1.0 if r == 0.0 else float(nc.det_g_batch(u[None, :])[0] ** -0.25)
-
-
-def _u1(chart, x, u, r, grid=33):
+def _terms(chart, x, y, n_terms):
+    """(r, u0, u1) at (x, y) from one log solve and one radial record on
+    the grid whose node grid - 1 is r; u1 is None when n_terms is 0."""
+    nc = NormalCoordinates(chart, x)
+    u = nc.log(y)
+    r = float(np.linalg.norm(u))
     if r == 0.0:
-        return parametrix_u1_diag(chart, x)
-    return RadialParametrix(chart, x, direction=u / r, r_max=r, grid=grid).u1_at(r)
+        return r, 1.0, _u1_diag(nc) if n_terms else None
+    grid = 33
+    rp = RadialParametrix(nc, u[None, :] / r, r_max=r, grid=grid)
+    return r, float(rp.u0[0, grid - 1]), float(rp.u1_at(r)[0]) if n_terms else None
 
 
 def parametrix_u0(chart, x, y):
     """det(g)^{-1/4} at y in normal coordinates centered at x; u0(x, x) = 1."""
-    return _u0(*_normal_log(chart, x, y))
+    return _terms(chart, x, y, 0)[1]
 
 
-def parametrix_u1(chart, x, y, grid=33):
+def parametrix_u1(chart, x, y):
     """Off-diagonal u1(x, y) via the radial transport integral.
 
     The grid is aligned so the target radius lands exactly on a node.  On
     the diagonal this is the limit parametrix_u1_diag(chart, x).
     """
-    return _u1(chart, x, *_normal_log(chart, x, y)[1:], grid)
+    return _terms(chart, x, y, 1)[2]
 
 
-def parametrix_u1_diag(chart, x, r0=0.15, directions=((1, 0), (0, 1))):
+def parametrix_u1_diag(chart, x):
     """Diagonal u1(x, x): small-radius limit of the transport integral.
 
-    Averages the integral at radius r0 over coordinate directions; the
-    limit must equal scalar_curvature(x) / 6.
+    Averages the integral at radius 0.15 over the two coordinate rays;
+    the limit must equal scalar_curvature(x) / 6.
     """
-    vals = []
-    for direction in directions:
-        rp = RadialParametrix(chart, x, direction=direction,
-                              r_max=1.25 * r0, grid=41)
-        j = int(round(r0 / rp.h))
-        vals.append(rp.u1_at(rp.r[j]))
-    return float(np.mean(vals))
+    return _u1_diag(NormalCoordinates(chart, x))
 
 
 def parametrix_kernel(chart, n_terms, t, x, y):
     """H_N(t, x, y) = (4 pi t)^{-1} e^{-r^2/4t} (u0 + t u1), N <= 1, d = 2."""
     if n_terms not in (0, 1):
         raise ValueError("parametrix implemented to first order only")
-    nc, u, r = _normal_log(chart, x, y)
-    total = _u0(nc, u, r)
+    r, total, u1 = _terms(chart, x, y, n_terms)
     if n_terms == 1:
-        total += t * _u1(chart, x, u, r)
+        total += t * u1
     return (4 * math.pi * t) ** -1 * math.exp(-r * r / (4 * t)) * total
 
 
@@ -335,9 +325,8 @@ def torus_image_kernel(periods, t, x, y, images=4):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = len(periods)
-    ranges = [np.arange(-images, images + 1) * L for L in periods]
-    grids = np.meshgrid(*ranges, indexing="ij")
-    shifts = np.column_stack([g.reshape(-1) for g in grids])
+    ks = np.arange(-images, images + 1)
+    shifts = product_rule([(ks * L, np.ones(len(ks))) for L in periods])[0]
     diffs = (y - x)[None, :] + shifts
     return float(np.sum(np.exp(-np.sum(diffs ** 2, axis=1) / (4 * t)))
                  / (4 * math.pi * t) ** (d / 2))

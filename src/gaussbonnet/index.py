@@ -124,9 +124,8 @@ def _grid(chart, n):
     axes = []
     for (lo, hi), per in zip(chart.ranges, chart.periodic):
         pad = 0.0 if per else (hi - lo) / (2 * n)
-        axes.append(np.linspace(lo + pad, hi - pad, n))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.reshape(-1) for m in mesh]), [len(a) for a in axes]
+        axes.append((np.linspace(lo + pad, hi - pad, n), np.ones(n)))
+    return product_rule(axes)[0], [n] * chart.dim
 
 
 def find_zeros(fieldspec, scan_resolution=48, merge_tol=None):

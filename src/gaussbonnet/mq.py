@@ -37,7 +37,7 @@ from .bundles import connection_and_curvature, connection_curvature
 from .exterior import (BigradedElement, berezin_fiber, exp_nilpotent,
                        merge_indices, pfaffian_numeric)
 from .geometry import metric_jets
-from .quadrature import integrate_chart, pairwise_sum
+from .quadrature import integrate_chart, pairwise_sum, product_rule
 
 __all__ = ["epsilon", "mq_form_point", "mq_fiber_integral_point",
            "mq_form_bundle", "mq_fiber_integral", "mq_zero_section_density",
@@ -61,10 +61,9 @@ def _hermite_plane(nodes):
     """Fiber-plane nodes v = sqrt(2) (t_i, t_j), ascending (i, j), and weights
     for the integral of f(v) dv; the integrands carry their own Gaussian,
     so the Hermite weight exp(-|t|^2) is divided out."""
-    t, w = np.polynomial.hermite.hermgauss(nodes)
-    ti, tj = (a.ravel() for a in np.meshgrid(t, t, indexing="ij"))
-    v = math.sqrt(2.0) * np.column_stack([ti, tj])
-    return v, 2.0 * np.outer(w, w).ravel() * np.exp(ti ** 2 + tj ** 2)
+    rule = np.polynomial.hermite.hermgauss(nodes)
+    t, w = product_rule([rule, rule])
+    return math.sqrt(2.0) * t, 2.0 * w * np.exp(t[:, 0] ** 2 + t[:, 1] ** 2)
 
 
 def mq_form_point(n, x):

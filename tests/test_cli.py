@@ -228,8 +228,10 @@ def test_cli_heat_bad_inputs(capsys):
     (["index", "--field", "z^x"], "--field 'z^x'"),
     (["euler-class", "--bundle", "/missing.mspec"], "neither k=<int> nor a file"),
     (["index", "--field", "z^-1"], "--field 'z^-1': z^K needs K >= 0"),
+    (["verify-gbc", "--manifold", "torus2", "--csv", "/nonexistent/dir/t.csv"],
+     "error: --csv /nonexistent/dir/t.csv: No such file or directory"),
 ], ids=["index-missing-spec", "index-bad-field", "euler-class-missing-spec",
-        "index-negative-power"])
+        "index-negative-power", "verify-gbc-unwritable-csv"])
 def test_cli_bad_spec_is_input_error(capsys, argv, message):
     code, doc = run_cli(capsys, *argv)
     assert code == 2 and doc is None

@@ -8,8 +8,8 @@ import pytest
 
 from gaussbonnet.geometry import Chart, NormalCoordinates, point_geometry
 from gaussbonnet.heat import (
-    FlatTorusSpectrum, RoundSphereSpectrum, asymptotic_fit, heat_trace,
-    parametrix_kernel, parametrix_u0, parametrix_u1, parametrix_u1_diag,
+    FlatTorusSpectrum, RadialParametrix, RoundSphereSpectrum, asymptotic_fit,
+    heat_trace, parametrix_kernel, parametrix_u0, parametrix_u1, parametrix_u1_diag,
     spectral_kernel_s2, supertrace_fit, supertrace_heat, torus_image_kernel,
 )
 
@@ -199,11 +199,44 @@ def test_u0_flat_torus_identically_one():
 
 def test_u0_radial_transport_residual():
     """g^{1/4} u0 is constant along radial geodesics (the order-0 equation)."""
-    from gaussbonnet.heat import RadialParametrix
-    rp = RadialParametrix(polar_sphere(), [math.pi / 2, 1.0],
-                          direction=[0.6, 0.8], r_max=0.6, grid=25)
+    nc = NormalCoordinates(polar_sphere(), [math.pi / 2, 1.0])
+    rp = RadialParametrix(nc, [[0.6, 0.8]], r_max=0.6, grid=25)
     values = rp.detg ** 0.25 * rp.u0
     assert np.abs(values - 1.0).max() < 1e-6
+
+
+@pytest.mark.parametrize("x", [[math.pi / 2, 1.0], [1.1, 0.4]])
+def test_radial_record_rays_are_independent_bitwise(x):
+    """Row i of a two-ray record is the one-ray record along ray i."""
+    nc = NormalCoordinates(polar_sphere(), x)
+    both = RadialParametrix(nc, np.eye(2), r_max=0.1875, grid=41)
+    for i, direction in enumerate(np.eye(2)):
+        one = RadialParametrix(nc, [direction], r_max=0.1875, grid=41)
+        assert np.array_equal(both.detg[i], one.detg[0])
+        assert np.array_equal(both.u0[i], one.u0[0])
+        assert np.array_equal(both.laplacian_u0()[i], one.laplacian_u0()[0])
+        assert both.u1_at(0.15)[i] == one.u1_at(0.15)[0]
+
+
+def test_one_log_solve_and_one_shoot_per_call(monkeypatch):
+    calls = {"log": 0, "det_g_batch": 0}
+    for name in calls:
+        method = getattr(NormalCoordinates, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(NormalCoordinates, name, counted)
+    chart = polar_sphere()
+    x = [math.pi / 2, 1.0]
+    y = NormalCoordinates(chart, x).exp([0.3, 0.2])
+    for n_terms, z, shoots in ((1, y, 1), (0, y, 1), (1, x, 1), (0, x, 0)):
+        calls.update(log=0, det_g_batch=0)
+        parametrix_kernel(chart, n_terms, 0.01, x, z)
+        assert calls == {"log": 1, "det_g_batch": shoots}
+    calls.update(log=0, det_g_batch=0)
+    parametrix_u1_diag(chart, x)
+    assert calls == {"log": 0, "det_g_batch": 1}
 
 
 def test_u1_diagonal_values():
