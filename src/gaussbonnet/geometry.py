@@ -19,13 +19,16 @@ tensors; the scalar API wraps batch size 1.  Geodesics and parallel
 transport share one batched RK4 integrator: geodesic, geodesic_transport
 and parallel_transport are batch-of-one wrappers around it, and every
 geodesic row is wrapped on periodic axes and range-checked after every
-step.
+step.  Normal coordinates carry Jacobi fields through the same integrator,
+so dexp is exact rather than a difference quotient of exp, and each row
+takes its step count from its own radius.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -257,18 +260,14 @@ class _BatchGeometry:
     sqrt_det_g: np.ndarray
 
 
-def point_geometry_batch(chart, points):
-    points = np.asarray(points, dtype=float)
-    n, d = points.shape
-    g, dg, d2g = metric_jets(chart, points, order=2)
-    l = _cholesky_psd(g, chart, points)
-    g_inv = np.linalg.inv(g)
-    sqrt_det_g = np.prod(np.diagonal(l, axis1=1, axis2=2), axis=1)
+def _connection_jets(g_inv, dg, d2g):
+    """(gamma, dgamma) with dgamma[n,m,k,i,j] = d_m Gamma^k_{ij}.
 
-    # contractions below are batched matmuls on reshaped tensors (the
-    # einsum equivalents are kept in comments; matmul is 2-3x faster here)
+    The contractions are batched matmuls on reshaped tensors (the einsum
+    equivalents are kept in comments; matmul is 2-3x faster here).
+    """
+    n, d = g_inv.shape[:2]
     t, gamma = _christoffels(g_inv, dg)
-
     # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}
     dginv = -np.matmul(np.matmul(g_inv[:, None], dg), g_inv[:, None])
     dt = (d2g.transpose(0, 1, 4, 2, 3) + d2g.transpose(0, 1, 4, 3, 2)
@@ -277,6 +276,17 @@ def point_geometry_batch(chart, points):
     dgamma = 0.5 * (np.matmul(dginv, t.reshape(n, 1, d, d * d))
                     + np.matmul(g_inv[:, None], dt.reshape(n, d, d, d * d))
                     ).reshape(n, d, d, d, d)
+    return gamma, dgamma
+
+
+def point_geometry_batch(chart, points):
+    points = np.asarray(points, dtype=float)
+    n, d = points.shape
+    g, dg, d2g = metric_jets(chart, points, order=2)
+    l = _cholesky_psd(g, chart, points)
+    g_inv = np.linalg.inv(g)
+    sqrt_det_g = np.prod(np.diagonal(l, axis1=1, axis2=2), axis=1)
+    gamma, dgamma = _connection_jets(g_inv, dg, d2g)
 
     # R^r_{smv} = d_m Gamma^r_{vs} - d_v Gamma^r_{ms}
     #             + Gamma^r_{ml} Gamma^l_{vs} - Gamma^r_{vl} Gamma^l_{ms}
@@ -357,12 +367,18 @@ def _transport_rate(gamma, xdot, w, cotangent=False):
     return -np.einsum("nkij,ni,nj->nk", gamma, xdot, w)
 
 
-def _geodesic_flow(chart, x, v, steps, w=None, cotangent=False):
+def _geodesic_flow(chart, x, v, steps, w=None, cotangent=False, jacobi=None):
     """Geodesics from the rows of (x, v) over unit parameter time, optionally
     transporting the rows of w along them; yields (x, v[, w]) per step.
 
-    Periodic axes are wrapped and every row is range-checked after every
-    step.
+    With `jacobi` (N, d, d) it carries Jacobi fields instead and yields
+    (x, v, J, J'): the columns of J start at J(0) = 0, J'(0) = the columns
+    of `jacobi` and obey the variation of the geodesic equation,
+    J''^k = -(d_m Gamma^k_ab) J^m v^a v^b - 2 Gamma^k_ab v^a J'^b, so that
+    J(t) = (dx(t) / dv(0)) jacobi.  Their d Gamma comes from order-2 metric
+    jets, whose Gamma has the bits of christoffels_at, so x and v are the
+    same with or without them.  Periodic axes are wrapped and every row is
+    range-checked after every step.
     """
 
     def rhs(t, state):
@@ -371,12 +387,22 @@ def _geodesic_flow(chart, x, v, steps, w=None, cotangent=False):
         return (v, _transport_rate(gamma, v, v)) + tuple(
             _transport_rate(gamma, v, ww, cotangent) for ww in w)
 
+    def jacobi_rhs(t, state):
+        x, v, j, jp = state
+        g, dg, d2g = metric_jets(chart, x)
+        gamma, dgamma = _connection_jets(np.linalg.inv(g), dg, d2g)
+        jpp = (-np.einsum("nmkab,na,nb,nmc->nkc", dgamma, v, v, j)
+               - 2 * np.einsum("nkab,na,nbc->nkc", gamma, v, jp))
+        return v, _transport_rate(gamma, v, v), jp, jpp
+
     def project(state):
         x = chart.wrap(state[0])
         if not chart.contains(x):
             raise GeometryError(f"path exits chart {chart.name!r} range at {x}")
         return (x,) + state[1:]
 
+    if jacobi is not None:
+        return _rk4(jacobi_rhs, (x, v, np.zeros_like(jacobi), jacobi), steps, project)
     start = (x, v) if w is None else (x, v, w)
     return _rk4(rhs, start, steps, project)
 
@@ -409,9 +435,8 @@ def geodesic(chart, x0, v0, arc_length, steps=None):
 def geodesic_batch(chart, x0, v0, steps):
     """Integrate many geodesics jointly over unit parameter time.
 
-    x0, v0 are (N, d); the Christoffel evaluations are batched, which is
-    what makes normal-coordinate stencils affordable.  Returns the
-    endpoints (x, v).
+    x0, v0 are (N, d) and share one step count; the Christoffel
+    evaluations are batched.  Returns the endpoints (x, v).
     """
     return _final(_geodesic_flow(chart, np.array(x0, dtype=float),
                                  np.array(v0, dtype=float), steps))
@@ -446,78 +471,115 @@ def parallel_transport(chart, path, w0, steps=1000, cotangent=False):
 # Normal coordinates
 # --------------------------------------------------------------------------
 
+# RK4 steps per unit normal radius (at least 32 per shoot), and the
+# tolerance and iteration budget of log's Newton solve
+_STEPS_PER_RADIUS = 300
+_LOG_TOL = 1e-12
+_LOG_MAX_ITER = 50
+
+
 class NormalCoordinates:
     """Exponential-map coordinates centered at a chart point.
 
-    exp is geodesic shooting; log inverts it by damped Newton on the
-    shooting map.  The radius guard keeps targets inside the configured
-    injectivity-safe ball (default 0.4 of the smallest range extent).
+    exp is geodesic shooting.  Its differential is exact: the Jacobi fields
+    J with J(0) = 0 and J'(0) = the frame vectors ride along the same
+    geodesic, and dexp at t u is J(t) / t.  They give the pulled-back
+    metric J^T g J and the Jacobian of log's damped Newton inversion of the
+    shooting map.  Each row takes its RK4 step count from its own radius,
+    so a row never depends on the rows it is shot with.  The radius guard
+    keeps targets inside the configured injectivity-safe ball (default 0.4
+    of the smallest range extent).
     """
 
-    def __init__(self, chart, x0, radius=None, steps=300):
+    def __init__(self, chart, x0, radius=None):
         self.chart = chart
         self.x0 = np.asarray(x0, dtype=float)
         if not chart.contains(self.x0):
             raise GeometryError("center outside chart")
         extents = [hi - lo for lo, hi in chart.ranges]
         self.radius = radius if radius is not None else 0.4 * min(extents)
-        self.steps = steps
         g0 = metric_jets(chart, self.x0[None, :], order=0)[0][0]
         self.g0 = g0
         # columns: orthonormal frame at the center; normal coordinates are
         # components in this frame, so the pulled-back metric at 0 is I
         self.frame0 = np.linalg.inv(np.linalg.cholesky(g0)).T
 
+    def _shoot(self, us, samples, jacobi):
+        """Geodesics t -> exp(t u) from the rows u of us, sampled at
+        t = 1/samples, ..., 1: (x, dexp) with x (N, samples, d) and dexp
+        (N, samples, d, d) the differential of exp at t u, J(t) / t, or None
+        without `jacobi`.
+
+        A row of radius r takes the least multiple of `samples` that is at
+        least max(32, int(300 r)) steps; rows with equal counts share one
+        integration.
+        """
+        us = np.asarray(us, dtype=float)
+        n, d = us.shape
+        radii = np.linalg.norm(us, axis=1)
+        r = radii.max()
+        if r > self.radius:
+            raise GeometryError(f"normal radius {r:.3g} exceeds safe {self.radius:.3g}")
+        steps = np.maximum(32, (_STEPS_PER_RADIUS * np.maximum(radii, 1e-3)).astype(int))
+        steps = -(-steps // samples) * samples
+        xs = np.empty((n, samples, d))
+        dexp = np.empty((n, samples, d, d)) if jacobi else None
+        for count in np.unique(steps):
+            rows = np.flatnonzero(steps == count)
+            v = us[rows] @ self.frame0.T  # rows: frame0 @ u, so |v|_g = |u|
+            jp = np.tile(self.frame0, (len(rows), 1, 1)) if jacobi else None
+            flow = _geodesic_flow(self.chart, np.tile(self.x0, (len(rows), 1)), v,
+                                  int(count), jacobi=jp)
+            stride = int(count) // samples
+            for k, state in enumerate(islice(flow, stride - 1, None, stride)):
+                xs[rows, k] = state[0]
+                if jacobi:
+                    dexp[rows, k] = state[2] / ((k + 1) / samples)
+        xs[radii == 0.0] = self.x0
+        return xs, dexp
+
     def exp(self, u):
         """Map normal coordinates u (frame components) to chart coordinates."""
         return self.exp_batch(np.asarray(u, dtype=float)[None, :])[0]
 
     def exp_batch(self, us):
-        """Batched exponential map; one joint integration for all targets."""
-        us = np.asarray(us, dtype=float)
-        radii = np.linalg.norm(us, axis=1)
-        r = radii.max()
-        if r > self.radius:
-            raise GeometryError(f"normal radius {r:.3g} exceeds safe {self.radius:.3g}")
-        v = us @ self.frame0.T  # rows: frame0 @ u, so |v|_g = |u|
-        steps = max(32, int(self.steps * max(r, 1e-3)))
-        out, _ = geodesic_batch(self.chart, np.tile(self.x0, (len(us), 1)), v, steps)
-        out[radii == 0.0] = self.x0
-        return out
+        """Batched exponential map, one shoot per row (no Jacobi fields)."""
+        return self._shoot(us, 1, False)[0][:, 0]
 
-    def _pulled_back_metrics(self, us, fd=5e-4):
-        """Pulled-back metrics (N, d, d) at the rows of us: central
-        differences of exp, all 2d + 1 stencil points in one shoot."""
-        us = np.asarray(us, dtype=float)
-        n, d = us.shape
-        du = fd * np.eye(d)[:, None, :]
-        stencil = np.concatenate([us[None], us + du, us - du])
-        pts = self.exp_batch(stencil.reshape(-1, d)).reshape(2 * d + 1, n, d)
-        jac = ((pts[1:d + 1] - pts[d + 1:]) / (2 * fd)).transpose(1, 2, 0)
-        g = metric_jets(self.chart, pts[0], order=0)[0]
-        return np.einsum("nia,nij,njb->nab", jac, g, jac)
+    def _pulled_back_metrics(self, us, samples):
+        """Pulled-back metrics (N, samples, d, d) at t u, t = 1/samples, ..., 1,
+        for the rows u of us: dexp^T g dexp from one Jacobi shoot."""
+        xs, dexp = self._shoot(us, samples, True)
+        n, _, d = xs.shape
+        g = metric_jets(self.chart, xs.reshape(-1, d), order=0)[0]
+        return dexp.swapaxes(2, 3) @ g.reshape(n, samples, d, d) @ dexp
 
-    def det_g_batch(self, us, fd=5e-4):
+    def det_g_batch(self, us):
         """det of the pulled-back metric at many normal points, one batch."""
-        return np.linalg.det(self._pulled_back_metrics(us, fd))
+        return self.det_g_along(us, 1)[:, 0]
 
-    def log(self, y, tol=1e-12, max_iter=50):
-        """Invert the shooting map by damped Newton; returns normal coordinates."""
+    def det_g_along(self, us, samples):
+        """det of the pulled-back metric at t u for t = 1/samples, ..., 1,
+        (N, samples): one geodesic per row u of us."""
+        return np.linalg.det(self._pulled_back_metrics(us, samples))
+
+    def log(self, y):
+        """Invert the shooting map by damped Newton; returns normal coordinates.
+
+        Each Newton step solves with dexp at the current iterate; the line
+        search tries plain exp shoots.
+        """
         y = np.asarray(y, dtype=float)
-        d = self.chart.dim
         u = np.linalg.solve(self.frame0, y - self.x0)  # flat first guess
         nrm = np.linalg.norm(u)
         if nrm > 0.95 * self.radius:
             u *= 0.95 * self.radius / nrm
-        fd = 1e-6
-        stencil = np.concatenate([fd * np.eye(d), -fd * np.eye(d)])
 
         err = self.exp(u) - y
-        for _ in range(max_iter):
-            if np.linalg.norm(err) < tol:
+        for _ in range(_LOG_MAX_ITER):
+            if np.linalg.norm(err) < _LOG_TOL:
                 return u
-            pts = self.exp_batch(u + stencil)
-            jac = (pts[:d] - pts[d:]).T / (2 * fd)
+            jac = self._shoot(u[None, :], 1, True)[1][0, 0]
             try:
                 step = np.linalg.solve(jac, err)
             except np.linalg.LinAlgError:
@@ -533,17 +595,17 @@ class NormalCoordinates:
                 lam *= 0.5
             else:
                 raise GeometryError("Newton line search stalled in log map")
-        if np.linalg.norm(err) >= tol:
-            raise GeometryError("log map did not converge in 50 iterations")
+        if np.linalg.norm(err) >= _LOG_TOL:
+            raise GeometryError(f"log map did not converge in {_LOG_MAX_ITER} iterations")
         return u
 
     def distance(self, y):
         """Geodesic distance r(x0, y) = |log(y)|."""
         return float(np.linalg.norm(self.log(y)))
 
-    def metric_at(self, u, fd=5e-4):
-        """Pullback metric in normal coordinates by differentiating exp."""
-        return self._pulled_back_metrics(np.asarray(u, dtype=float)[None, :], fd)[0]
+    def metric_at(self, u):
+        """Pullback metric in normal coordinates, dexp^T g dexp."""
+        return self._pulled_back_metrics(np.asarray(u, dtype=float)[None, :], 1)[0, 0]
 
     def det_g(self, u):
         return float(np.linalg.det(self.metric_at(u)))

@@ -21,9 +21,10 @@ transport integrand radial):
   must equal scalar_curvature / 6.
 
 u0, u1 and H_N at one (x, y) are read from one record: one Newton solve of
-u = log_x(y), r = |u|, and one batched det(g) shoot along the ray u / r
-on a grid with a node at r.  On the diagonal (r = 0) u0 = 1 and u1 is the
-limit above, from one shoot along both coordinate rays.
+u = log_x(y), r = |u|, and one geodesic along the ray u / r, sampled at a
+radial grid with a node at r, whose Jacobi fields give det(g) at every
+node.  On the diagonal (r = 0) u0 = 1 and u1 is the limit above, from one
+geodesic along each coordinate ray.
 """
 
 from __future__ import annotations
@@ -206,10 +207,11 @@ class RadialParametrix:
     """u0 and the transport integrand along k radial geodesics from the
     center of one set of normal coordinates.
 
-    Shoots det(g) on a uniform radial grid along every ray in one
-    `det_g_batch` call; row i of every array belongs to directions[i].
-    Restricted to the pointwise-isotropic model charts, where u0 is a
-    function of the radius alone.
+    Reads det(g) at every node of a uniform radial grid from one geodesic
+    per ray (`det_g_along`, whose Jacobi fields give dexp at each node);
+    row i of every array belongs to directions[i].  Restricted to the
+    pointwise-isotropic model charts, where u0 is a function of the radius
+    alone.
     """
 
     def __init__(self, nc, directions, r_max, grid=33):
@@ -219,10 +221,8 @@ class RadialParametrix:
         # one extra step past r_max keeps central differences centered
         self.h = r_max / (grid - 1)
         self.r = np.arange(grid + 2) * self.h
-        k, d = self.directions.shape
-        us = self.r[None, 1:, None] * self.directions[:, None, :]
-        dets = nc.det_g_batch(us.reshape(-1, d)).reshape(k, grid + 1)
-        self.detg = np.concatenate([np.ones((k, 1)), dets], axis=1)
+        dets = nc.det_g_along(self.r[-1] * self.directions, grid + 1)
+        self.detg = np.concatenate([np.ones((len(dets), 1)), dets], axis=1)
         self.u0 = self.detg ** -0.25
 
     def laplacian_u0(self):

@@ -329,7 +329,7 @@ def test_sphere_normal_det_g():
     for r in (0.3, 0.6, 0.9):
         u = np.array([r / math.sqrt(2), r / math.sqrt(2)])
         want = (math.sin(r) / r) ** 2
-        assert nc.det_g(u) == pytest.approx(want, rel=1e-6)
+        assert nc.det_g(u) == pytest.approx(want, rel=1e-10)
 
 
 def test_flat_normal_coordinates_trivial():
@@ -350,18 +350,44 @@ def test_radial_lines_are_geodesics():
 
 def test_scalar_normal_maps_are_batch_rows():
     nc = NormalCoordinates(bumpy_sphere(0.15), [1.2, 0.7])
-    # equal radii give equal step counts, so rows must agree bit for bit
-    us = 0.3 * np.array([[1.0, 0.0], [0.6, 0.8], [-0.8, 0.6]])
+    # each row takes its step count from its own radius, so rows of a
+    # mixed-radius batch agree bit for bit with one-row calls
+    us = np.array([[0.3, 0.0], [0.18, 0.24], [-0.4, 0.3], [0.05, -0.1], [0.0, 0.0]])
     pts = nc.exp_batch(us)
-    metrics = nc._pulled_back_metrics(us)
+    metrics = nc._pulled_back_metrics(us, 1)[:, 0]
     dets = nc.det_g_batch(us)
     for k, u in enumerate(us):
         assert np.array_equal(nc.exp(u), nc.exp_batch(u[None, :])[0])
         assert np.array_equal(nc.exp(u), pts[k])
         assert np.array_equal(nc.metric_at(u), metrics[k])
         assert nc.det_g(u) == dets[k]
+    # shot alone and shot with a longer row (the two differed by 9.8e-12
+    # when a batch took its step count from its largest radius)
+    nc = NormalCoordinates(polar_sphere(), [math.pi / 2, 1.0])
+    assert nc.det_g_batch([[0.5, 0.0]])[0] == nc.det_g_batch([[0.5, 0.0], [1.0, 0.0]])[0]
 
 
+def test_jacobi_fields_match_difference_quotients_of_exp():
+    nc = NormalCoordinates(bumpy_sphere(0.3), [1.2, 0.7])
+    u, fd = np.array([0.3, 0.2]), 1e-4
+    dexp = nc._shoot(u[None, :], 1, True)[1][0, 0]
+    pts = nc.exp_batch(u + fd * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
+    quotient = (pts[:2] - pts[2:]).T / (2 * fd)
+    assert np.abs(dexp - quotient).max() <= 1e-9
+
+
+def test_normal_det_g_deficit_is_a_third_of_gauss_curvature():
+    """det g = 1 - K r^2 / 3 + O(r^3) in dimension 2 (Ric = K g)."""
+    chart = bumpy_sphere(0.3)
+    x = [1.2, 0.7]
+    k = point_geometry(chart, x).scalar_curvature / 2
+    nc = NormalCoordinates(chart, x)
+    # along x1, where K varies, so the O(r^3) term halves with r
+    direction = np.array([1.0, 0.0])
+    gaps = [(1 - nc.det_g(r * direction)) / r ** 2 / (k / 3) - 1
+            for r in (0.02, 0.01, 0.005)]
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 0.4 <= fine / coarse <= 0.6
 def test_normal_radius_guard():
     nc = NormalCoordinates(flat_torus(), [0.5, 0.5], radius=0.2)
     with pytest.raises(GeometryError):

@@ -219,7 +219,7 @@ def test_radial_record_rays_are_independent_bitwise(x):
 
 
 def test_one_log_solve_and_one_shoot_per_call(monkeypatch):
-    calls = {"log": 0, "det_g_batch": 0}
+    calls = {"log": 0, "det_g_along": 0}
     for name in calls:
         method = getattr(NormalCoordinates, name)
 
@@ -231,12 +231,12 @@ def test_one_log_solve_and_one_shoot_per_call(monkeypatch):
     x = [math.pi / 2, 1.0]
     y = NormalCoordinates(chart, x).exp([0.3, 0.2])
     for n_terms, z, shoots in ((1, y, 1), (0, y, 1), (1, x, 1), (0, x, 0)):
-        calls.update(log=0, det_g_batch=0)
+        calls.update(log=0, det_g_along=0)
         parametrix_kernel(chart, n_terms, 0.01, x, z)
-        assert calls == {"log": 1, "det_g_batch": shoots}
-    calls.update(log=0, det_g_batch=0)
+        assert calls == {"log": 1, "det_g_along": shoots}
+    calls.update(log=0, det_g_along=0)
     parametrix_u1_diag(chart, x)
-    assert calls == {"log": 0, "det_g_batch": 1}
+    assert calls == {"log": 0, "det_g_along": 1}
 
 
 def test_u1_diagonal_values():
