@@ -471,9 +471,7 @@ def parallel_transport(chart, path, w0, steps=1000, cotangent=False):
 # Normal coordinates
 # --------------------------------------------------------------------------
 
-# RK4 steps per unit normal radius (at least 32 per shoot), and the
 # tolerance and iteration budget of log's Newton solve
-_STEPS_PER_RADIUS = 300
 _LOG_TOL = 1e-12
 _LOG_MAX_ITER = 50
 
@@ -520,7 +518,7 @@ class NormalCoordinates:
         r = radii.max()
         if r > self.radius:
             raise GeometryError(f"normal radius {r:.3g} exceeds safe {self.radius:.3g}")
-        steps = np.maximum(32, (_STEPS_PER_RADIUS * np.maximum(radii, 1e-3)).astype(int))
+        steps = np.maximum(32, (300 * np.maximum(radii, 1e-3)).astype(int))
         steps = -(-steps // samples) * samples
         xs = np.empty((n, samples, d))
         dexp = np.empty((n, samples, d, d)) if jacobi else None
