@@ -6,11 +6,21 @@ expressions.  This module parses them into immutable ASTs and evaluates
 value, gradient and Hessian in one pass by truncated Taylor (jet)
 arithmetic, batched over numpy arrays of evaluation points.
 
-Each node is compiled once, on its first evaluation, into a jet program
-cached on the node; it is not a dataclass field, so equality, hashing and
-printing still compare trees.  `variable_support` comes from the same walk.
-The power rule is settled when a power is compiled: an exponent that reads
-no coordinate is constant across the batch, and an integral value k with
+One compiler turns a tuple of roots (a chart's metric entries, a field's
+components, or a single expression) into a `Program`: straight-line
+Python source, generated on first use per derivative order and parameter
+binding, and cached on its owner.  Each distinct subexpression is
+computed once, found by structural hashing of the frozen nodes, and each
+jet stores one (N,) array per axis it depends on for the gradient and
+one per (i, j) pair for the Hessian, so constants and one-variable terms
+carry no dense derivative blocks.  The operations keep the dense jet
+formulas' IEEE order, so only exact zeros can differ, in sign.  The
+source holds slot names, float and row-index literals and names bound in
+its own namespace, never text from a spec file; a domain error names the
+first subexpression, in evaluation order, that leaves its domain.
+
+The power rule is settled at compile time: an exponent that reads no
+coordinate is constant across the batch, and an integral value k with
 |k| <= 1024 is repeated multiplication, so any base sign is legal; every
 other exponent is exp(b log a) and needs a positive base.
 
@@ -30,15 +40,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Const", "Neg", "BinOp", "Call",
-    "Jet2", "ParseError", "UnknownIdentifierError", "EvalDomainError",
-    "parse", "eval_jet2", "eval_jet", "eval_values", "expr_to_str",
+    "Jet", "Jet2", "JetRows", "Program", "ParseError", "UnknownIdentifierError",
+    "EvalDomainError", "parse", "eval_jet2", "eval_jet", "eval_values", "expr_to_str",
     "variable_support",
 ]
 
@@ -79,8 +89,19 @@ class Expr:
 
     @cached_property
     def _program(self):
-        """This node's compiled jet program; not a field, so not in eq/hash/repr."""
-        return _compile(self)
+        """This node's one-root jet program; not a field, so not in eq/hash/repr."""
+        return Program((self,))
+
+    @cached_property
+    def _reads(self):
+        """(coordinate indices, parameter names) that the node reads."""
+        if isinstance(self, Var):
+            if self.index < 0:
+                return frozenset(), frozenset((self.name,))
+            return frozenset((self.index,)), frozenset()
+        reads = [child._reads for child in _children(self)]
+        return (frozenset().union(*(r[0] for r in reads)),
+                frozenset().union(*(r[1] for r in reads)))
 
 
 @dataclass(frozen=True)
@@ -115,6 +136,14 @@ class BinOp(Expr):
 class Call(Expr):
     func: str
     args: tuple
+
+
+def _children(node):
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, BinOp):
+        return node.left, node.right
+    return node.args if isinstance(node, Call) else ()
 
 
 # --------------------------------------------------------------------------
@@ -325,7 +354,7 @@ def expr_to_str(node):
 
 
 # --------------------------------------------------------------------------
-# Jet arithmetic (batched)
+# Jets
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -336,185 +365,425 @@ class Jet2:
     hessian: np.ndarray
 
 
-class _Jet:
-    """Batched truncated Taylor element: val (N,), grad (N,d), hess (N,d,d)."""
-
-    __slots__ = ("val", "grad", "hess")
-
-    def __init__(self, val, grad=None, hess=None):
-        self.val = val
-        self.grad = grad
-        self.hess = hess
+class Jet(NamedTuple):
+    """Dense jet of one expression at N points: val (N,), grad (N, d) and
+    hess (N, d, d), each None above the evaluated order."""
+    val: np.ndarray
+    grad: np.ndarray | None
+    hess: np.ndarray | None
 
 
-def _const_jet(value, points, order):
-    n, d = points.shape
-    val = np.full(n, float(value))
-    grad = np.zeros((n, d)) if order >= 1 else None
-    hess = np.zeros((n, d, d)) if order >= 2 else None
-    return _Jet(val, grad, hess)
+class JetRows(NamedTuple):
+    """Sparse jets of a program's roots at N points, one (N,) row per stored entry.
+
+    val[r] is root r.  grad[k] is d/dx_a of root r for (r, a) = grad_index[k];
+    hess[k] is d2/dx_i dx_j of root r for (r, i, j) = hess_index[k], and
+    hess[hess_swap[k]] is its (r, j, i) entry.  An entry not stored is zero.
+    The layout is fixed per compiled program, and ``tables`` is one dict
+    shared by all its evaluations, where callers keep what they derive from it.
+    """
+    val: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
+    grad_index: np.ndarray
+    hess_index: np.ndarray
+    hess_swap: np.ndarray
+    tables: dict
 
 
-def _var_jet(points, index, order):
-    n, d = points.shape
-    val = points[:, index].astype(float)
-    grad = hess = None
-    if order >= 1:
-        grad = np.zeros((n, d))
-        grad[:, index] = 1.0
-    if order >= 2:
-        hess = np.zeros((n, d, d))
-    return _Jet(val, grad, hess)
-
-
-def _add(a, b, sign=1.0):
-    val = a.val + sign * b.val
-    grad = None if a.grad is None else a.grad + sign * b.grad
-    hess = None if a.hess is None else a.hess + sign * b.hess
-    return _Jet(val, grad, hess)
-
-
-def _neg(a):
-    return _Jet(-a.val,
-                None if a.grad is None else -a.grad,
-                None if a.hess is None else -a.hess)
-
-
-def _mul(a, b):
-    val = a.val * b.val
-    grad = hess = None
-    if a.grad is not None:
-        grad = a.val[:, None] * b.grad + b.val[:, None] * a.grad
-    if a.hess is not None:
-        cross = a.grad[:, :, None] * b.grad[:, None, :]
-        hess = (a.val[:, None, None] * b.hess + b.val[:, None, None] * a.hess
-                + cross + cross.transpose(0, 2, 1))
-    return _Jet(val, grad, hess)
-
-
-def _chain(a, f0, f1=None, f2=None):
-    """Compose a jet with a scalar function given derivative arrays."""
-    grad = hess = None
-    if a.grad is not None:
-        grad = f1[:, None] * a.grad
-    if a.hess is not None:
-        outer = a.grad[:, :, None] * a.grad[:, None, :]
-        hess = f1[:, None, None] * a.hess + f2[:, None, None] * outer
-    return _Jet(f0, grad, hess)
-
-
-def _sqrt_derivatives(v, rt):
+def _sqrt_d1(rt):
     with np.errstate(divide="ignore"):
-        return 0.5 / rt, -0.25 / (rt * v)
+        return 0.5 / rt
 
 
-# name: (f, (f', f'') from (v, f(v)), domain test or None, domain error)
+def _sqrt_d2(v, rt):
+    with np.errstate(divide="ignore"):
+        return -0.25 / (rt * v)
+
+
+# Source templates over {v} = argument, {f} = f(v) and {d} = f'(v):
+# name: (f, f', f'' or None where it is identically zero, domain test, domain error)
 _UNARY = {
-    "sin": (np.sin, lambda v, s: (np.cos(v), -s), None, None),
-    "cos": (np.cos, lambda v, c: (-np.sin(v), -c), None, None),
-    "tan": (np.tan, lambda v, t: (sec2 := 1.0 + t * t, 2.0 * t * sec2), None, None),
-    "exp": (np.exp, lambda v, ex: (ex, ex), None, None),
-    "log": (np.log, lambda v, f: (inv := 1.0 / v, -inv * inv),
-            lambda v: v <= 0.0, "log of nonpositive value"),
-    "sqrt": (np.sqrt, _sqrt_derivatives, lambda v: v < 0.0, "sqrt of negative value"),
-    "sinh": (np.sinh, lambda v, sh: (np.cosh(v), sh), None, None),
-    "cosh": (np.cosh, lambda v, ch: (np.sinh(v), ch), None, None),
-    "tanh": (np.tanh, lambda v, th: (sech2 := 1.0 - th * th, -2.0 * th * sech2), None, None),
-    "atan": (np.arctan, lambda v, f: (1.0 / (den := 1.0 + v * v), -2.0 * v / (den * den)),
-             None, None),
+    "sin": ("sin({v})", "cos({v})", "(-{f})", None, None),
+    "cos": ("cos({v})", "(-sin({v}))", "(-{f})", None, None),
+    "tan": ("tan({v})", "(1.0 + {f} * {f})", "(2.0 * {f} * {d})", None, None),
+    "exp": ("exp({v})", "{f}", "{f}", None, None),
+    "log": ("log({v})", "(1.0 / {v})", "(-{d} * {d})",
+            "({v} <= 0.0)", "log of nonpositive value"),
+    "sqrt": ("sqrt({v})", "sqrt_d1({f})", "sqrt_d2({v}, {f})",
+             "({v} < 0.0)", "sqrt of negative value"),
+    "sinh": ("sinh({v})", "cosh({v})", "{f}", None, None),
+    "cosh": ("cosh({v})", "sinh({v})", "{f}", None, None),
+    "tanh": ("tanh({v})", "(1.0 - {f} * {f})", "(-2.0 * {f} * {d})", None, None),
+    "atan": ("arctan({v})", "(1.0 / (1.0 + {v} * {v}))",
+             "(-2.0 * {v} / ((1.0 + {v} * {v}) * (1.0 + {v} * {v})))", None, None),
     # derivatives taken away from the kink; sign(0) treated as 0
-    "abs": (np.abs, lambda v, f: (np.sign(v), np.zeros_like(v)), None, None),
+    "abs": ("absolute({v})", "sign({v})", None, None, None),
 }
 FUNCTION_ARITY = {**dict.fromkeys(_UNARY, 1), "atan2": 2, "pow": 2}
-_RECIPROCAL = (lambda v: 1.0 / v, lambda v, inv: (-inv * inv, 2.0 * inv * inv * inv),
-               lambda v: v == 0.0, "division by zero")
+_RECIPROCAL = ("(1.0 / {v})", "(-{f} * {f})", "(2.0 * {f} * {f} * {f})",
+               "({v} == 0.0)", "division by zero")
+_LOG_OF_POSITIVE = _UNARY["log"][:3] + (None, None)  # the power rule checks first
+
+# Every name a program's source reads besides its slots and error factories.
+_NAMESPACE = {
+    "empty": np.empty, "inf": math.inf, "nan": math.nan,
+    "sqrt_d1": _sqrt_d1, "sqrt_d2": _sqrt_d2,
+    **{name: getattr(np, name) for name in (
+        "sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh",
+        "arctan", "arctan2", "absolute", "sign")},
+}
 
 
-def _unary(entry, a, node, order):
-    f, derivatives, outside, reason = entry
-    if outside is not None and np.any(outside(a.val)):
-        raise EvalDomainError(reason, node)
-    f0 = f(a.val)
-    if order == 0:
-        return _Jet(f0)
-    return _chain(a, f0, *derivatives(a.val, f0))
+def _lit(x):
+    """Source text of an operand: a slot name, or a float literal."""
+    if isinstance(x, str):
+        return x
+    text = repr(x)
+    return f"({text})" if text[0] == "-" else text
 
 
-def _atan2(y, x, node, order):
-    if np.any((x.val == 0.0) & (y.val == 0.0)):
-        raise EvalDomainError("atan2(0, 0) is undefined", node)
-    f0 = np.arctan2(y.val, x.val)
-    if order == 0:
-        return _Jet(f0)
-    r2 = x.val * x.val + y.val * y.val
-    fy, fx = x.val / r2, -y.val / r2
-    grad = fy[:, None] * y.grad + fx[:, None] * x.grad
-    hess = None
-    if order >= 2:
-        r4 = r2 * r2
-        fyy = -2.0 * x.val * y.val / r4
-        fxx = 2.0 * x.val * y.val / r4
-        fxy = (y.val * y.val - x.val * x.val) / r4
-        oyy = y.grad[:, :, None] * y.grad[:, None, :]
-        oxx = x.grad[:, :, None] * x.grad[:, None, :]
-        oyx = y.grad[:, :, None] * x.grad[:, None, :]
-        hess = (fy[:, None, None] * y.hess + fx[:, None, None] * x.hess
-                + fyy[:, None, None] * oyy + fxx[:, None, None] * oxx
-                + fxy[:, None, None] * (oyx + oyx.transpose(0, 2, 1)))
-    return _Jet(f0, grad, hess)
+@lru_cache(maxsize=None)
+def _fold_code(template, names):
+    return compile(template.format(**{name: name for name in names}), "<fold>", "eval")
 
 
-def _int_power(a, k, node, points, order):
-    """a^k by repeated multiplication, then 1/a^|k| for k < 0; any base sign."""
-    if k == 0:
-        return _const_jet(1.0, points, order)
-    n = abs(k)
-    result = None
-    base = a
-    while n:
-        if n & 1:
-            result = base if result is None else _mul(result, base)
-        n >>= 1
-        if n:
-            base = _mul(base, base)
-    return _unary(_RECIPROCAL, result, node, order) if k < 0 else result
-
-
-def _integer_exponent(b):
+def _integer_exponent(k):
     """int(k) for an integral exponent value k with |k| <= 1024, else None."""
-    k = b.val[0]
     return int(round(k)) if k == round(k) and abs(k) <= 1024 else None
 
 
 # --------------------------------------------------------------------------
-# Compilation: one jet program per node
+# Compilation: one straight-line jet program per tuple of roots
 # --------------------------------------------------------------------------
 
-# One point in no coordinates: where a coordinate-free exponent is evaluated.
-_NO_POINTS = np.empty((1, 0))
-
-# Neg, BinOp and Call nodes other than powers: op(*child jets, node, order)
-_OPS = {
-    "neg": lambda a, node, order: _neg(a),
-    "+": lambda a, b, node, order: _add(a, b),
-    "-": lambda a, b, node, order: _add(a, b, sign=-1.0),
-    "*": lambda a, b, node, order: _mul(a, b),
-    "/": lambda a, b, node, order: _mul(a, _unary(_RECIPROCAL, b, node, order)),
-    "atan2": _atan2,
-    **{name: partial(_unary, entry) for name, entry in _UNARY.items()},
-}
+class _Sym(NamedTuple):
+    """A jet while compiling: each entry is a slot name or a float constant;
+    grad maps axis -> entry and hess (i, j) -> entry, absent entries zero."""
+    val: object
+    grad: dict
+    hess: dict
 
 
-class _Program(NamedTuple):
-    run: Callable  # run(points, params, order) -> _Jet
-    support: frozenset  # indices of the coordinates the node reads
-    reads_params: bool
+class _Abort(Exception):
+    """A constant subexpression leaves its domain: the program ends in a raise."""
 
 
-def _compiled(node):
-    if not isinstance(node, Expr):
+class _Variant(NamedTuple):
+    run: Callable  # run(X, n) with X the (d, N) coordinates -> (K, N) rows
+    source: str
+    roots: int
+    grad_index: np.ndarray
+    hess_index: np.ndarray
+    hess_swap: np.ndarray
+    tables: dict
+
+    def __call__(self, points):
+        # one point runs the same source on numpy scalars, which round as
+        # the batched arrays do and skip the array overhead of every op
+        coords = points[0] if len(points) == 1 else np.ascontiguousarray(points.T)
+        out = self.run(coords, len(points))
+        r, g = self.roots, self.roots + len(self.grad_index)
+        return JetRows(out[:r], out[r:g], out[g:], self.grad_index,
+                       self.hess_index, self.hess_swap, self.tables)
+
+
+class _Compiler:
+    """Emits the source of one program, bottom-up, each distinct node once.
+
+    Operations keep the dense jet formulas' IEEE order (left operand first,
+    a.∂b + b.∂a, ((a.Hb + b.Ha) + ∂a∂b) + (∂a∂b)ᵀ), so only terms that are
+    exactly zero are skipped; constants are folded on 1-element numpy
+    values, which round as the batched arrays do.
+    """
+
+    def __init__(self, order, params):
+        self.order = order
+        self.params = params
+        self.lines = []
+        self.namespace = dict(_NAMESPACE)
+        self.memo = {}
+        self.slots = {}
+        self.errors = 0
+
+    # -- operands ---------------------------------------------------------
+
+    def op(self, template, **operands):
+        """``template`` over ``operands``: folded when all are constants, else source."""
+        if all(isinstance(x, float) for x in operands.values()):
+            code = _fold_code(template, tuple(operands))
+            return float(eval(code, _NAMESPACE,
+                              {k: np.float64(x) for k, x in operands.items()}))
+        return template.format(**{k: _lit(x) for k, x in operands.items()})
+
+    def mul(self, x, y):
+        if x is None or y is None:
+            return None
+        if isinstance(x, float) and x == 1.0:
+            return y
+        if isinstance(y, float) and y == 1.0:
+            return x
+        product = self.op("({x} * {y})", x=x, y=y)
+        return product if isinstance(product, float) else self.value(product)
+
+    def add(self, *terms):
+        """The left-to-right sum of the terms that are present and not 0.0."""
+        terms = [t for t in terms if t is not None and not (isinstance(t, float) and t == 0.0)]
+        if not terms:
+            return None
+        if all(isinstance(t, float) for t in terms):
+            return float(sum(terms[1:], np.float64(terms[0])))
+        return terms[0] if len(terms) == 1 else f"({' + '.join(map(_lit, terms))})"
+
+    def value(self, x):
+        """Bind an operand to a slot unless it is a slot or a constant already;
+        source text seen before reuses its slot."""
+        if isinstance(x, float) or x.isidentifier():
+            return x
+        name = self.slots.get(x)
+        if name is None:
+            name = self.slots[x] = f"t{len(self.slots)}"
+            self.lines.append(f"{name} = {x}")
+        return name
+
+    def entry(self, x):
+        """A derivative entry: None when absent or exactly zero."""
+        if x is None or (isinstance(x, float) and x == 0.0):
+            return None
+        return self.value(x)
+
+    def error(self, reason, node):
+        """Bind a factory of this domain error in the namespace; returns its name."""
+        name = f"E{self.errors}"
+        self.errors += 1
+        self.namespace[name] = partial(EvalDomainError, reason, node)
+        return name
+
+    def check(self, test, reason, node, **operands):
+        """Raise the domain error where ``test`` holds at any point."""
+        text = self.op(test, **operands)
+        if isinstance(text, str):
+            self.lines.append(f"if {text}.any(): raise {self.error(reason, node)}()")
+        elif text:
+            raise _Abort(self.error(reason, node))
+
+    # -- jets -------------------------------------------------------------
+
+    def sym(self, val, grad, hess):
+        grad = {k: e for k, x in sorted(grad.items()) if (e := self.entry(x)) is not None}
+        hess = {p: e for p, x in sorted(hess.items()) if (e := self.entry(x)) is not None}
+        return _Sym(self.value(val), grad, hess)
+
+    def pairs(self, *groups):
+        """Hessian slots that products of gradient entries fill: (i, j) and (j, i)."""
+        if self.order < 2:
+            return set()
+        out = set()
+        for left, right in groups:
+            out.update((i, j) for i in left for j in right)
+            out.update((j, i) for i in left for j in right)
+        return out
+
+    def plus(self, a, b, minus=False):
+        template = "({x} - {y})" if minus else "({x} + {y})"
+
+        def combine(x, y):
+            if y is None:
+                return x
+            if x is None:
+                return self.op("(-{x})", x=y) if minus else y
+            return self.op(template, x=x, y=y)
+
+        return self.sym(
+            self.op(template, x=a.val, y=b.val),
+            {k: combine(a.grad.get(k), b.grad.get(k)) for k in a.grad.keys() | b.grad.keys()},
+            {p: combine(a.hess.get(p), b.hess.get(p)) for p in a.hess.keys() | b.hess.keys()})
+
+    def neg(self, a):
+        return self.sym(self.op("(-{x})", x=a.val),
+                        {k: self.op("(-{x})", x=x) for k, x in a.grad.items()},
+                        {p: self.op("(-{x})", x=x) for p, x in a.hess.items()})
+
+    def times(self, a, b):
+        mul, add = self.mul, self.add
+        grad = {k: add(mul(a.val, b.grad.get(k)), mul(b.val, a.grad.get(k)))
+                for k in a.grad.keys() | b.grad.keys()}
+        hess = {}
+        for p in a.hess.keys() | b.hess.keys() | self.pairs((a.grad, b.grad)):
+            i, j = p
+            hess[p] = add(mul(a.val, b.hess.get(p)), mul(b.val, a.hess.get(p)),
+                          mul(a.grad.get(i), b.grad.get(j)), mul(a.grad.get(j), b.grad.get(i)))
+        return self.sym(mul(a.val, b.val), grad, hess)
+
+    def unary(self, entry, a, node):
+        f0, d1, d2, test, reason = entry
+        if test is not None:
+            self.check(test, reason, node, v=a.val)
+        f = self.value(self.op(f0, v=a.val))
+        if not (a.grad or a.hess):
+            return _Sym(f, {}, {})
+        d1 = self.value(self.op(d1, v=a.val, f=f))
+        hess = {}
+        if self.order >= 2:
+            d2 = None if d2 is None else self.value(self.op(d2, v=a.val, f=f, d=d1))
+            for p in a.hess.keys() | self.pairs((a.grad, a.grad)):
+                i, j = p
+                hess[p] = self.add(self.mul(d1, a.hess.get(p)),
+                                   self.mul(d2, self.mul(a.grad.get(i), a.grad.get(j))))
+        return self.sym(f, {k: self.mul(d1, x) for k, x in a.grad.items()}, hess)
+
+    def atan2(self, y, x, node):
+        self.check("(({x} == 0.0) & ({y} == 0.0))", "atan2(0, 0) is undefined", node,
+                   x=x.val, y=y.val)
+        f = self.value(self.op("arctan2({y}, {x})", x=x.val, y=y.val))
+        if not (x.grad or y.grad or x.hess or y.hess):
+            return _Sym(f, {}, {})
+        mul, add, op, value = self.mul, self.add, self.op, self.value
+        r2 = value(op("({x} * {x} + {y} * {y})", x=x.val, y=y.val))
+        fy = value(op("({x} / {r})", x=x.val, r=r2))
+        fx = value(op("(-{y} / {r})", y=y.val, r=r2))
+        grad = {k: add(mul(fy, y.grad.get(k)), mul(fx, x.grad.get(k)))
+                for k in y.grad.keys() | x.grad.keys()}
+        pairs = self.pairs((y.grad, y.grad), (x.grad, x.grad), (y.grad, x.grad))
+        hess = {}
+        if pairs or x.hess or y.hess:
+            r4 = value(op("({r} * {r})", r=r2))
+            fyy = value(op("(-2.0 * {x} * {y} / {r})", x=x.val, y=y.val, r=r4))
+            fxx = value(op("(2.0 * {x} * {y} / {r})", x=x.val, y=y.val, r=r4))
+            fxy = value(op("(({y} * {y} - {x} * {x}) / {r})", x=x.val, y=y.val, r=r4))
+            dy, dx = y.grad.get, x.grad.get
+            for p in y.hess.keys() | x.hess.keys() | pairs:
+                i, j = p
+                hess[p] = add(mul(fy, y.hess.get(p)), mul(fx, x.hess.get(p)),
+                              mul(fyy, mul(dy(i), dy(j))), mul(fxx, mul(dx(i), dx(j))),
+                              mul(fxy, add(mul(dy(i), dx(j)), mul(dy(j), dx(i)))))
+        return self.sym(f, grad, hess)
+
+    def int_power(self, a, k, node):
+        """a^k by repeated multiplication, then 1/a^|k| for k < 0; any base sign."""
+        if k == 0:
+            return _Sym(1.0, {}, {})
+        n, result, base = abs(k), None, a
+        while n:
+            if n & 1:
+                result = base if result is None else self.times(result, base)
+            n >>= 1
+            if n:
+                base = self.times(base, base)
+        return self.unary(_RECIPROCAL, result, node) if k < 0 else result
+
+    def power(self, a, exponent, node):
+        """The power rule of the module docstring; a constant exponent is a float."""
+        b = self.compile(exponent)
+        if isinstance(b.val, float):
+            k = _integer_exponent(np.float64(b.val))
+            if k is not None:
+                return self.int_power(a, k, node)
+        self.check("({v} <= 0.0)",
+                   "power needs a positive base unless its exponent is a constant integer",
+                   node, v=a.val)
+        log_a = self.unary(_LOG_OF_POSITIVE, a, node)
+        return self.unary(_UNARY["exp"], self.times(b, log_a), node)
+
+    # -- nodes ------------------------------------------------------------
+
+    def compile(self, node):
+        """``node``'s jet; the first compile of a subexpression emits it."""
+        sym = self.memo.get(node)
+        if sym is None:
+            sym = self.memo[node] = self.build(node)
+        return sym
+
+    def build(self, node):
+        if isinstance(node, (Num, Const)):
+            value = node.value if isinstance(node, Num) else CONSTANTS[node.name]
+            return _Sym(float(value), {}, {})
+        if isinstance(node, Var):
+            if node.index < 0:
+                if node.name not in self.params:
+                    raise _Abort(self.error("unbound parameter", node))
+                return _Sym(float(self.params[node.name]), {}, {})
+            column = f"x{node.index}"
+            self.lines.append(f"{column} = X[{node.index}]")
+            return _Sym(column, {node.index: 1.0} if self.order >= 1 else {}, {})
+        if isinstance(node, Neg):
+            return self.neg(self.compile(node.operand))
+        if isinstance(node, BinOp):
+            a = self.compile(node.left)
+            if node.op == "^":
+                return self.power(a, node.right, node)
+            b = self.compile(node.right)
+            if node.op == "/":
+                key = ("1/", node.right)  # one reciprocal per distinct divisor
+                if key not in self.memo:
+                    self.memo[key] = self.unary(_RECIPROCAL, b, node)
+                return self.times(a, self.memo[key])
+            return self.times(a, b) if node.op == "*" else self.plus(a, b, node.op == "-")
+        if isinstance(node, Call):
+            if node.func == "pow":
+                return self.power(self.compile(node.args[0]), node.args[1], node)
+            if node.func == "atan2":
+                y = self.compile(node.args[0])
+                return self.atan2(y, self.compile(node.args[1]), node)
+            return self.unary(_UNARY[node.func], self.compile(node.args[0]), node)
         raise TypeError(f"not an Expr node: {node!r}")
-    return node._program
+
+    def program(self, roots):
+        """Compile ``roots`` into one function that fills a (K, N) row array."""
+        try:
+            syms = [self.compile(root) for root in roots]
+        except _Abort as stop:
+            self.lines.append(f"raise {stop.args[0]}()")
+            syms = []
+        rows = [s.val for s in syms]
+        grad_index = [(r, k) for r, s in enumerate(syms) for k in s.grad]
+        rows += [syms[r].grad[k] for r, k in grad_index]
+        hess = [dict(s.hess) for s in syms]
+        for h in hess:  # store both orders of a slot, so hess_swap always resolves
+            for i, j in list(h):
+                h.setdefault((j, i), 0.0)
+        hess_index = [(r, i, j) for r, h in enumerate(hess) for i, j in sorted(h)]
+        rows += [hess[r][i, j] for r, i, j in hess_index]
+        position = {key: k for k, key in enumerate(hess_index)}
+        if syms:
+            self.lines.append(f"O = empty(({len(rows)}, n))")
+            self.lines += [f"O[{k}] = {_lit(x)}" for k, x in enumerate(rows)]
+            self.lines.append("return O")
+        source = "def run(X, n):\n" + "".join(f"    {line}\n" for line in self.lines)
+        exec(compile(source, "<jet program>", "exec"), self.namespace)
+        return _Variant(self.namespace["run"], source, len(syms),
+                        np.array(grad_index, dtype=np.intp).reshape(-1, 2),
+                        np.array(hess_index, dtype=np.intp).reshape(-1, 3),
+                        np.array([position[r, j, i] for r, i, j in hess_index], dtype=np.intp),
+                        {})
+
+
+_UNBOUND = object()
+
+
+class Program:
+    """One straight-line jet program for a tuple of root expressions.
+
+    It is compiled on first use, once per derivative order and binding of
+    the parameters the roots read (their values are folded in as
+    constants).  A subexpression shared by several roots, or repeated in
+    one, is computed once: frozen nodes hash and compare by structure.
+    """
+
+    def __init__(self, roots):
+        self.roots = tuple(roots)
+        for root in self.roots:
+            if not isinstance(root, Expr):
+                raise TypeError(f"not an Expr node: {root!r}")
+        self.parameters = tuple(sorted(frozenset().union(*(r._reads[1] for r in self.roots))))
+        self._variants = {}
+
+    def variant(self, order, params):
+        key = (order, *(params.get(name, _UNBOUND) for name in self.parameters))
+        found = self._variants.get(key)
+        if found is None:
+            found = self._variants[key] = _Compiler(order, params).program(self.roots)
+        return found
 
 
 def variable_support(node):
@@ -522,78 +791,35 @@ def variable_support(node):
 
     Parameters (``Var.index == -1``) and constants are not variables, so an
     expression whose support misses an index is constant along that axis.
-    The support comes from the walk that compiles the node.
     """
-    return _compiled(node).support
-
-
-def _compile(node):
-    """Build ``node``'s program over its children's; the left operand runs first."""
-    if isinstance(node, (Num, Const)):
-        value = node.value if isinstance(node, Num) else CONSTANTS[node.name]
-        return _Program(lambda pts, params, order: _const_jet(value, pts, order),
-                        frozenset(), False)
-    if isinstance(node, Var):
-        index, name = node.index, node.name
-        if index >= 0:
-            return _Program(lambda pts, params, order: _var_jet(pts, index, order),
-                            frozenset((index,)), False)
-
-        def parameter(pts, params, order):
-            if name not in params:
-                raise EvalDomainError("unbound parameter", node)
-            return _const_jet(params[name], pts, order)
-
-        return _Program(parameter, frozenset(), True)
-    if isinstance(node, Neg):
-        key, children = "neg", (node.operand,)
-    elif isinstance(node, BinOp):
-        key, children = node.op, (node.left, node.right)
-    else:
-        key, children = node.func, node.args
-    progs = [_compiled(child) for child in children]
-    f = progs[0].run
-    if key in ("^", "pow"):
-        run = _power(node, *progs)
-    elif len(progs) == 1:
-        op = _OPS[key]
-        run = lambda pts, params, order: op(f(pts, params, order), node, order)
-    else:
-        op, g = _OPS[key], progs[1].run
-        run = lambda pts, params, order: op(
-            f(pts, params, order), g(pts, params, order), node, order)
-    return _Program(run, frozenset().union(*(p.support for p in progs)),
-                    any(p.reads_params for p in progs))
-
-
-def _power(node, base, exponent):
-    """The power rule of the module docstring, settled from the exponent's support."""
-    a_run, b_run = base.run, exponent.run
-    per_call = not exponent.support and exponent.reads_params
-    folded = (None if exponent.support or per_call
-              else _integer_exponent(b_run(_NO_POINTS, {}, 0)))
-
-    def run(pts, params, order):
-        a = a_run(pts, params, order)
-        k = _integer_exponent(b_run(_NO_POINTS, params, 0)) if per_call else folded
-        if k is not None:
-            return _int_power(a, k, node, pts, order)
-        b = b_run(pts, params, order)
-        if np.any(a.val <= 0.0):
-            raise EvalDomainError(
-                "power needs a positive base unless its exponent is a constant integer", node)
-        log_a = _unary(_UNARY["log"], a, node, order)
-        return _unary(_UNARY["exp"], _mul(b, log_a), node, order)
-
-    return run
+    if not isinstance(node, Expr):
+        raise TypeError(f"not an Expr node: {node!r}")
+    return node._reads[0]
 
 
 def eval_jet(node, points, params=None, order=2):
-    """Batched evaluation: ``points`` is (N, d); returns a jet of the given order."""
+    """Batched evaluation at (N, d) ``points`` up to the given order.
+
+    An expression gives its dense :class:`Jet`; a :class:`Program` gives the
+    sparse :class:`JetRows` of all its roots from one run.
+    """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError("points must have shape (N, d)")
-    return _compiled(node).run(points, params or {}, order)
+    if isinstance(node, Program):
+        return node.variant(order, params or {})(points)
+    if not isinstance(node, Expr):
+        raise TypeError(f"not an Expr node: {node!r}")
+    rows = node._program.variant(order, params or {})(points)
+    n, d = points.shape
+    grad = hess = None
+    if order >= 1:
+        grad = np.zeros((n, d))
+        grad[:, rows.grad_index[:, 1]] = rows.grad.T
+    if order >= 2:
+        hess = np.zeros((n, d, d))
+        hess[:, rows.hess_index[:, 1], rows.hess_index[:, 2]] = rows.hess.T
+    return Jet(rows.val[0], grad, hess)
 
 
 def eval_values(node, points, params=None):

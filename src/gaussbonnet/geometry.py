@@ -32,7 +32,7 @@ from itertools import islice
 
 import numpy as np
 
-from .expr import Expr, eval_jet, parse, variable_support
+from .expr import Expr, Program, eval_jet, parse, variable_support
 from .exterior import FormElement, SkewFormMatrix
 
 __all__ = [
@@ -124,6 +124,12 @@ class Chart:
             exprs.append(self.weight)
         return frozenset().union(*map(variable_support, exprs))
 
+    @cached_property
+    def metric_program(self):
+        """One jet program for every metric entry, roots in `metric` order;
+        compiled on first evaluation."""
+        return Program(self.metric.values())
+
 
 @dataclass(frozen=True)
 class Atlas:
@@ -198,24 +204,44 @@ def metric_jets(chart, points, order=2):
     """
     points = np.asarray(points, dtype=float)
     n, d = points.shape
-    g = np.zeros((n, d, d))
-    dg = np.zeros((n, d, d, d)) if order >= 1 else None
-    d2g = np.zeros((n, d, d, d, d)) if order >= 2 else None
-    for (i, j), entry in chart.metric.items():
-        jet = eval_jet(entry, points, chart.params, order)
-        g[:, i, j] = jet.val
-        if i != j:
-            g[:, j, i] = jet.val
-        if order >= 1:
-            dg[:, :, i, j] = jet.grad
-            if i != j:
-                dg[:, :, j, i] = jet.grad
-        if order >= 2:
-            h = 0.5 * (jet.hess + jet.hess.transpose(0, 2, 1))
-            d2g[:, :, :, i, j] = h
-            if i != j:
-                d2g[:, :, :, j, i] = h
-    return g, dg, d2g
+    rows = eval_jet(chart.metric_program, points, chart.params, order)
+    scatter = rows.tables.get(("metric", d))
+    if scatter is None:
+        scatter = rows.tables["metric", d] = _metric_scatter(chart.metric, rows, d)
+    (g_src, g_at), (dg_src, dg_at), (d2g_src, d2g_at) = scatter
+    g = np.zeros((n, d * d))
+    g[:, g_at] = rows.val[g_src].T
+    dg = d2g = None
+    if order >= 1:
+        dg = np.zeros((n, d ** 3))
+        dg[:, dg_at] = rows.grad[dg_src].T
+        dg = dg.reshape(n, d, d, d)
+    if order >= 2:
+        d2g = np.zeros((n, d ** 4))
+        d2g[:, d2g_at] = (0.5 * (rows.hess + rows.hess[rows.hess_swap]))[d2g_src].T
+        d2g = d2g.reshape(n, d, d, d, d)
+    return g.reshape(n, d, d), dg, d2g
+
+
+def _metric_scatter(metric, rows, d):
+    """(source row, flat position) arrays that put the stored jet rows of
+    the metric roots into g, dg and d2g, each entry at (i, j) and (j, i)."""
+    slots = list(metric)
+
+    def targets(index):
+        src, at = [], []
+        for k, (root, *axes) in enumerate(index):
+            i, j = slots[root]
+            for p, q in {(i, j), (j, i)}:
+                flat = 0
+                for a in (*axes, p, q):
+                    flat = flat * d + a
+                src.append(k)
+                at.append(flat)
+        return np.array(src, dtype=np.intp), np.array(at, dtype=np.intp)
+
+    return (targets([(r,) for r in range(len(slots))]),
+            targets(rows.grad_index.tolist()), targets(rows.hess_index.tolist()))
 
 
 def _cholesky_psd(g, chart, points):

@@ -13,10 +13,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .expr import eval_jet, parse
+from .expr import Program, eval_jet, parse
 from .quadrature import axis_rule, product_rule
 
 __all__ = ["VectorFieldSpec", "ZeroRecord", "IndexResult", "DegreeError",
@@ -58,14 +59,21 @@ class VectorFieldSpec:
                 raise ValueError(f"{chart_name}: need {chart.dim} components")
             self.parsed[chart_name] = exprs
 
+    @cached_property
+    def programs(self):
+        """One jet program per chart over its components, compiled on first use."""
+        return {name: Program(exprs) for name, exprs in self.parsed.items()}
+
     def values(self, chart_name, points, order=0):
         chart = self.atlas.chart(chart_name)
-        jets = [eval_jet(e, points, chart.params, order)
-                for e in self.parsed[chart_name]]
-        vals = np.column_stack([j.val for j in jets])
+        points = np.asarray(points, dtype=float)
+        rows = eval_jet(self.programs[chart_name], points, chart.params, order)
+        vals = rows.val.T.copy()
         if order == 0:
             return vals
-        grads = np.stack([j.grad for j in jets], axis=1)  # (N, comp, dx)
+        grads = np.zeros((len(points), len(rows.val), points.shape[1]))  # (N, comp, dx)
+        component, axis = rows.grad_index.T
+        grads[:, component, axis] = rows.grad.T
         return vals, grads
 
 
@@ -137,6 +145,10 @@ def find_zeros(fieldspec, scan_resolution=48, merge_tol=None):
     distinct zeros of one chart within 1.5 scan cells on every axis mean
     the scan does not isolate them (a curve or surface of zeros refines
     to one zero per scan point): DegreeError.
+    An exact tie between neighbouring scan points goes to the lower flat
+    index; the tied points are Newton starts too only on a chart where a
+    tie-broken start found a zero, so a plateau of a nowhere-zero field
+    costs one failed start.
     Returns (zeros, dropped) where dropped collects Newton failures
     (reported, not silently ignored).
     """
@@ -152,15 +164,21 @@ def find_zeros(fieldspec, scan_resolution=48, merge_tol=None):
         norms = np.linalg.norm(fieldspec.values(chart.name, pts), axis=1)
         grid = norms.reshape(shape)
         # local minima over the scan grid (interior in non-periodic axes)
-        for flat_idx in _local_minima(grid, chart.periodic):
+        minima, tied = _local_minima(grid, chart.periodic)
+        refined = {i: _newton_refine(fieldspec, chart.name, pts[i]) for i in minima}
+        if any(x is not None for x in refined.values()):
+            # a zero on this chart: start from every tied minimum as well, so
+            # coincident and non-isolated zeros still show
+            refined.update((i, _newton_refine(fieldspec, chart.name, pts[i]))
+                           for i in tied if i not in refined)
+        for flat_idx in sorted(refined):
             x0 = pts[flat_idx]
-            refined = _newton_refine(fieldspec, chart.name, x0)
-            if refined is None:
+            if refined[flat_idx] is None:
                 dropped.append((chart.name, x0))
                 log.warning("Newton did not converge from %s on %s; "
                             "candidate dropped", x0, chart.name)
                 continue
-            candidates.append((chart.name, refined))
+            candidates.append((chart.name, refined[flat_idx]))
     zeros = []
     for cname, x in candidates:
         tol = merge_tol if merge_tol is not None else 0.45 * cell[cname].min()
@@ -187,8 +205,12 @@ def find_zeros(fieldspec, scan_resolution=48, merge_tol=None):
 
 
 def _local_minima(grid, periodic):
-    """Strict local minima that are plausibly near a zero, as ascending flat indices.
+    """Local minima that are plausibly near a zero, as two lists of
+    ascending flat indices: ``(minima, tied)``.
 
+    ``tied`` holds every point that no neighbour undercuts; ``minima``
+    breaks exact ties between neighbours toward the lower flat index, so a
+    plateau of equal |X| gives one candidate, not one per scan point.
     A candidate must also be small compared to the spread across its own
     neighborhood, which rejects the everywhere-flat profile of a
     nowhere-zero field without losing steep genuine zeros.  Periodic axes
@@ -196,7 +218,9 @@ def _local_minima(grid, periodic):
     neither the comparison nor the spread.
     """
     is_min = np.ones(grid.shape, dtype=bool)
+    wins_ties = np.ones(grid.shape, dtype=bool)
     spread = np.zeros(grid.shape)
+    flat = np.arange(grid.size).reshape(grid.shape)
     for axis in range(grid.ndim):
         for step in (-1, 1):
             other = np.roll(grid, -step, axis=axis)  # other[i] = grid[i + step]
@@ -205,8 +229,10 @@ def _local_minima(grid, periodic):
                 edge[axis] = -1 if step == 1 else 0
                 other[tuple(edge)] = np.nan
             is_min &= ~(other < grid)
+            wins_ties &= ~((other == grid) & (np.roll(flat, -step, axis=axis) < flat))
             spread = np.fmax(spread, other - grid)
-    return np.flatnonzero(is_min & (grid < 4.0 * spread + 1e-9)).tolist()
+    tied = is_min & (grid < 4.0 * spread + 1e-9)
+    return np.flatnonzero(tied & wins_ties).tolist(), np.flatnonzero(tied).tolist()
 
 
 # --------------------------------------------------------------------------

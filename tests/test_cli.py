@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +191,50 @@ def test_cli_index_reports_dropped_candidates(tmp_path, capsys):
     assert abs(doc["dropped"][0]["x"][0]) < 0.2  # near the fake minimum
     code, doc = run_cli(capsys, "index", "--field", "morse", "--no-wall-time")
     assert code == 0 and doc["dropped"] == []
+
+
+def test_cli_index_plateau_gives_one_candidate(tmp_path, capsys):
+    """A nowhere-zero field whose |X| varies along x4 only: the lowest scan
+    layer is a plateau of exact ties, and it yields one Newton candidate."""
+    spec = """\
+schema: 1
+name: flat4
+dim: 4
+
+chart unit:
+  range x1: 0 1
+  range x2: 0 1
+  range x3: 0 1
+  range x4: 0 2*pi
+  g 1 1: 1
+  g 2 2: 1
+  g 3 3: 1
+  g 4 4: 1
+end
+
+field plateau:
+  type: vector
+  component unit 1: exp(x4)*exp(x4)
+  component unit 2: exp(0.5)
+  component unit 3: -1
+  component unit 4: 1
+end
+"""
+    code, doc = run_cli(capsys, "index", "--field", "plateau", "--manifold",
+                        write(tmp_path, "f.mspec", spec), "--scan", "8", "--no-wall-time")
+    assert code == 0 and doc["value"] == 0.0 and doc["zeros"] == []
+    assert len(doc["dropped"]) == 1
+
+
+def test_python_m_gaussbonnet_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "gaussbonnet", "index", "--field", "z",
+                           "--no-wall-time"], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == 2.0
 
 
 def test_cli_euler_class(capsys):
@@ -476,6 +524,9 @@ _DOMAIN_WEIGHT = SPHERE_SPEC.replace("  g 2 2: r^2*sin(x1)^2\n",
                                      "  g 2 2: r^2*sin(x1)^2\n  weight: log(x1-1)\n")
 _DOMAIN_COMPONENT = FIELD_SPEC.replace("component disk 1: x1", "component disk 1: log(x1)")
 _ZERO_PLANE = FIELD_SPEC.replace("component disk 1: x1", "component disk 1: 0")
+_DOMAIN_METRIC = SPHERE_SPEC.replace(
+    "  g 1 1: r^2\n  g 2 2: r^2*sin(x1)^2\n",
+    "  g 1 1: 2 + sin(x2)*log(x1 - 1)\n  g 2 2: sqrt(x1 - 1.5) + log(x1 - 1)\n")
 
 
 @pytest.mark.parametrize("text, argv, message", [
@@ -484,7 +535,9 @@ _ZERO_PLANE = FIELD_SPEC.replace("component disk 1: x1", "component disk 1: 0")
      "log of nonpositive"),
     (_ZERO_PLANE, ["index", "--field", "saddle", "--scan", "8", "--manifold"],
      "not isolated"),
-], ids=["weight-log", "component-log", "zero-line"])
+    (_DOMAIN_METRIC, ["verify-gbc", "--res", "8", "--manifold"],
+     "log of nonpositive value in subexpression 'log(x1-1)'"),
+], ids=["weight-log", "component-log", "zero-line", "metric-first-entry"])
 def test_cli_spec_expression_outside_domain_is_input_error(tmp_path, capsys, text,
                                                            argv, message):
     path = write(tmp_path, "bad.mspec", text)

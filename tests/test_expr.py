@@ -1,14 +1,21 @@
-"""Parser and jet-arithmetic checks against finite-difference oracles."""
+"""Parser and jet-arithmetic checks against finite-difference and dense-jet oracles."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaussbonnet.bundles import make_plane_bundle
 from gaussbonnet.expr import (
-    BinOp, Call, EvalDomainError, Num, ParseError, UnknownIdentifierError,
-    eval_jet, eval_jet2, eval_values, expr_to_str, parse, variable_support,
+    CONSTANTS, BinOp, Call, Const, EvalDomainError, Neg, Num, ParseError, Program,
+    UnknownIdentifierError, Var, eval_jet, eval_jet2, eval_values, expr_to_str, parse,
+    variable_support,
+)
+from gaussbonnet.geometry import Chart, metric_jets
+from gaussbonnet.library import (
+    build_field, build_manifold, field_names, manifold_names, stereo_pair_atlas,
 )
 
 
@@ -314,7 +321,6 @@ def expr_trees(draw, depth=3):
     if kind == 0:
         return BinOp(draw(st.sampled_from("+-*/^")), left, right)
     if kind == 1:
-        from gaussbonnet.expr import Neg
         return Neg(left)
     if kind == 2:
         return Call(draw(st.sampled_from(_FUNCS)), (left,))
@@ -335,3 +341,297 @@ def test_parser_total_on_junk(text):
         parse(text, ["x1", "x2"])
     except ParseError:
         pass  # positioned error is the contract; no other exception allowed
+
+
+# ------------------------------------------- dense jet arithmetic as oracle
+
+class _Dense(NamedTuple):
+    val: np.ndarray
+    grad: np.ndarray | None
+    hess: np.ndarray | None
+
+
+def _dense_add(a, b, sign=1.0):
+    return _Dense(a.val + sign * b.val,
+                  None if a.grad is None else a.grad + sign * b.grad,
+                  None if a.hess is None else a.hess + sign * b.hess)
+
+
+def _dense_mul(a, b):
+    grad = hess = None
+    if a.grad is not None:
+        grad = a.val[:, None] * b.grad + b.val[:, None] * a.grad
+    if a.hess is not None:
+        cross = a.grad[:, :, None] * b.grad[:, None, :]
+        hess = (a.val[:, None, None] * b.hess + b.val[:, None, None] * a.hess
+                + cross + cross.transpose(0, 2, 1))
+    return _Dense(a.val * b.val, grad, hess)
+
+
+def _dense_chain(a, f0, f1, f2):
+    grad = hess = None
+    if a.grad is not None:
+        grad = f1[:, None] * a.grad
+    if a.hess is not None:
+        outer = a.grad[:, :, None] * a.grad[:, None, :]
+        hess = f1[:, None, None] * a.hess + f2[:, None, None] * outer
+    return _Dense(f0, grad, hess)
+
+
+def _dense_sqrt_derivatives(v, rt):
+    with np.errstate(divide="ignore"):
+        return 0.5 / rt, -0.25 / (rt * v)
+
+
+_DENSE_UNARY = {
+    "sin": (np.sin, lambda v, s: (np.cos(v), -s)),
+    "cos": (np.cos, lambda v, c: (-np.sin(v), -c)),
+    "tan": (np.tan, lambda v, t: (sec2 := 1.0 + t * t, 2.0 * t * sec2)),
+    "exp": (np.exp, lambda v, ex: (ex, ex)),
+    "log": (np.log, lambda v, f: (inv := 1.0 / v, -inv * inv)),
+    "sqrt": (np.sqrt, _dense_sqrt_derivatives),
+    "sinh": (np.sinh, lambda v, sh: (np.cosh(v), sh)),
+    "cosh": (np.cosh, lambda v, ch: (np.sinh(v), ch)),
+    "tanh": (np.tanh, lambda v, th: (sech2 := 1.0 - th * th, -2.0 * th * sech2)),
+    "atan": (np.arctan, lambda v, f: (1.0 / (den := 1.0 + v * v), -2.0 * v / (den * den))),
+    "abs": (np.abs, lambda v, f: (np.sign(v), np.zeros_like(v))),
+    "1/": (lambda v: 1.0 / v, lambda v, inv: (-inv * inv, 2.0 * inv * inv * inv)),
+}
+
+
+def dense_jet(node, points, params, order):
+    """The pre-compiler evaluator: every node a dense (N, d) / (N, d, d) jet,
+    in the same IEEE operations; in-domain inputs only."""
+    n, d = points.shape
+
+    def const(value, rows=n):
+        return _Dense(np.full(rows, float(value)),
+                      np.zeros((rows, d)) if order >= 1 else None,
+                      np.zeros((rows, d, d)) if order >= 2 else None)
+
+    def unary(name, a):
+        f, derivatives = _DENSE_UNARY[name]
+        f0 = f(a.val)
+        return _Dense(f0, None, None) if order == 0 else _dense_chain(
+            a, f0, *derivatives(a.val, f0))
+
+    def power(node, a, b_node):
+        if not variable_support(b_node):
+            k = float(eval_values(b_node, np.zeros((1, 0)), params)[0])
+            if k == round(k) and abs(k) <= 1024:
+                k = int(round(k))
+                if k == 0:
+                    return const(1.0)
+                result, base, m = None, a, abs(k)
+                while m:
+                    if m & 1:
+                        result = base if result is None else _dense_mul(result, base)
+                    m >>= 1
+                    if m:
+                        base = _dense_mul(base, base)
+                return unary("1/", result) if k < 0 else result
+        return unary("exp", _dense_mul(rec(b_node), unary("log", a)))
+
+    def rec(node):
+        if isinstance(node, Num):
+            return const(node.value)
+        if isinstance(node, Const):
+            return const(CONSTANTS[node.name])
+        if isinstance(node, Var):
+            if node.index < 0:
+                return const(params[node.name])
+            jet = const(0.0)
+            if order >= 1:
+                jet.grad[:, node.index] = 1.0
+            return _Dense(points[:, node.index].astype(float), jet.grad, jet.hess)
+        if isinstance(node, Neg):
+            a = rec(node.operand)
+            return _Dense(-a.val, None if a.grad is None else -a.grad,
+                          None if a.hess is None else -a.hess)
+        if isinstance(node, Call) and node.func == "pow":
+            return power(node, rec(node.args[0]), node.args[1])
+        if isinstance(node, Call) and node.func == "atan2":
+            y, x = rec(node.args[0]), rec(node.args[1])
+            f0 = np.arctan2(y.val, x.val)
+            if order == 0:
+                return _Dense(f0, None, None)
+            r2 = x.val * x.val + y.val * y.val
+            fy, fx = x.val / r2, -y.val / r2
+            grad = fy[:, None] * y.grad + fx[:, None] * x.grad
+            hess = None
+            if order >= 2:
+                r4 = r2 * r2
+                fyy = -2.0 * x.val * y.val / r4
+                fxx = 2.0 * x.val * y.val / r4
+                fxy = (y.val * y.val - x.val * x.val) / r4
+                oyy = y.grad[:, :, None] * y.grad[:, None, :]
+                oxx = x.grad[:, :, None] * x.grad[:, None, :]
+                oyx = y.grad[:, :, None] * x.grad[:, None, :]
+                hess = (fy[:, None, None] * y.hess + fx[:, None, None] * x.hess
+                        + fyy[:, None, None] * oyy + fxx[:, None, None] * oxx
+                        + fxy[:, None, None] * (oyx + oyx.transpose(0, 2, 1)))
+            return _Dense(f0, grad, hess)
+        if isinstance(node, Call):
+            return unary(node.func, rec(node.args[0]))
+        a = rec(node.left)
+        if node.op == "^":
+            return power(node, a, node.right)
+        b = rec(node.right)
+        if node.op == "+":
+            return _dense_add(a, b)
+        if node.op == "-":
+            return _dense_add(a, b, sign=-1.0)
+        if node.op == "*":
+            return _dense_mul(a, b)
+        return _dense_mul(a, unary("1/", b))
+
+    return rec(node)
+
+
+def dense_metric_jets(chart, points, order):
+    """The per-entry metric_jets loop over `dense_jet`."""
+    n, d = points.shape
+    g = np.zeros((n, d, d))
+    dg = np.zeros((n, d, d, d)) if order >= 1 else None
+    d2g = np.zeros((n, d, d, d, d)) if order >= 2 else None
+    for (i, j), entry in chart.metric.items():
+        jet = dense_jet(entry, points, chart.params, order)
+        g[:, i, j] = g[:, j, i] = jet.val
+        if order >= 1:
+            dg[:, :, i, j] = dg[:, :, j, i] = jet.grad
+        if order >= 2:
+            d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = 0.5 * (jet.hess + jet.hess.transpose(0, 2, 1))
+    return g, dg, d2g
+
+
+def same_bits(a, b):
+    """Identical bytes, except that the sign of an exact zero may differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+
+def _chart_points(chart, rng, n=64):
+    lo, hi = np.array(chart.ranges, dtype=float).T
+    pad = 0.05 * (hi - lo)
+    return rng.uniform(lo + pad, hi - pad, size=(n, chart.dim))
+
+
+def _builtin_charts():
+    charts = [(name, c) for name in manifold_names() for c in build_manifold(name).atlas.charts]
+    charts += [("stereo", c) for c in stereo_pair_atlas().charts]
+    charts.append(("polar", Chart.from_strings(
+        "polar", 2, [(0.0, math.pi), (0.0, 2 * math.pi)], [False, True],
+        {(0, 0): "r^2", (1, 1): "r^2*sin(x1)^2"}, params={"r": 1.7})))
+    return charts
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_metric_jets_match_dense_oracle_bitwise(order):
+    rng = np.random.default_rng(12)
+    for name, chart in _builtin_charts():
+        pts = _chart_points(chart, rng)
+        got = metric_jets(chart, pts, order)
+        want = dense_metric_jets(chart, pts, order)
+        for k in range(order + 1):
+            assert same_bits(got[k], want[k]), (name, chart.name, k)
+        for row in (0, 17, 63):  # row k of a batch is its one-row call
+            one = metric_jets(chart, pts[row:row + 1], order)
+            for k in range(order + 1):
+                assert one[k].tobytes() == got[k][row:row + 1].tobytes(), (name, row, k)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_bundle_and_field_jets_match_dense_oracle_bitwise(order):
+    rng = np.random.default_rng(13)
+    for k in (-2, 1, 3):
+        bundle = make_plane_bundle(k)
+        for name in bundle.chart_names():
+            chart = bundle.atlas.chart(name)
+            pts = _chart_points(chart, rng)
+            for tree in (bundle.parsed_phi[name], bundle.parsed_rho[name]):
+                got, want = eval_jet(tree, pts, chart.params, order), dense_jet(
+                    tree, pts, chart.params, order)
+                for a, b in zip(got, want):
+                    assert (a is None and b is None) or same_bits(a, b), (k, name, tree)
+    fields = [build_field(name) for name in field_names() if name != "section_zk"]
+    fields += [build_field("section_zk", k=k) for k in (1, 2, 3)]
+    for field in fields:
+        for name, exprs in field.parsed.items():
+            chart = field.atlas.chart(name)
+            pts = _chart_points(chart, rng)
+            dense = [dense_jet(e, pts, chart.params, max(order, 1)) for e in exprs]
+            vals = field.values(name, pts, order=max(order, 1))
+            assert same_bits(vals[0], np.column_stack([j.val for j in dense])), field.name
+            assert same_bits(vals[1], np.stack([j.grad for j in dense], axis=1)), field.name
+            one = field.values(name, pts[5:6], order=1)
+            assert one[0].tobytes() == vals[0][5:6].tobytes()
+            assert one[1].tobytes() == vals[1][5:6].tobytes()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_random_expressions_match_dense_oracle_bitwise(order):
+    rng = np.random.default_rng(7)
+    variables = ["x1", "x2", "x3"]
+    for _ in range(150):
+        tree = parse(_random_expr(rng, 3), variables)
+        pts = rng.uniform(0.3, 1.2, size=(8, 3))
+        got, want = eval_jet(tree, pts, order=order), dense_jet(tree, pts, {}, order)
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or same_bits(a, b), expr_to_str(tree)
+
+
+@pytest.mark.parametrize("text", [
+    "atan2(x2, x1) - 3*atan2(x3, 2)", "x1/x2/x3 + 1/x2", "pow(x1, x2)*x3^0.5 + x1^r",
+    "abs(x1 - x2)*sqrt(x3) + tan(x1)*log(x2)", "x1^(r - 2)*x2^-3 + pi*e*r", "x1 - x1 + 0*x2",
+])
+def test_mixed_expressions_match_dense_oracle_bitwise(text):
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(0.3, 1.2, size=(16, 3))
+    tree = parse(text, ["x1", "x2", "x3"], ["r"])
+    for order in (0, 1, 2):
+        got = eval_jet(tree, pts, {"r": 2.5}, order)
+        want = dense_jet(tree, pts, {"r": 2.5}, order)
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or same_bits(a, b), (text, order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_chart_program_computes_each_subexpression_once(order):
+    chart = build_manifold("cp2").atlas.charts[0]
+    lines = chart.metric_program.variant(order, chart.params).source.splitlines()
+    assert sum("sin(x0)" in line for line in lines) == 1  # x0: the first coordinate
+    slot = next(line.split(" = ")[0].strip() for line in lines if "sin(x0)" in line)
+    assert sum(line.endswith(f"= ({slot} * {slot})") for line in lines) == 1
+
+
+def test_program_domain_error_names_first_entry_in_order():
+    """Two entries leave their domain: the error names the subexpression that
+    the entry-by-entry evaluation met first."""
+    chart = Chart.from_strings("c", 2, [(0.0, 2.0), (0.0, 1.0)], [False, False],
+                               {(0, 0): "2 + sin(x2)*log(x1 - 1)",
+                                (1, 1): "sqrt(x1 - 1.5) + log(x1 - 1)"})
+    with pytest.raises(EvalDomainError) as err:
+        metric_jets(chart, np.array([[1.7, 0.5], [0.5, 0.5]]), order=2)
+    assert str(err.value) == "log of nonpositive value in subexpression 'log(x1-1)'"
+    with pytest.raises(EvalDomainError) as err:
+        metric_jets(chart, np.array([[1.7, 0.5], [1.2, 0.5]]), order=0)
+    assert str(err.value) == "sqrt of negative value in subexpression 'sqrt(x1-1.5)'"
+
+
+def test_program_power_rule_matches_one_root_evaluation():
+    """A parameter exponent shared by several roots, and x1^(x2-x2) at x1 < 0,
+    take the power rule that the one-expression cases above pin down."""
+    names = ["x1", "x2"]
+    roots = [parse(text, names, ["k"]) for text in ("x1^k", "x1^k*x2 + 1", "pow(x1, k) - x2^k")]
+    pts = np.array([[-2.0, 0.7], [-0.5, -1.3]])
+    for order in (0, 1, 2):
+        rows = eval_jet(Program(roots), pts, {"k": 3.0}, order)
+        for r, root in enumerate(roots):
+            alone = eval_jet(root, pts, {"k": 3.0}, order)
+            assert rows.val[r].tobytes() == alone.val.tobytes()
+            assert rows.val[r].tobytes() == eval_jet(
+                parse(expr_to_str(root).replace("k", "3"), names), pts, order=order).val.tobytes()
+    mixed = Program([parse("1 + x2", names), parse("x1^(x2-x2)", names)])
+    assert eval_jet(mixed, np.array([[2.0, 0.3]])).val[1, 0] == 1.0
+    with pytest.raises(EvalDomainError, match="positive base"):
+        eval_jet(mixed, np.array([[2.0, 0.3], [-2.0, 0.3]]))

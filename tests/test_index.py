@@ -202,7 +202,7 @@ def test_section_direction_consistency():
     assert residual < 1e-10
 
 
-def _local_minima_loop(grid, periodic):
+def _local_minima_loop(grid, periodic, lower_index_wins_ties=False):
     """The cell-by-cell scan that `_local_minima` replaced, kept as its oracle."""
     shape = grid.shape
     out = []
@@ -221,7 +221,8 @@ def _local_minima_loop(grid, periodic):
                     continue
                 other = grid[tuple(j)]
                 spread = max(spread, other - val)
-                if other < val:
+                if other < val or (lower_index_wins_ties and other == val
+                                   and np.ravel_multi_index(j, shape) < flat_idx):
                     is_min = False
                     break
             if not is_min:
@@ -241,4 +242,6 @@ def test_local_minima_match_cell_loop():
         grid = rng.uniform(0.0, 2.0, size=shape)
         if trial % 2:
             grid = np.round(grid * 2) / 2  # ties
-        assert _local_minima(grid, periodic) == _local_minima_loop(grid, periodic)
+        minima, tied = _local_minima(grid, periodic)
+        assert tied == _local_minima_loop(grid, periodic)
+        assert minima == _local_minima_loop(grid, periodic, lower_index_wins_ties=True)
