@@ -10,14 +10,18 @@ One compiler turns a tuple of roots (a chart's metric entries, a field's
 components, or a single expression) into a `Program`: straight-line
 Python source, generated on first use per derivative order and parameter
 binding, and cached on its owner.  Each distinct subexpression is
-computed once, found by structural hashing of the frozen nodes, and each
-jet stores one (N,) array per axis it depends on for the gradient and
-one per (i, j) pair for the Hessian, so constants and one-variable terms
-carry no dense derivative blocks.  The operations keep the dense jet
-formulas' IEEE order, so only exact zeros can differ, in sign.  The
-source holds slot names, float and row-index literals and names bound in
-its own namespace, never text from a spec file; a domain error names the
-first subexpression, in evaluation order, that leaves its domain.
+computed once, found by structural hashing of the frozen nodes, and while
+compiling each jet keeps one (N,) array per axis it depends on for the
+gradient and one per (i, j) pair for the Hessian, so constants and
+one-variable terms carry no dense derivative blocks.  A root's Hessian is
+stored once per pair i <= j as 0.5 * (h_ij + h_ji), so it is symmetric
+to the bit.  The operations keep the dense jet formulas' IEEE order, so
+only exact zeros can differ, in sign.  `eval_jet` returns one dense `Jet`
+for a program or an expression; which stored row fills which dense
+position is a table private to this module.  The source holds slot
+names, float and row-index literals and names bound in its own
+namespace, never text from a spec file; a domain error names the first
+subexpression, in evaluation order, that leaves its domain.
 
 The power rule is settled at compile time: an exponent that reads no
 coordinate is constant across the batch, and an integral value k with
@@ -47,7 +51,7 @@ import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Const", "Neg", "BinOp", "Call",
-    "Jet", "Jet2", "JetRows", "Program", "ParseError", "UnknownIdentifierError",
+    "Jet", "Jet2", "Program", "ParseError", "UnknownIdentifierError",
     "EvalDomainError", "parse", "eval_jet2", "eval_jet", "eval_values", "expr_to_str",
     "variable_support",
 ]
@@ -366,29 +370,13 @@ class Jet2:
 
 
 class Jet(NamedTuple):
-    """Dense jet of one expression at N points: val (N,), grad (N, d) and
-    hess (N, d, d), each None above the evaluated order."""
+    """Dense jet at N points in d coordinates, each part None above the
+    evaluated order.  A program of K roots gives val (N, K), grad (N, d, K)
+    and hess (N, d, d, K); one expression gives the same without the K
+    axis.  hess equals its transpose bit for bit."""
     val: np.ndarray
     grad: np.ndarray | None
     hess: np.ndarray | None
-
-
-class JetRows(NamedTuple):
-    """Sparse jets of a program's roots at N points, one (N,) row per stored entry.
-
-    val[r] is root r.  grad[k] is d/dx_a of root r for (r, a) = grad_index[k];
-    hess[k] is d2/dx_i dx_j of root r for (r, i, j) = hess_index[k], and
-    hess[hess_swap[k]] is its (r, j, i) entry.  An entry not stored is zero.
-    The layout is fixed per compiled program, and ``tables`` is one dict
-    shared by all its evaluations, where callers keep what they derive from it.
-    """
-    val: np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray
-    grad_index: np.ndarray
-    hess_index: np.ndarray
-    hess_swap: np.ndarray
-    tables: dict
 
 
 def _sqrt_d1(rt):
@@ -470,22 +458,52 @@ class _Abort(Exception):
 
 
 class _Variant(NamedTuple):
-    run: Callable  # run(X, n) with X the (d, N) coordinates -> (K, N) rows
+    run: Callable  # run(X, n) with X the (d, N) coordinates -> (rows, N) array
     source: str
+    order: int
     roots: int
-    grad_index: np.ndarray
-    hess_index: np.ndarray
-    hess_swap: np.ndarray
-    tables: dict
+    rows: dict  # (r,) | (a, r) | (i, j, r) with i <= j -> its row; row 0 is 0.0
+    tables: dict  # d -> (val, grad, hess) gather tables, built on first use
+
+    def table(self, d):
+        """Source rows of the dense val, grad and hess in d coordinates."""
+        found = self.tables.get(d)
+        if found is None:
+            roots = range(self.roots)
+            keys = ([(r,) for r in roots],
+                    [(a, r) for a in range(d) for r in roots],
+                    [(min(i, j), max(i, j), r)
+                     for i in range(d) for j in range(d) for r in roots])
+            found = self.tables[d] = tuple(
+                np.array([self.rows.get(key, 0) for key in part], dtype=np.intp)
+                if k <= self.order else None for k, part in enumerate(keys))
+        return found
 
     def __call__(self, points):
         # one point runs the same source on numpy scalars, which round as
         # the batched arrays do and skip the array overhead of every op
-        coords = points[0] if len(points) == 1 else np.ascontiguousarray(points.T)
-        out = self.run(coords, len(points))
-        r, g = self.roots, self.roots + len(self.grad_index)
-        return JetRows(out[:r], out[r:g], out[g:], self.grad_index,
-                       self.hess_index, self.hess_swap, self.tables)
+        n, d = points.shape
+        coords = points[0] if n == 1 else np.ascontiguousarray(points.T)
+        rows = self.run(coords, n)
+        flat = []  # rows.T made C-contiguous, once, if a wide part needs it
+
+        def part(index, *axes):
+            # Each part is C-contiguous with the points first.  Up to 8
+            # columns it is gathered row-wise and then transposed; a wider
+            # part is taken from one transpose of all rows, since transposing
+            # a wide gathered block misses the cache.  Every table row
+            # exists, so "clip" only skips the bounds checks.
+            if len(index) <= 8:
+                out = np.ascontiguousarray(rows.take(index, axis=0, mode="clip").T)
+            else:
+                if not flat:
+                    flat.append(np.ascontiguousarray(rows.T))
+                out = flat[0].take(index, axis=1, mode="clip")
+            return out.reshape(n, *axes, self.roots)
+
+        val, grad, hess = self.table(d)
+        return Jet(part(val), None if grad is None else part(grad, d),
+                   None if hess is None else part(hess, d, d))
 
 
 class _Compiler:
@@ -729,33 +747,28 @@ class _Compiler:
         raise TypeError(f"not an Expr node: {node!r}")
 
     def program(self, roots):
-        """Compile ``roots`` into one function that fills a (K, N) row array."""
+        """Compile ``roots`` into one function that fills a (rows, N) array,
+        each distinct entry of their jets in one row."""
         try:
             syms = [self.compile(root) for root in roots]
         except _Abort as stop:
             self.lines.append(f"raise {stop.args[0]}()")
             syms = []
-        rows = [s.val for s in syms]
-        grad_index = [(r, k) for r, s in enumerate(syms) for k in s.grad]
-        rows += [syms[r].grad[k] for r, k in grad_index]
-        hess = [dict(s.hess) for s in syms]
-        for h in hess:  # store both orders of a slot, so hess_swap always resolves
-            for i, j in list(h):
-                h.setdefault((j, i), 0.0)
-        hess_index = [(r, i, j) for r, h in enumerate(hess) for i, j in sorted(h)]
-        rows += [hess[r][i, j] for r, i, j in hess_index]
-        position = {key: k for k, key in enumerate(hess_index)}
+        entries = {(r,): s.val for r, s in enumerate(syms)}
+        for r, s in enumerate(syms):
+            entries.update(((a, r), x) for a, x in s.grad.items())
+            for i, j in sorted({(min(p), max(p)) for p in s.hess}):
+                entries[i, j, r] = self.op("(0.5 * ({x} + {y}))",
+                                           x=s.hess.get((i, j), 0.0), y=s.hess.get((j, i), 0.0))
+        texts = {_lit(0.0): 0}
+        rows = {key: texts.setdefault(_lit(x), len(texts)) for key, x in entries.items()}
         if syms:
-            self.lines.append(f"O = empty(({len(rows)}, n))")
-            self.lines += [f"O[{k}] = {_lit(x)}" for k, x in enumerate(rows)]
+            self.lines.append(f"O = empty(({len(texts)}, n))")
+            self.lines += [f"O[{k}] = {text}" for text, k in texts.items()]
             self.lines.append("return O")
         source = "def run(X, n):\n" + "".join(f"    {line}\n" for line in self.lines)
         exec(compile(source, "<jet program>", "exec"), self.namespace)
-        return _Variant(self.namespace["run"], source, len(syms),
-                        np.array(grad_index, dtype=np.intp).reshape(-1, 2),
-                        np.array(hess_index, dtype=np.intp).reshape(-1, 3),
-                        np.array([position[r, j, i] for r, i, j in hess_index], dtype=np.intp),
-                        {})
+        return _Variant(self.namespace["run"], source, self.order, len(syms), rows, {})
 
 
 _UNBOUND = object()
@@ -798,11 +811,8 @@ def variable_support(node):
 
 
 def eval_jet(node, points, params=None, order=2):
-    """Batched evaluation at (N, d) ``points`` up to the given order.
-
-    An expression gives its dense :class:`Jet`; a :class:`Program` gives the
-    sparse :class:`JetRows` of all its roots from one run.
-    """
+    """The dense :class:`Jet` at (N, d) ``points`` up to the given order, of
+    all roots of a :class:`Program` from one run, or of one expression."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError("points must have shape (N, d)")
@@ -810,16 +820,8 @@ def eval_jet(node, points, params=None, order=2):
         return node.variant(order, params or {})(points)
     if not isinstance(node, Expr):
         raise TypeError(f"not an Expr node: {node!r}")
-    rows = node._program.variant(order, params or {})(points)
-    n, d = points.shape
-    grad = hess = None
-    if order >= 1:
-        grad = np.zeros((n, d))
-        grad[:, rows.grad_index[:, 1]] = rows.grad.T
-    if order >= 2:
-        hess = np.zeros((n, d, d))
-        hess[:, rows.hess_index[:, 1], rows.hess_index[:, 2]] = rows.hess.T
-    return Jet(rows.val[0], grad, hess)
+    jet = node._program.variant(order, params or {})(points)
+    return Jet(*(None if part is None else part[..., 0] for part in jet))
 
 
 def eval_values(node, points, params=None):
@@ -830,5 +832,4 @@ def eval_jet2(node, point, params=None):
     """Value, gradient and Hessian at a single point (spec-facing scalar API)."""
     point = np.asarray(point, dtype=float)
     jet = eval_jet(node, point[None, :], params, order=2)
-    hess = 0.5 * (jet.hess[0] + jet.hess[0].T)  # enforce exact symmetry
-    return Jet2(float(jet.val[0]), jet.grad[0].copy(), hess)
+    return Jet2(float(jet.val[0]), jet.grad[0], jet.hess[0])

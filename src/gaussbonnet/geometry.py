@@ -32,7 +32,7 @@ from itertools import islice
 
 import numpy as np
 
-from .expr import Expr, Program, eval_jet, parse, variable_support
+from .expr import Expr, Num, Program, eval_jet, parse, variable_support
 from .exterior import FormElement, SkewFormMatrix
 
 __all__ = [
@@ -126,9 +126,12 @@ class Chart:
 
     @cached_property
     def metric_program(self):
-        """One jet program for every metric entry, roots in `metric` order;
+        """One jet program over the d x d grid of metric entries in row-major
+        order, (j, i) the node of (i, j) and an absent entry Num(0.0);
         compiled on first evaluation."""
-        return Program(self.metric.values())
+        zero, d = Num(0.0), self.dim
+        return Program(self.metric.get((min(i, j), max(i, j)), zero)
+                       for i in range(d) for j in range(d))
 
 
 @dataclass(frozen=True)
@@ -204,44 +207,10 @@ def metric_jets(chart, points, order=2):
     """
     points = np.asarray(points, dtype=float)
     n, d = points.shape
-    rows = eval_jet(chart.metric_program, points, chart.params, order)
-    scatter = rows.tables.get(("metric", d))
-    if scatter is None:
-        scatter = rows.tables["metric", d] = _metric_scatter(chart.metric, rows, d)
-    (g_src, g_at), (dg_src, dg_at), (d2g_src, d2g_at) = scatter
-    g = np.zeros((n, d * d))
-    g[:, g_at] = rows.val[g_src].T
-    dg = d2g = None
-    if order >= 1:
-        dg = np.zeros((n, d ** 3))
-        dg[:, dg_at] = rows.grad[dg_src].T
-        dg = dg.reshape(n, d, d, d)
-    if order >= 2:
-        d2g = np.zeros((n, d ** 4))
-        d2g[:, d2g_at] = (0.5 * (rows.hess + rows.hess[rows.hess_swap]))[d2g_src].T
-        d2g = d2g.reshape(n, d, d, d, d)
-    return g.reshape(n, d, d), dg, d2g
-
-
-def _metric_scatter(metric, rows, d):
-    """(source row, flat position) arrays that put the stored jet rows of
-    the metric roots into g, dg and d2g, each entry at (i, j) and (j, i)."""
-    slots = list(metric)
-
-    def targets(index):
-        src, at = [], []
-        for k, (root, *axes) in enumerate(index):
-            i, j = slots[root]
-            for p, q in {(i, j), (j, i)}:
-                flat = 0
-                for a in (*axes, p, q):
-                    flat = flat * d + a
-                src.append(k)
-                at.append(flat)
-        return np.array(src, dtype=np.intp), np.array(at, dtype=np.intp)
-
-    return (targets([(r,) for r in range(len(slots))]),
-            targets(rows.grad_index.tolist()), targets(rows.hess_index.tolist()))
+    jet = eval_jet(chart.metric_program, points, chart.params, order)
+    return (jet.val.reshape(n, d, d),
+            None if jet.grad is None else jet.grad.reshape(n, d, d, d),
+            None if jet.hess is None else jet.hess.reshape(n, d, d, d, d))
 
 
 def _cholesky_psd(g, chart, points):

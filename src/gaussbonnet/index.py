@@ -67,14 +67,10 @@ class VectorFieldSpec:
     def values(self, chart_name, points, order=0):
         chart = self.atlas.chart(chart_name)
         points = np.asarray(points, dtype=float)
-        rows = eval_jet(self.programs[chart_name], points, chart.params, order)
-        vals = rows.val.T.copy()
+        jet = eval_jet(self.programs[chart_name], points, chart.params, order)
         if order == 0:
-            return vals
-        grads = np.zeros((len(points), len(rows.val), points.shape[1]))  # (N, comp, dx)
-        component, axis = rows.grad_index.T
-        grads[:, component, axis] = rows.grad.T
-        return vals, grads
+            return jet.val
+        return jet.val, jet.grad.transpose(0, 2, 1)  # grads[n, component, axis]
 
 
 @dataclass

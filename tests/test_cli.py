@@ -527,6 +527,9 @@ _ZERO_PLANE = FIELD_SPEC.replace("component disk 1: x1", "component disk 1: 0")
 _DOMAIN_METRIC = SPHERE_SPEC.replace(
     "  g 1 1: r^2\n  g 2 2: r^2*sin(x1)^2\n",
     "  g 1 1: 2 + sin(x2)*log(x1 - 1)\n  g 2 2: sqrt(x1 - 1.5) + log(x1 - 1)\n")
+_ROW_MAJOR_METRIC = SPHERE_SPEC.replace(  # entries compile in row-major order
+    "  g 1 1: r^2\n  g 2 2: r^2*sin(x1)^2\n",
+    "  g 2 2: sqrt(x1 - 1.5) + 1\n  g 1 1: 2 + log(x1 - 1)\n")
 
 
 @pytest.mark.parametrize("text, argv, message", [
@@ -537,7 +540,9 @@ _DOMAIN_METRIC = SPHERE_SPEC.replace(
      "not isolated"),
     (_DOMAIN_METRIC, ["verify-gbc", "--res", "8", "--manifold"],
      "log of nonpositive value in subexpression 'log(x1-1)'"),
-], ids=["weight-log", "component-log", "zero-line", "metric-first-entry"])
+    (_ROW_MAJOR_METRIC, ["verify-gbc", "--res", "8", "--manifold"],
+     "log of nonpositive value in subexpression 'log(x1-1)'"),
+], ids=["weight-log", "component-log", "zero-line", "metric-first-entry", "metric-row-major"])
 def test_cli_spec_expression_outside_domain_is_input_error(tmp_path, capsys, text,
                                                            argv, message):
     path = write(tmp_path, "bad.mspec", text)

@@ -401,7 +401,8 @@ _DENSE_UNARY = {
 
 def dense_jet(node, points, params, order):
     """The pre-compiler evaluator: every node a dense (N, d) / (N, d, d) jet,
-    in the same IEEE operations; in-domain inputs only."""
+    in the same IEEE operations, the Hessian symmetrised at the end as
+    0.5 * (H + H^T); in-domain inputs only."""
     n, d = points.shape
 
     def const(value, rows=n):
@@ -485,7 +486,10 @@ def dense_jet(node, points, params, order):
             return _dense_mul(a, b)
         return _dense_mul(a, unary("1/", b))
 
-    return rec(node)
+    jet = rec(node)
+    if jet.hess is None:
+        return jet
+    return _Dense(jet.val, jet.grad, 0.5 * (jet.hess + jet.hess.transpose(0, 2, 1)))
 
 
 def dense_metric_jets(chart, points, order):
@@ -500,7 +504,7 @@ def dense_metric_jets(chart, points, order):
         if order >= 1:
             dg[:, :, i, j] = dg[:, :, j, i] = jet.grad
         if order >= 2:
-            d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = 0.5 * (jet.hess + jet.hess.transpose(0, 2, 1))
+            d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = jet.hess
     return g, dg, d2g
 
 
@@ -580,6 +584,34 @@ def test_random_expressions_match_dense_oracle_bitwise(order):
             assert (a is None and b is None) or same_bits(a, b), expr_to_str(tree)
 
 
+def _symmetric(hess):
+    """hess equals its transpose in axes 1 and 2, byte for byte."""
+    return hess.tobytes() == hess.swapaxes(1, 2).tobytes()
+
+
+def test_hessians_are_symmetric_bitwise():
+    rng = np.random.default_rng(7)
+    for _ in range(150):
+        tree = parse(_random_expr(rng, 3), ["x1", "x2", "x3"])
+        assert _symmetric(eval_jet(tree, rng.uniform(0.3, 1.2, size=(8, 3))).hess), \
+            expr_to_str(tree)
+    for name, chart in _builtin_charts():
+        d2g = metric_jets(chart, _chart_points(chart, rng))[2]
+        assert _symmetric(d2g) and d2g.tobytes() == d2g.swapaxes(3, 4).tobytes(), name
+    programs = []
+    for k in (-2, 1, 3):
+        bundle = make_plane_bundle(k)
+        programs += [(tree, bundle.atlas.chart(name)) for name in bundle.chart_names()
+                     for tree in (bundle.parsed_phi[name], bundle.parsed_rho[name])]
+    fields = [build_field(name) for name in field_names() if name != "section_zk"]
+    fields += [build_field("section_zk", k=k) for k in (1, 2, 3)]
+    programs += [(field.programs[name], field.atlas.chart(name))
+                 for field in fields for name in field.parsed]
+    for program, chart in programs:
+        jet = eval_jet(program, _chart_points(chart, rng), chart.params)
+        assert _symmetric(jet.hess), (program, chart.name)
+
+
 @pytest.mark.parametrize("text", [
     "atan2(x2, x1) - 3*atan2(x3, 2)", "x1/x2/x3 + 1/x2", "pow(x1, x2)*x3^0.5 + x1^r",
     "abs(x1 - x2)*sqrt(x3) + tan(x1)*log(x2)", "x1^(r - 2)*x2^-3 + pi*e*r", "x1 - x1 + 0*x2",
@@ -625,13 +657,14 @@ def test_program_power_rule_matches_one_root_evaluation():
     roots = [parse(text, names, ["k"]) for text in ("x1^k", "x1^k*x2 + 1", "pow(x1, k) - x2^k")]
     pts = np.array([[-2.0, 0.7], [-0.5, -1.3]])
     for order in (0, 1, 2):
-        rows = eval_jet(Program(roots), pts, {"k": 3.0}, order)
+        jet = eval_jet(Program(roots), pts, {"k": 3.0}, order)
         for r, root in enumerate(roots):
             alone = eval_jet(root, pts, {"k": 3.0}, order)
-            assert rows.val[r].tobytes() == alone.val.tobytes()
-            assert rows.val[r].tobytes() == eval_jet(
+            for part, one in zip(jet, alone):  # root r is the last index
+                assert (part is None and one is None) or part[..., r].tobytes() == one.tobytes()
+            assert jet.val[:, r].tobytes() == eval_jet(
                 parse(expr_to_str(root).replace("k", "3"), names), pts, order=order).val.tobytes()
     mixed = Program([parse("1 + x2", names), parse("x1^(x2-x2)", names)])
-    assert eval_jet(mixed, np.array([[2.0, 0.3]])).val[1, 0] == 1.0
+    assert eval_jet(mixed, np.array([[2.0, 0.3]])).val[0, 1] == 1.0
     with pytest.raises(EvalDomainError, match="positive base"):
         eval_jet(mixed, np.array([[2.0, 0.3], [-2.0, 0.3]]))
