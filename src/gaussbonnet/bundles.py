@@ -6,7 +6,7 @@ counterclockwise) and an analytic partition of unity rho.  Two
 independent integral routes recover the clutching integer:
 
 * transition route: the 2-form -(1/2pi) d(rho_other d phi_other,this)
-  assembled from 2-jets of rho and phi;
+  assembled from 1-jets of rho and phi;
 * connection route: theta_this = sum_gamma rho_gamma d phi_gamma,this is
   a metric connection by construction, and -(1/2pi) d theta integrates to
   the same number (the d = 2 Pfaffian is the single curvature 2-form).
@@ -103,7 +103,7 @@ def euler_form_transition_batch(bundle, name, points):
     """
     chart = bundle.atlas.chart(name)
     points = np.asarray(points, dtype=float)
-    phi_jet = eval_jet(bundle.parsed_phi[name], points, chart.params, order=2)
+    phi_jet = eval_jet(bundle.parsed_phi[name], points, chart.params, order=1)
     # phi stored per chart is phi_{this,other}; the formula needs
     # phi_{other,this} = -phi_{this,other}
     dphi = -phi_jet.grad
@@ -125,22 +125,21 @@ def connection_and_curvature(bundle, name, points):
 
     theta_alpha = sum_gamma rho_gamma d phi_gamma,alpha, an SO(2) connection
     by construction (single angle entry of the skew matrix).  d theta =
-    d rho_beta ^ d phi_beta,alpha because d^2 phi = 0; assembled from 2-jets
+    d rho_beta ^ d phi_beta,alpha because d^2 phi = 0; assembled from 1-jets
     of theta's ingredients (independent of the transition route only in
     code path, equal as forms).
     """
     chart = bundle.atlas.chart(name)
     points = np.asarray(points, dtype=float)
-    phi_jet = eval_jet(bundle.parsed_phi[name], points, chart.params, order=2)
+    phi_jet = eval_jet(bundle.parsed_phi[name], points, chart.params, order=1)
     rho_val, drho = _rho_other_jets(bundle, name, points)
     theta = -rho_val[:, None] * phi_jet.grad  # d phi_other,this = -d phi_this,other
     dphi = -phi_jet.grad
-    hphi = -phi_jet.hess
     # d(rho dphi) coefficient of dx^dy:
-    #   d_x(rho phi_y) - d_y(rho phi_x) = rho_x phi_y - rho_y phi_x
-    #   (+ rho (phi_yx - phi_xy) = 0, kept for an honest jet assembly)
-    return theta, (drho[:, 0] * dphi[:, 1] - drho[:, 1] * dphi[:, 0]
-                   + rho_val * (hphi[:, 0, 1] - hphi[:, 1, 0]))
+    #   d_x(rho phi_y) - d_y(rho phi_x) = rho_x phi_y - rho_y phi_x,
+    # the term rho (phi_yx - phi_xy) being exactly 0: eval_jet's Hessian is
+    # symmetric to the bit
+    return theta, drho[:, 0] * dphi[:, 1] - drho[:, 1] * dphi[:, 0]
 
 
 def connection_form(bundle, name):

@@ -12,6 +12,7 @@ GBC_THREADS caps the quadrature worker pool.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -267,10 +268,9 @@ def _selftest_argvs():
 
 def cmd_selftest(args):
     """Quick-tier pass/fail matrix: one row per subcommand report."""
-    parser = build_parser()
     rows = []
     for argv in _selftest_argvs():
-        sub = parser.parse_args(argv)
+        sub = build_parser().parse_args(argv)
         report = sub.func(sub)
         rows.append({"check": argv, "value": report.value, "expected": report.expected,
                      "tolerance": report.tolerance, "passed": report.passed})
@@ -288,7 +288,10 @@ def cmd_selftest(args):
     ).finalize()
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The one parser of every CLI call, built on first use; parse_args
+    keeps no state between calls, each fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="gaussbonnet",
         description="Numerical verification of curvature-topology identities.")

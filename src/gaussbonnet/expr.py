@@ -9,7 +9,9 @@ arithmetic, batched over numpy arrays of evaluation points.
 One compiler turns a tuple of roots (a chart's metric entries, a field's
 components, or a single expression) into a `Program`: straight-line
 Python source, generated on first use per derivative order and parameter
-binding, and cached on its owner.  Each distinct subexpression is
+binding.  `shared_program` keeps one `Program` per tuple of roots for the
+whole process, so an equal chart, field or expression built later reuses
+the source compiled for the first.  Each distinct subexpression is
 computed once, found by structural hashing of the frozen nodes, and while
 compiling each jet keeps one (N,) array per axis it depends on for the
 gradient and one per (i, j) pair for the Hessian, so constants and
@@ -51,7 +53,7 @@ import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Const", "Neg", "BinOp", "Call",
-    "Jet", "Jet2", "Program", "ParseError", "UnknownIdentifierError",
+    "Jet", "Jet2", "Program", "shared_program", "ParseError", "UnknownIdentifierError",
     "EvalDomainError", "parse", "eval_jet2", "eval_jet", "eval_values", "expr_to_str",
     "variable_support",
 ]
@@ -94,7 +96,7 @@ class Expr:
     @cached_property
     def _program(self):
         """This node's one-root jet program; not a field, so not in eq/hash/repr."""
-        return Program((self,))
+        return shared_program((self,))
 
     @cached_property
     def _reads(self):
@@ -779,8 +781,10 @@ class Program:
 
     It is compiled on first use, once per derivative order and binding of
     the parameters the roots read (their values are folded in as
-    constants).  A subexpression shared by several roots, or repeated in
-    one, is computed once: frozen nodes hash and compare by structure.
+    constants, so a binding is keyed by the literal folded in, repr(float):
+    0.0 and -0.0 are two bindings).  A subexpression shared by several
+    roots, or repeated in one, is computed once: frozen nodes hash and
+    compare by structure.
     """
 
     def __init__(self, roots):
@@ -792,11 +796,26 @@ class Program:
         self._variants = {}
 
     def variant(self, order, params):
-        key = (order, *(params.get(name, _UNBOUND) for name in self.parameters))
+        key = (order, *(repr(float(params[name])) if name in params else _UNBOUND
+                        for name in self.parameters))
         found = self._variants.get(key)
         if found is None:
-            found = self._variants[key] = _Compiler(order, params).program(self.roots)
+            # fold constants with numpy's warnings off: an overflowing spec
+            # constant folds to inf without printing a warning ahead of the
+            # CLI's one error line
+            with np.errstate(all="ignore"):
+                found = self._variants[key] = _Compiler(order, params).program(self.roots)
         return found
+
+
+@lru_cache(maxsize=None)
+def shared_program(roots):
+    """The process-wide :class:`Program` of a tuple of roots.
+
+    Frozen nodes hash and compare by structure, so roots parsed again from
+    equal text find the program, and every variant, compiled for the first.
+    """
+    return Program(roots)
 
 
 def variable_support(node):

@@ -281,23 +281,26 @@ def pfaffian_terms(entry, d):
     Recursive first-row expansion, memoized on index subsets; entries
     commute because they are of even degree.  Zero coefficients are kept.
     """
-    memo = {(): {(): 1}}
+    return _pf_expand(tuple(range(d)), entry, {(): {(): 1}})
 
-    def pf(indices):
-        if indices not in memo:
-            i0, rest = indices[0], indices[1:]
-            acc = {}
-            for pos, j in enumerate(rest):
-                ent = entry(i0, j)
-                for idx1, c1 in pf(tuple(k for k in rest if k != j)).items():
-                    for idx2, c2 in ent.items():
-                        s, merged = merge_indices(idx2, idx1)
-                        if s:
-                            acc[merged] = acc.get(merged, 0) + ((-1) ** pos * s) * (c2 * c1)
-            memo[indices] = acc
-        return memo[indices]
 
-    return pf(tuple(range(d)))
+def _pf_expand(indices, entry, memo):
+    """`pfaffian_terms` of the rows and columns in `indices`.  A module-level
+    function, not a closure over itself: such a closure is a reference
+    cycle, which would keep `entry`'s arrays alive until the cyclic
+    collector runs."""
+    if indices not in memo:
+        i0, rest = indices[0], indices[1:]
+        acc = {}
+        for pos, j in enumerate(rest):
+            ent = entry(i0, j)
+            for idx1, c1 in _pf_expand(tuple(k for k in rest if k != j), entry, memo).items():
+                for idx2, c2 in ent.items():
+                    s, merged = merge_indices(idx2, idx1)
+                    if s:
+                        acc[merged] = acc.get(merged, 0) + ((-1) ** pos * s) * (c2 * c1)
+        memo[indices] = acc
+    return memo[indices]
 
 
 def pfaffian(a: SkewFormMatrix) -> FormElement:

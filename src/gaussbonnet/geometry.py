@@ -32,7 +32,7 @@ from itertools import islice
 
 import numpy as np
 
-from .expr import Expr, Num, Program, eval_jet, parse, variable_support
+from .expr import Expr, Num, eval_jet, parse, shared_program, variable_support
 from .exterior import FormElement, SkewFormMatrix
 
 __all__ = [
@@ -128,10 +128,10 @@ class Chart:
     def metric_program(self):
         """One jet program over the d x d grid of metric entries in row-major
         order, (j, i) the node of (i, j) and an absent entry Num(0.0);
-        compiled on first evaluation."""
+        compiled on first evaluation, once per process for equal entries."""
         zero, d = Num(0.0), self.dim
-        return Program(self.metric.get((min(i, j), max(i, j)), zero)
-                       for i in range(d) for j in range(d))
+        return shared_program(tuple(self.metric.get((min(i, j), max(i, j)), zero)
+                                    for i in range(d) for j in range(d)))
 
 
 @dataclass(frozen=True)

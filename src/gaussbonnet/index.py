@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import Program, eval_jet, parse
+from .expr import eval_jet, parse, shared_program
 from .quadrature import axis_rule, product_rule
 
 __all__ = ["VectorFieldSpec", "ZeroRecord", "IndexResult", "DegreeError",
@@ -61,8 +61,9 @@ class VectorFieldSpec:
 
     @cached_property
     def programs(self):
-        """One jet program per chart over its components, compiled on first use."""
-        return {name: Program(exprs) for name, exprs in self.parsed.items()}
+        """One jet program per chart over its components, compiled on first
+        use, once per process for equal components."""
+        return {name: shared_program(exprs) for name, exprs in self.parsed.items()}
 
     def values(self, chart_name, points, order=0):
         chart = self.atlas.chart(chart_name)

@@ -39,7 +39,8 @@ from .exterior import (BigradedElement, berezin_fiber, exp_nilpotent,
 from .geometry import metric_jets
 # integrate_chart is not called here; perfbench/smoke_test.py checks that
 # tracing rebinds this module's reference to it
-from .quadrature import integrate_atlas, integrate_chart, pairwise_sum, product_rule  # noqa: F401
+from .quadrature import (gauss_rule, integrate_atlas, integrate_chart,  # noqa: F401
+                         pairwise_sum, product_rule)
 
 __all__ = ["epsilon", "mq_form_point", "mq_fiber_integral_point",
            "mq_form_bundle", "mq_fiber_integral", "mq_zero_section_density",
@@ -63,7 +64,7 @@ def _hermite_plane(nodes):
     """Fiber-plane nodes v = sqrt(2) (t_i, t_j), ascending (i, j), and weights
     for the integral of f(v) dv; the integrands carry their own Gaussian,
     so the Hermite weight exp(-|t|^2) is divided out."""
-    rule = np.polynomial.hermite.hermgauss(nodes)
+    rule = gauss_rule("hermite", nodes)
     t, w = product_rule([rule, rule])
     return math.sqrt(2.0) * t, 2.0 * w * np.exp(t[:, 0] ** 2 + t[:, 1] ** 2)
 

@@ -17,6 +17,7 @@ nothing but the chart's metric and weight.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .geometry import metric_jets
 
-__all__ = ["axis_rule", "product_rule", "chart_nodes", "integrate_chart",
+__all__ = ["gauss_rule", "axis_rule", "product_rule", "chart_nodes", "integrate_chart",
            "integrate_atlas", "pairwise_sum", "worker_count"]
 
 
@@ -36,6 +37,23 @@ def worker_count():
         return 1
 
 
+_GAUSS = {"legendre": np.polynomial.legendre.leggauss,
+          "hermite": np.polynomial.hermite.hermgauss}
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_rule(family, n):
+    """Read-only reference nodes and weights of the n-point Gauss rule of
+    `family`, "legendre" on [-1, 1] or "hermite" for the weight exp(-t^2).
+
+    Built on first use and shared by every later call in the process.
+    """
+    rule = _GAUSS[family](n)
+    for part in rule:
+        part.setflags(write=False)
+    return rule
+
+
 def axis_rule(lo, hi, n, periodic):
     """Nodes and weights on one axis; open nodes in both rule families."""
     if periodic:
@@ -43,7 +61,7 @@ def axis_rule(lo, hi, n, periodic):
         x = lo + (np.arange(n) + 0.5) * h
         w = np.full(n, h)
         return x, w
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_rule("legendre", n)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return mid + half * x, half * w
 

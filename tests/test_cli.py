@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from gaussbonnet import cli
 from gaussbonnet.cli import main
 from gaussbonnet.gbc import verify_gbc
 from gaussbonnet.index import index_sum
@@ -375,6 +376,21 @@ def test_cli_out_of_range_spec_value_is_input_error(tmp_path, capsys, text, bad_
     assert code == 2 and doc is None
     assert f"{path}:{line}: " in run_cli.err and message in run_cli.err
     assert "Traceback" not in run_cli.err
+    assert run_cli.err.count("\n") == 1 and run_cli.err.endswith("\n")  # one stderr line
+
+
+def test_cli_overflowing_spec_constant_writes_one_stderr_line(tmp_path):
+    """Folding 2*1e308 to inf prints no numpy warning ahead of the error."""
+    path = write(tmp_path, "bad.mspec",
+                 SPHERE_SPEC.replace("range x1: 0 pi", "range x1: -2*1e308 0"))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "gaussbonnet", "verify-gbc", "--manifold",
+                           path], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}:8: range needs finite lo < hi")
 
 
 def test_cli_spec_metric_not_positive_definite_is_input_error(tmp_path, capsys):
@@ -400,6 +416,19 @@ def test_cli_csv_output(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "nodes,value"
     assert len(lines) == 4  # header + three refinement levels
+
+
+def test_cli_calls_in_a_row_share_one_parser_and_no_arguments(tmp_path, capsys):
+    csv_path = tmp_path / "table.csv"
+    code, first = run_cli(capsys, "heat", "--space", "t2", "--t", "0.25", "--tol", "0.5",
+                          "--csv", str(csv_path), "--no-wall-time")
+    assert code == 0 and csv_path.exists() and "wall_time" not in first
+    csv_path.unlink()
+    parser = cli.build_parser()
+    code, second = run_cli(capsys, "heat", "--space", "t2", "--t", "0.25")
+    assert code == 0 and cli.build_parser() is parser
+    assert not csv_path.exists() and "wall_time" in second
+    assert first["tolerance"] == 0.5 and second["tolerance"] == 1e-10  # the default
 
 
 def test_cli_selftest_all_builtins_pass(capsys):

@@ -11,7 +11,7 @@ from gaussbonnet.bundles import make_plane_bundle
 from gaussbonnet.expr import (
     CONSTANTS, BinOp, Call, Const, EvalDomainError, Neg, Num, ParseError, Program,
     UnknownIdentifierError, Var, eval_jet, eval_jet2, eval_values, expr_to_str, parse,
-    variable_support,
+    shared_program, variable_support,
 )
 from gaussbonnet.geometry import Chart, metric_jets
 from gaussbonnet.library import (
@@ -668,3 +668,41 @@ def test_program_power_rule_matches_one_root_evaluation():
     assert eval_jet(mixed, np.array([[2.0, 0.3]])).val[0, 1] == 1.0
     with pytest.raises(EvalDomainError, match="positive base"):
         eval_jet(mixed, np.array([[2.0, 0.3], [-2.0, 0.3]]))
+
+
+def test_equal_charts_fields_and_expressions_share_one_compiled_variant():
+    def polar():
+        return Chart.from_strings(
+            "polar", 2, [(0.0, math.pi), (0.0, 2 * math.pi)], [False, True],
+            {(0, 0): "r^2", (1, 1): "r^2*sin(x1)^2 + 0.375*cos(x2)^3"}, params={"r": 1.3})
+
+    first, second = polar(), polar()
+    assert first is not second and first.metric_program is second.metric_program
+    pts = np.random.default_rng(21).uniform(0.2, 2.8, size=(9, 2))
+    got = [metric_jets(chart, pts, 2) for chart in (first, second)]
+    assert (first.metric_program.variant(2, first.params)
+            is second.metric_program.variant(2, second.params))
+    fresh = eval_jet(Program(first.metric_program.roots), pts, first.params, 2)
+    for jets in got:
+        for part, want, shape in zip(jets, fresh, [(9, 2, 2), (9, 2, 2, 2), (9, 2, 2, 2, 2)]):
+            assert part.tobytes() == want.reshape(shape).tobytes()
+    fields = [build_field("morse"), build_field("morse")]
+    assert fields[0].programs["north"] is fields[1].programs["north"]
+    text = "atan2(x2, x1)*sqrt(1 + x1^2)"
+    trees = [parse(text, ["x1", "x2"]) for _ in range(2)]
+    assert trees[0] is not trees[1] and trees[0]._program is trees[1]._program
+    assert trees[0]._program is shared_program((parse(text, ["x1", "x2"]),))
+
+
+def test_signed_zero_parameters_compile_two_variants():
+    """0.0 == -0.0, but atan2 tells them apart: a binding is keyed by the
+    literal folded into the source, not by float equality."""
+    def chart(a):
+        return Chart.from_strings("c", 1, [(0.0, 1.0)], [False],
+                                  {(0, 0): "4 + atan2(a, -1)"}, params={"a": a})
+
+    plus, minus = chart(0.0), chart(-0.0)
+    assert plus.metric_program is minus.metric_program
+    pts = np.array([[0.5]])
+    assert metric_jets(plus, pts, 0)[0][0, 0, 0] == 4 + math.pi
+    assert metric_jets(minus, pts, 0)[0][0, 0, 0] == 4 - math.pi

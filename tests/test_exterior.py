@@ -1,6 +1,8 @@
 """Exterior/bigraded algebra: products, Pfaffians, Berezin, trace lemmas."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -145,6 +147,25 @@ def test_pfaffian_terms_on_array_coefficients(d):
     for k, m in enumerate(stack):
         want = pfaffian_numeric(m)
         assert abs(got[k] - want) <= 1e-14 * abs(want)
+
+
+def test_pfaffian_terms_frees_its_entries_on_return():
+    """The recursion holds no reference cycle, so the entry arrays of a
+    stack (riemann_frame in the curvature density) are freed at once, not
+    when the cyclic collector next runs."""
+    def entries(stack):
+        return lambda i, j: {(): stack[:, i, j]}
+
+    stack = np.array([random_skew(np.random.default_rng(3), 4) for _ in range(5)])
+    alive, entry = weakref.ref(stack), entries(stack)
+    del stack
+    gc.disable()
+    try:
+        pfaffian_terms(entry, 4)
+        del entry
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_pfaffian_rejects_odd_dimension():

@@ -9,7 +9,7 @@ import pytest
 from gaussbonnet.geometry import Chart
 from gaussbonnet.library import build_manifold, stereo_pair_atlas
 from gaussbonnet.quadrature import (
-    QuadratureError, axis_rule, chart_nodes, integrate_chart,
+    QuadratureError, axis_rule, chart_nodes, gauss_rule, integrate_chart,
     pairwise_sum, product_rule,
 )
 
@@ -50,6 +50,29 @@ def test_open_nodes_avoid_endpoints():
     assert x.min() > 0 and x.max() < math.pi
     x, _ = axis_rule(0.0, 1.0, 9, periodic=True)
     assert x.min() > 0 and x.max() < 1
+
+
+def test_gauss_rules_are_built_once_and_read_only():
+    for family, build in (("legendre", np.polynomial.legendre.leggauss),
+                          ("hermite", np.polynomial.hermite.hermgauss)):
+        x, w = gauss_rule(family, 12)
+        assert gauss_rule(family, 12)[0] is x
+        for part, fresh in zip((x, w), build(12)):
+            assert part.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 0.0
+
+
+@pytest.mark.parametrize("lo, hi, n", [(0.0, math.pi, 48), (-3.0, 3.0, 96),
+                                       (0.25, 0.5, 1), (-1.0, 2.0, 7)])
+def test_axis_rule_is_the_uncached_legendre_mapping_bitwise(lo, hi, n):
+    t, v = np.polynomial.legendre.leggauss(n)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    for _ in range(2):  # the first call fills the cache, the second reads it
+        x, w = axis_rule(lo, hi, n, False)
+        assert x.tobytes() == (mid + half * t).tobytes()
+        assert w.tobytes() == (half * v).tobytes()
+        x[0] = w[0] = 0.0  # the mapped rule is the caller's own copy
 
 
 def test_trapezoid_superalgebraic_on_trig():
