@@ -27,8 +27,9 @@ subexpression, in evaluation order, that leaves its domain.
 
 The power rule is settled at compile time: an exponent that reads no
 coordinate is constant across the batch, and an integral value k with
-|k| <= 1024 is repeated multiplication, so any base sign is legal; every
-other exponent is exp(b log a) and needs a positive base.
+|k| <= 1024 is repeated multiplication, so any base sign is legal; a
+constant that folds to NaN or +-inf is a domain error; every other
+exponent is exp(b log a) and needs a positive base.
 
 Grammar (whitespace insensitive)::
 
@@ -329,6 +330,8 @@ def _wrap(s, need):
 def expr_to_str(node):
     if isinstance(node, Num):
         v = node.value
+        if math.isinf(v):  # what parses to it; repr's "inf" would read as a name
+            return "1e999" if v > 0 else "-1e999"
         if v == int(v) and abs(v) < 1e16:
             return str(int(v))
         return repr(v)
@@ -696,6 +699,8 @@ class _Compiler:
         """The power rule of the module docstring; a constant exponent is a float."""
         b = self.compile(exponent)
         if isinstance(b.val, float):
+            if not math.isfinite(b.val):
+                raise _Abort(self.error("power needs a finite constant exponent", node))
             k = _integer_exponent(np.float64(b.val))
             if k is not None:
                 return self.int_power(a, k, node)

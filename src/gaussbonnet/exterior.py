@@ -47,11 +47,12 @@ def _nonzero(c):
     return c.any() if isinstance(c, np.ndarray) else c != 0
 
 
+@functools.lru_cache(maxsize=None)
 def merge_indices(a, b):
     """Concatenate two strictly increasing index tuples.
 
     Returns (sign, merged) with the merge-permutation parity, or (0, None)
-    when the tuples share an index.
+    when the tuples share an index.  A table filled on first use per pair.
     """
     if set(a) & set(b):
         return 0, None
@@ -292,13 +293,15 @@ def _pf_expand(indices, entry, memo):
     if indices not in memo:
         i0, rest = indices[0], indices[1:]
         acc = {}
+        sign = 1  # (-1)^pos
         for pos, j in enumerate(rest):
             ent = entry(i0, j)
-            for idx1, c1 in _pf_expand(tuple(k for k in rest if k != j), entry, memo).items():
+            for idx1, c1 in _pf_expand(rest[:pos] + rest[pos + 1:], entry, memo).items():
                 for idx2, c2 in ent.items():
                     s, merged = merge_indices(idx2, idx1)
                     if s:
-                        acc[merged] = acc.get(merged, 0) + ((-1) ** pos * s) * (c2 * c1)
+                        acc[merged] = acc.get(merged, 0) + (sign * s) * (c2 * c1)
+            sign = -sign
         memo[indices] = acc
     return memo[indices]
 

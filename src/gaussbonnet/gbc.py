@@ -1,9 +1,11 @@
 """Gauss-Bonnet integrand, evaluated two independent ways, and the
 curvature-integral checker.
 
-Route one builds the skew matrix of frame curvature 2-forms and takes its
-Pfaffian; route two evaluates the double-permutation curvature sum in
-orthonormal-frame components (where the metric determinant factor is 1).
+Route one takes the Pfaffian of the skew matrix of frame curvature
+2-forms, whose (a, b) entry is row (a, b) of the frame curvature block on
+Lambda^2 (`point_geometry_batch(...).curvature`); route two evaluates the
+double-permutation curvature sum over the full frame curvature tensor
+(where the metric determinant factor is 1).
 Both carry the same global constant, calibrated once so the unit 2-sphere
 density is +1/(2 pi); with this package's curvature sign convention
 (riemann_frame[0,1,0,1] = +1 on the unit sphere) the calibrated constant
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exterior import killing_double_sum, pfaffian, pfaffian_terms
-from .geometry import point_geometry, point_geometry_batch
+from .geometry import curvature_pairs, point_geometry, point_geometry_batch
 from .quadrature import integrate_atlas
 
 __all__ = [
@@ -42,9 +44,11 @@ def gb_density_pfaffian_batch(chart, points):
     d = chart.dim
     if d % 2:
         raise ValueError("even dimension required")
-    rf = point_geometry_batch(chart, points).riemann_frame
-    pairs = [(k, l) for k in range(d) for l in range(k + 1, d)]
-    coeff = pfaffian_terms(lambda a, b: {(k, l): rf[:, a, b, k, l] for k, l in pairs},
+    block = point_geometry_batch(chart, points).curvature
+    pairs = curvature_pairs(d)
+    row = {pair: k for k, pair in enumerate(pairs)}
+    coeff = pfaffian_terms(lambda a, b: {pair: block[:, row[a, b], col]
+                                         for col, pair in enumerate(pairs)},
                            d)[tuple(range(d))]
     return CALIBRATED_SIGN * (2 * math.pi) ** (-d / 2) * coeff
 
@@ -54,7 +58,7 @@ def gb_density_pfaffian(chart, x):
 
     Cross-checked against the generic exterior-algebra Pfaffian of the
     omega2 matrix in the test suite; both run exterior.pfaffian_terms, this
-    path on (N,) coefficient arrays taken straight from riemann_frame.
+    path on (N,) coefficient arrays taken straight from the curvature block.
     """
     return float(gb_density_pfaffian_batch(chart, np.asarray(x, dtype=float)[None, :])[0])
 

@@ -14,6 +14,12 @@ conventions, fixed once and consumed by the curvature-integral modules:
   triangular with positive diagonal, hence positively oriented.
 * omega2[a][b] = sum_{k<l} Rf[a,b,k,l] w^k ^ w^l in frame indices.
 
+Curvature lives on Lambda^2: `point_geometry_batch` builds the lowered
+tensor only on the index pairs a < b (`curvature_pairs`), a P x P block
+with P = d(d-1)/2, straight from the metric 2-jet and Gamma, and moves it
+to the frame with the second exterior power of the frame.  The densities
+read that block; the full 4-tensors are scattered from it when first read.
+
 Batched variants operate on (N, d) point arrays and return stacked
 tensors; the scalar API wraps batch size 1.  Geodesics and parallel
 transport share one batched RK4 integrator: geodesic, geodesic_transport
@@ -27,8 +33,9 @@ takes its step count from its own radius.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +44,7 @@ from .exterior import FormElement, SkewFormMatrix
 
 __all__ = [
     "Chart", "Atlas", "PointGeometry", "GeometryError",
-    "metric_jets", "point_geometry", "point_geometry_batch",
+    "metric_jets", "point_geometry", "point_geometry_batch", "curvature_pairs",
     "christoffels_at", "geodesic", "geodesic_transport", "parallel_transport",
     "NormalCoordinates",
 ]
@@ -242,21 +249,9 @@ def christoffels_at(chart, points):
     return _christoffels(np.linalg.inv(g), dg)[1]
 
 
-@dataclass
-class _BatchGeometry:
-    x: np.ndarray
-    g: np.ndarray
-    g_inv: np.ndarray
-    gamma: np.ndarray
-    riemann: np.ndarray
-    frame: np.ndarray
-    riemann_frame: np.ndarray
-    scalar_curvature: np.ndarray
-    sqrt_det_g: np.ndarray
-
-
 def _connection_jets(g_inv, dg, d2g):
-    """(gamma, dgamma) with dgamma[n,m,k,i,j] = d_m Gamma^k_{ij}.
+    """(gamma, dgamma) with dgamma[n,m,k,i,j] = d_m Gamma^k_{ij}, for the
+    Jacobi right-hand side of `_geodesic_flow`; curvature does not use it.
 
     The contractions are batched matmuls on reshaped tensors (the einsum
     equivalents are kept in comments; matmul is 2-3x faster here).
@@ -274,38 +269,122 @@ def _connection_jets(g_inv, dg, d2g):
     return gamma, dgamma
 
 
+@lru_cache(maxsize=None)
+def curvature_pairs(d):
+    """The index pairs (a, b), a < b, in row-major order: the rows and
+    columns of a curvature block in dimension d."""
+    return tuple((a, b) for a in range(d) for b in range(a + 1, d))
+
+
+class _PairTables(NamedTuple):
+    """Read-only index tables of the curvature block in dimension d, with
+    rows (r, s) and columns (m, v) from `curvature_pairs`."""
+    hess: np.ndarray     # (4, P, P) flat (d, d, d, d) Hessian positions of
+    #                      d_s d_m g_rv, d_r d_v g_sm, d_s d_v g_rm, d_r d_m g_sv
+    sym: np.ndarray      # (Q,) flat d x d positions (i, j), i <= j
+    quad: np.ndarray     # (2, P, P) flat (Q, Q) positions of q[ms, vr], q[vs, mr]
+    wedge: np.ndarray    # (4, P, P) flat d x d positions of F_rm, F_sv, F_rv, F_sm
+    scatter: np.ndarray  # (d, d) pair index of (a, b) or (b, a); P on the diagonal
+    sign: np.ndarray     # (d, d) 1.0 for a <= b, -1.0 for a > b
+
+
+@lru_cache(maxsize=None)
+def _pair_tables(d):
+    pairs = np.array(curvature_pairs(d), dtype=np.intp).reshape(-1, 2)
+    p = len(pairs)
+    r, s = pairs[:, 0, None], pairs[:, 1, None]
+    m, v = pairs[None, :, 0], pairs[None, :, 1]
+    lo, hi = np.triu_indices(d)
+    sym = np.empty((d, d), dtype=np.intp)
+    sym[lo, hi] = sym[hi, lo] = np.arange(len(lo))
+    scatter = np.full((d, d), p, dtype=np.intp)
+    scatter[pairs[:, 0], pairs[:, 1]] = scatter[pairs[:, 1], pairs[:, 0]] = np.arange(p)
+    tables = _PairTables(
+        hess=np.stack([((s * d + m) * d + r) * d + v, ((r * d + v) * d + s) * d + m,
+                       ((s * d + v) * d + r) * d + m, ((r * d + m) * d + s) * d + v]),
+        sym=lo * d + hi,
+        quad=np.stack([sym[m, s] * len(lo) + sym[v, r], sym[v, s] * len(lo) + sym[m, r]]),
+        wedge=np.stack([r * d + m, s * d + v, r * d + v, s * d + m]),
+        scatter=scatter,
+        sign=np.where(np.arange(d)[:, None] <= np.arange(d), 1.0, -1.0))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _scatter_pairs(block, d):
+    """The (N, d, d, d, d) tensor of a pair block:
+    t[a,b,c,e] = sign(a,b) sign(c,e) block[(a,b), (c,e)], 0 where a = b or c = e."""
+    tables = _pair_tables(d)
+    n, p = block.shape[:2]
+    padded = np.zeros((n, p + 1, p + 1))
+    padded[:, :p, :p] = block
+    idx, sign = tables.scatter, tables.sign
+    return (padded[:, idx[:, :, None, None], idx[None, None, :, :]]
+            * (sign[:, :, None, None] * sign[None, None, :, :]))
+
+
+@dataclass
+class _BatchGeometry:
+    """Batched geometry.  The densities read the frame block `curvature`;
+    the 4-tensors and the scalar curvature are built when first read."""
+    x: np.ndarray
+    g: np.ndarray
+    g_inv: np.ndarray
+    gamma: np.ndarray
+    frame: np.ndarray
+    sqrt_det_g: np.ndarray
+    coordinate_curvature: np.ndarray  # (N, P, P): R_rsmv, r < s, m < v
+    curvature: np.ndarray             # (N, P, P): R(e_a, e_b, e_c, e_e), a < b, c < e
+
+    @cached_property
+    def riemann(self):
+        return _scatter_pairs(self.coordinate_curvature, self.x.shape[1])
+
+    @cached_property
+    def riemann_frame(self):
+        return _scatter_pairs(self.curvature, self.x.shape[1])
+
+    @cached_property
+    def scalar_curvature(self):
+        # scal = sum_{a,b} Rf[a,b,a,b] = 2 sum_{a<b} Rf[a,b,a,b]
+        return 2.0 * np.trace(self.curvature, axis1=1, axis2=2)
+
+
 def point_geometry_batch(chart, points):
+    """Metric, frame and curvature at a batch of chart points.
+
+    The curvature block comes straight from the metric 2-jet, on index
+    pairs r < s, m < v only:
+    R_rsmv = 1/2 (d_s d_m g_rv + d_r d_v g_sm - d_s d_v g_rm - d_r d_m g_sv)
+             + 1/2 sum_h (t_hms Gamma^h_vr - t_hvs Gamma^h_mr),
+    with t from `_christoffels`; the sum is one matmul over the symmetric
+    pairs of its two index pairs.  The frame block is W^T R W with
+    W = Lambda^2 F, W[(r,s),(a,b)] = F_ra F_sb - F_rb F_sa.
+    """
     points = np.asarray(points, dtype=float)
     n, d = points.shape
     g, dg, d2g = metric_jets(chart, points, order=2)
     l = _cholesky_psd(g, chart, points)
     g_inv = np.linalg.inv(g)
     sqrt_det_g = np.prod(np.diagonal(l, axis1=1, axis2=2), axis=1)
-    gamma, dgamma = _connection_jets(g_inv, dg, d2g)
+    t, gamma = _christoffels(g_inv, dg)
+    tables = _pair_tables(d)
 
-    # R^r_{smv} = d_m Gamma^r_{vs} - d_v Gamma^r_{ms}
-    #             + Gamma^r_{ml} Gamma^l_{vs} - Gamma^r_{vl} Gamma^l_{ms}
-    gg = np.matmul(gamma.reshape(n, d * d, d), gamma.reshape(n, d, d * d))
-    gg = gg.reshape(n, d, d, d, d)  # gg[n,r,m,v,s] = Gamma^r_{ml} Gamma^l_{vs}
-    r_up = (dgamma.transpose(0, 2, 4, 1, 3) - dgamma.transpose(0, 2, 4, 3, 1)
-            + gg.transpose(0, 1, 4, 2, 3) - gg.transpose(0, 1, 4, 3, 2))
-    # riemann[n,i,s,k,l] = g_{ir} R^r_{skl}
-    riemann = np.matmul(g, r_up.reshape(n, d, d ** 3)).reshape(n, d, d, d, d)
+    h = d2g.reshape(n, d ** 4).take(tables.hess, axis=1)
+    # q[n, (m,s), (v,r)] = sum_h t[h,m,s] Gamma^h_{vr}
+    q = np.matmul(t.reshape(n, d, d * d).take(tables.sym, axis=2).transpose(0, 2, 1),
+                  gamma.reshape(n, d, d * d).take(tables.sym, axis=2))
+    q = q.reshape(n, -1).take(tables.quad, axis=1)
+    coordinate = (0.5 * (h[:, 0] + h[:, 1] - h[:, 2] - h[:, 3])
+                  + 0.5 * (q[:, 0] - q[:, 1]))
 
     frame = np.linalg.inv(l).transpose(0, 2, 1)
-    # Rf[a,b,c,e] = R[i,j,k,l] F[i,a] F[j,b] F[k,c] F[l,e]: contract one
-    # index per round, rolling the fresh frame index to the back
-    ft = frame.transpose(0, 2, 1)
-    x = riemann
-    for _ in range(4):
-        y = np.matmul(ft, x.reshape(n, d, d ** 3))
-        x = y.reshape(n, d, d, d, d).transpose(0, 2, 3, 4, 1)
-    riemann_frame = np.ascontiguousarray(x)
-    # scal = g^{ik} g^{jl} R_{ijkl}
-    tmp = np.matmul(g_inv, riemann.reshape(n, d, d ** 3)).reshape(n, d, d, d, d)
-    scal = np.einsum("njl,nkjkl->n", g_inv, tmp, optimize=True)
-    return _BatchGeometry(points, g, g_inv, gamma, riemann, frame,
-                          riemann_frame, scal, sqrt_det_g)
+    f = frame.reshape(n, d * d).take(tables.wedge, axis=1)
+    wedge = f[:, 0] * f[:, 1] - f[:, 2] * f[:, 3]
+    curvature = np.matmul(np.matmul(wedge.transpose(0, 2, 1), coordinate), wedge)
+    return _BatchGeometry(points, g, g_inv, gamma, frame, sqrt_det_g,
+                          coordinate, curvature)
 
 
 def point_geometry(chart, x):

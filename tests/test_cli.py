@@ -556,6 +556,8 @@ _ZERO_PLANE = FIELD_SPEC.replace("component disk 1: x1", "component disk 1: 0")
 _DOMAIN_METRIC = SPHERE_SPEC.replace(
     "  g 1 1: r^2\n  g 2 2: r^2*sin(x1)^2\n",
     "  g 1 1: 2 + sin(x2)*log(x1 - 1)\n  g 2 2: sqrt(x1 - 1.5) + log(x1 - 1)\n")
+_NAN_EXPONENT = FIELD_SPEC.replace("component disk 1: x1", "component disk 1: x1^(1e999-1e999)")
+_INF_EXPONENT = FIELD_SPEC.replace("component disk 1: x1", "component disk 1: x1^1e999")
 _ROW_MAJOR_METRIC = SPHERE_SPEC.replace(  # entries compile in row-major order
     "  g 1 1: r^2\n  g 2 2: r^2*sin(x1)^2\n",
     "  g 2 2: sqrt(x1 - 1.5) + 1\n  g 1 1: 2 + log(x1 - 1)\n")
@@ -571,10 +573,16 @@ _ROW_MAJOR_METRIC = SPHERE_SPEC.replace(  # entries compile in row-major order
      "log of nonpositive value in subexpression 'log(x1-1)'"),
     (_ROW_MAJOR_METRIC, ["verify-gbc", "--res", "8", "--manifold"],
      "log of nonpositive value in subexpression 'log(x1-1)'"),
-], ids=["weight-log", "component-log", "zero-line", "metric-first-entry", "metric-row-major"])
+    (_NAN_EXPONENT, ["index", "--field", "saddle", "--scan", "8", "--manifold"],
+     "finite constant exponent in subexpression 'x1^(1e999-1e999)'"),
+    (_INF_EXPONENT, ["index", "--field", "saddle", "--scan", "8", "--manifold"],
+     "finite constant exponent in subexpression 'x1^1e999'"),
+], ids=["weight-log", "component-log", "zero-line", "metric-first-entry", "metric-row-major",
+        "nan-exponent", "inf-exponent"])
 def test_cli_spec_expression_outside_domain_is_input_error(tmp_path, capsys, text,
                                                            argv, message):
     path = write(tmp_path, "bad.mspec", text)
     code, doc = run_cli(capsys, *argv, path)
     assert code == 2 and doc is None
     assert run_cli.err.startswith(f"error: {path}: ") and message in run_cli.err
+    assert run_cli.err.count("\n") == 1

@@ -118,6 +118,8 @@ field f:
 end
 """
 
+_NAN_EXPONENT = _COMPONENT_LOG.replace("log(x1)", "x1^(1e999-1e999)")
+
 _SQRT_ZERO = """\
 schema: 1
 name: d
@@ -162,6 +164,7 @@ end
 @given(_spec_and_argv())
 @example((_WEIGHT_LOG, ["verify-gbc", "--res", "4"]))
 @example((_COMPONENT_LOG, ["index", "--field", "f", "--scan", "8"]))
+@example((_NAN_EXPONENT, ["index", "--field", "f", "--scan", "8"]))
 @example((_SQRT_ZERO, ["index", "--field", "f", "--scan", "8"]))  # infinite Jacobian
 @example((_ZERO_4D, ["index", "--field", "f", "--scan", "8"]))  # zeros everywhere
 def test_cli_contract_holds_for_any_spec(case):

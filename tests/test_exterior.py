@@ -1,6 +1,7 @@
 """Exterior/bigraded algebra: products, Pfaffians, Berezin, trace lemmas."""
 
 import gc
+import itertools
 import math
 import weakref
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from gaussbonnet.exterior import (
     _dp_table, BigradedElement, FormElement, SkewFormMatrix, berezin, berezin_fiber,
     dp_extend, dp_extend4, exp_nilpotent, killing_double_sum, lambda_basis,
-    patodi_coefficient, pfaffian, pfaffian_definition, pfaffian_numeric,
+    merge_indices, patodi_coefficient, pfaffian, pfaffian_definition, pfaffian_numeric,
     pfaffian_terms, supertrace, two_vector, wedge,
 )
 
@@ -98,6 +99,23 @@ def test_wedge_associative_random():
         assert (wedge(wedge(a, b), c) - wedge(a, wedge(b, c))).max_abs() < 1e-12
 
 
+def test_merge_indices_table_matches_the_inversion_count():
+    """The cached table gives the sign and merged tuple of the plain
+    inversion count for every pair of increasing tuples of indices below 6,
+    overlapping pairs included."""
+    def oracle(a, b):
+        if set(a) & set(b):
+            return 0, None
+        inversions = sum(1 for ai in a for bj in b if ai > bj)
+        return (-1) ** inversions, tuple(sorted(a + b))
+
+    tuples = [c for k in range(7) for c in itertools.combinations(range(6), k)]
+    for a in tuples:
+        for b in tuples:
+            assert merge_indices(a, b) == oracle(a, b)
+    assert merge_indices((0, 2), (1,)) is merge_indices((0, 2), (1,))
+
+
 # -------------------------------------------------------------- pfaffian
 
 def test_pfaffian_d2_is_top_right_entry():
@@ -151,7 +169,7 @@ def test_pfaffian_terms_on_array_coefficients(d):
 
 def test_pfaffian_terms_frees_its_entries_on_return():
     """The recursion holds no reference cycle, so the entry arrays of a
-    stack (riemann_frame in the curvature density) are freed at once, not
+    stack (the curvature block in the curvature density) are freed at once, not
     when the cyclic collector next runs."""
     def entries(stack):
         return lambda i, j: {(): stack[:, i, j]}
