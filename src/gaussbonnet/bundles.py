@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import eval_jet, parse
-from .geometry import metric_jets
 from .library import stereo_pair_atlas
-# integrate_chart is not called here; perfbench/smoke_test.py checks that
-# tracing rebinds this module's reference to it
+# metric_jets and integrate_chart are not called here; perfbench/smoke_test.py
+# checks that tracing rebinds this module's references to them
+from .geometry import metric_jets  # noqa: F401
 from .quadrature import integrate_atlas, integrate_chart  # noqa: F401
 
 __all__ = ["PlaneBundle", "make_plane_bundle", "euler_form_transition",
@@ -95,11 +95,10 @@ def _rho_other_jets(bundle, name, points):
 
 
 def euler_form_transition_batch(bundle, name, points):
-    """Transition-function Euler 2-form as a density against the base area.
+    """dx1 ^ dx2 coefficient of the transition-function Euler 2-form.
 
-    e|_alpha = -(1/2pi) d(rho_beta d phi_beta,alpha); the dx^dy coefficient
-    is the Jacobian-style pairing of the two gradients, divided by
-    sqrt(det g) so quadrature can multiply the volume back in.
+    e|_alpha = -(1/2pi) d(rho_beta d phi_beta,alpha); the coefficient is
+    the Jacobian-style pairing of the two gradients.
     """
     chart = bundle.atlas.chart(name)
     points = np.asarray(points, dtype=float)
@@ -109,9 +108,7 @@ def euler_form_transition_batch(bundle, name, points):
     dphi = -phi_jet.grad
     _, drho = _rho_other_jets(bundle, name, points)
     coeff = drho[:, 0] * dphi[:, 1] - drho[:, 1] * dphi[:, 0]
-    g = metric_jets(chart, points, order=0)[0]
-    sqrtg = np.sqrt(np.linalg.det(g))
-    return -(1.0 / (2 * math.pi)) * coeff / sqrtg
+    return -(1.0 / (2 * math.pi)) * coeff
 
 
 def euler_form_transition(bundle, name, x):
@@ -153,11 +150,8 @@ def connection_curvature(bundle, name, points):
 
 
 def curvature_density_batch(bundle, name, points):
-    """-(1/2pi) d theta_alpha as a density against the base area."""
-    points = np.asarray(points, dtype=float)
-    g = metric_jets(bundle.atlas.chart(name), points, order=0)[0]
-    return (-(1.0 / (2 * math.pi)) * connection_curvature(bundle, name, points)
-            / np.sqrt(np.linalg.det(g)))
+    """dx1 ^ dx2 coefficient of -(1/2pi) d theta_alpha."""
+    return -(1.0 / (2 * math.pi)) * connection_curvature(bundle, name, points)
 
 
 @dataclass

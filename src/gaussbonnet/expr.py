@@ -34,10 +34,13 @@ exponent is exp(b log a) and needs a positive base.
 Grammar (whitespace insensitive)::
 
     expr    := term { ("+"|"-") term }
-    term    := factor { ("*"|"/") factor }
-    factor  := unary [ "^" factor ]          # power binds tighter, right-assoc
-    unary   := "-" unary | primary
+    term    := unary { ("*"|"/") unary }
+    unary   := "-" unary | power
+    power   := primary [ "^" unary ]
     primary := NUMBER | IDENT | IDENT "(" expr { "," expr } ")" | "(" expr ")"
+
+As in Python, a unary minus binds looser than "^" on its left and "^" is
+right-associative: -x^2 is -(x^2), x^-2 is x^(-2) and 2^-1^2 is 2^(-(1^2)).
 
 `pi` and `e` are reserved constants.  Supported functions: sin, cos, tan,
 exp, log, sqrt, sinh, cosh, tanh, atan, atan2, abs, pow.
@@ -232,24 +235,24 @@ class _Parser:
         return node
 
     def parse_term(self):
-        node = self.parse_factor()
+        node = self.parse_unary()
         while self.peek()[0] in ("*", "/"):
             op = self.advance()[0]
-            node = BinOp(op, node, self.parse_factor())
-        return node
-
-    def parse_factor(self):
-        node = self.parse_unary()
-        if self.peek()[0] == "^":
-            self.advance()
-            node = BinOp("^", node, self.parse_factor())  # right-associative
+            node = BinOp(op, node, self.parse_unary())
         return node
 
     def parse_unary(self):
         if self.peek()[0] == "-":
             self.advance()
             return Neg(self.parse_unary())
-        return self.parse_primary()
+        return self.parse_power()
+
+    def parse_power(self):
+        node = self.parse_primary()
+        if self.peek()[0] == "^":
+            self.advance()
+            node = BinOp("^", node, self.parse_unary())  # right-associative
+        return node
 
     def parse_primary(self):
         tok = self.peek()
@@ -342,18 +345,14 @@ def expr_to_str(node):
     if isinstance(node, Call):
         return f"{node.func}({', '.join(expr_to_str(a) for a in node.args)})"
     if isinstance(node, Neg):
-        inner = expr_to_str(node.operand)
-        lv = _level(node.operand)
-        # parenthesize +,-,*,/ and ^ operands: "-x^2" would re-parse as (-x)^2
-        return "-" + _wrap(inner, lv < 3 or lv == 4)
+        return "-" + _wrap(expr_to_str(node.operand), _level(node.operand) < 3)
     if isinstance(node, BinOp):
         lv = _LEVEL[node.op]
         ls = expr_to_str(node.left)
         rs = expr_to_str(node.right)
         if node.op == "^":
-            # right-associative; the base slot is grammatically a `unary`, so
-            # anything but an atom or a unary minus needs parentheses
-            left = _wrap(ls, _level(node.left) < 5 and not isinstance(node.left, Neg))
+            # the base slot is a `primary` and the exponent slot a `unary`
+            left = _wrap(ls, _level(node.left) < 5)
             right = _wrap(rs, _level(node.right) < 3)
             return f"{left}^{right}"
         left = _wrap(ls, _level(node.left) < lv)

@@ -4,12 +4,13 @@ curvature-integral checker.
 Route one takes the Pfaffian of the skew matrix of frame curvature
 2-forms, whose (a, b) entry is row (a, b) of the frame curvature block on
 Lambda^2 (`point_geometry_batch(...).curvature`); route two evaluates the
-double-permutation curvature sum over the full frame curvature tensor
-(where the metric determinant factor is 1).
+double-permutation curvature sum over the full frame curvature tensor.
+Each multiplies its frame value by the Cholesky sqrt(det g) of the same
+`point_geometry_batch` call: a density is a dx^1 ^ ... ^ dx^d coefficient.
 Both carry the same global constant, calibrated once so the unit 2-sphere
-density is +1/(2 pi); with this package's curvature sign convention
-(riemann_frame[0,1,0,1] = +1 on the unit sphere) the calibrated constant
-is +(2 pi)^{-d/2}, frozen for all dimensions.
+Euler form is +1/(2 pi) dvol; with this package's curvature sign
+convention (riemann_frame[0,1,0,1] = +1 on the unit sphere) the calibrated
+constant is +(2 pi)^{-d/2}, frozen for all dimensions.
 
 The checker reports the finest level, with a bound on its error from a
 resolution ladder; it never extrapolates past the finest level.  It
@@ -34,8 +35,8 @@ __all__ = [
     "integrand_report", "IntegrandReport", "verify_gbc", "GbcResult",
 ]
 
-# Sign calibrated on the unit 2-sphere (density must come out +1/(2 pi),
-# so that the integral is +2); frozen for every even dimension.
+# Sign calibrated on the unit 2-sphere (the Euler form must come out
+# +1/(2 pi) dvol, so that the integral is +2); frozen for every even dimension.
 CALIBRATED_SIGN = 1.0
 
 
@@ -44,17 +45,18 @@ def gb_density_pfaffian_batch(chart, points):
     d = chart.dim
     if d % 2:
         raise ValueError("even dimension required")
-    block = point_geometry_batch(chart, points).curvature
+    geo = point_geometry_batch(chart, points)
+    block = geo.curvature
     pairs = curvature_pairs(d)
     row = {pair: k for k, pair in enumerate(pairs)}
     coeff = pfaffian_terms(lambda a, b: {pair: block[:, row[a, b], col]
                                          for col, pair in enumerate(pairs)},
                            d)[tuple(range(d))]
-    return CALIBRATED_SIGN * (2 * math.pi) ** (-d / 2) * coeff
+    return CALIBRATED_SIGN * (2 * math.pi) ** (-d / 2) * coeff * geo.sqrt_det_g
 
 
 def gb_density_pfaffian(chart, x):
-    """Scalar s with integrand = s * dvol at x, via the Pfaffian route.
+    """Scalar s with integrand = s dx^1 ^ ... ^ dx^d at x, via the Pfaffian route.
 
     Cross-checked against the generic exterior-algebra Pfaffian of the
     omega2 matrix in the test suite; both run exterior.pfaffian_terms, this
@@ -68,7 +70,7 @@ def gb_density_pfaffian_reference(chart, x):
     d = chart.dim
     pg = point_geometry(chart, x)
     coeff = pfaffian(pg.omega2).coefficient(tuple(range(d)))
-    return CALIBRATED_SIGN * (2 * math.pi) ** (-d / 2) * float(np.real(coeff))
+    return CALIBRATED_SIGN * (2 * math.pi) ** (-d / 2) * float(np.real(coeff)) * pg.sqrt_det_g
 
 
 def gb_density_aw_batch(chart, points):
@@ -77,15 +79,16 @@ def gb_density_aw_batch(chart, points):
     (2 pi)^{-d/2} / (2^d (d/2)!) sum_{s1, s2} sgn(s1) sgn(s2)
         prod_m Rf[s1(2m), s1(2m+1), s2(2m), s2(2m+1)]
     (exterior.killing_double_sum, "blocks" pairing) with the calibrated
-    global sign shared with the Pfaffian route.
+    global sign shared with the Pfaffian route, times sqrt(det g).
     """
     points = np.asarray(points, dtype=float)
     d = chart.dim
     if d % 2:
         raise ValueError("even dimension required")
-    rf = point_geometry_batch(chart, points).riemann_frame
+    geo = point_geometry_batch(chart, points)
     const = (2 * math.pi) ** (-d / 2) / (2 ** d * math.factorial(d // 2))
-    return CALIBRATED_SIGN * const * killing_double_sum(rf, "blocks")
+    return (CALIBRATED_SIGN * const * killing_double_sum(geo.riemann_frame, "blocks")
+            * geo.sqrt_det_g)
 
 
 def gb_density_aw(chart, x):
@@ -137,8 +140,8 @@ def verify_gbc(atlas, resolution=32, extrapolate=False, chunk=65536):
     Gauss-Legendre and the periodic rule converge geometrically on these
     analytic integrands, so no level beats the finest one.
 
-    The density, sqrt(det g) and the partition weight read nothing but the
-    chart's metric and weight expressions, so each chart is integrated only
+    The density (which carries sqrt(det g)) and the partition weight read
+    nothing but the chart's metric and weight expressions, so each chart is integrated only
     over its `support`: an axis that no expression reads is a coordinate
     Killing field and gets a single node.
     """

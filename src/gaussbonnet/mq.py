@@ -36,9 +36,9 @@ import numpy as np
 from .bundles import connection_and_curvature, connection_curvature
 from .exterior import (BigradedElement, berezin_fiber, exp_nilpotent,
                        merge_indices, pfaffian_numeric)
-from .geometry import metric_jets
-# integrate_chart is not called here; perfbench/smoke_test.py checks that
-# tracing rebinds this module's reference to it
+# metric_jets and integrate_chart are not called here; perfbench/smoke_test.py
+# checks that tracing rebinds this module's references to them
+from .geometry import metric_jets  # noqa: F401
 from .quadrature import (gauss_rule, integrate_atlas, integrate_chart,  # noqa: F401
                          pairwise_sum, product_rule)
 
@@ -139,20 +139,18 @@ def mq_fiber_integral(bundle, chart_name, base_x, nodes=40):
 
 
 def mq_zero_section_density(bundle, chart_name, points):
-    """Zero-section pullback of u as a density against the base area.
+    """dx1 ^ dx2 coefficient of the zero-section pullback of u.
 
     Pulled back along v = 0 the dv-terms die; what remains is the
     (dx1, dx2) coefficient, computed through the Berezin/exponential
     algebra (not through the Pfaffian shortcut).
     """
-    points = np.asarray(points, dtype=float)
     c = _thom(*_connection(bundle, chart_name, points), np.zeros(2)).coefficient((0, 1))
     residue = np.abs(np.imag(c)) > 1e-12 * (1 + np.abs(c))
     if np.any(residue):
         raise ArithmeticError(
             f"imaginary residue {np.imag(c)[residue][0]} in Euler density")
-    g = metric_jets(bundle.atlas.chart(chart_name), points, order=0)[0]
-    return np.real(c) / np.sqrt(np.linalg.det(g))
+    return np.real(c)
 
 
 def berezin_vs_pfaffian_residual(bundle, chart_name, base_x):

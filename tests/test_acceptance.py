@@ -27,7 +27,7 @@ from gaussbonnet.library import build_field, build_manifold
 from gaussbonnet.mq import (
     berezin_vs_pfaffian_residual, mq_euler_number, mq_fiber_integral,
 )
-from gaussbonnet.geometry import Chart, NormalCoordinates
+from gaussbonnet.geometry import Chart, NormalCoordinates, point_geometry_batch
 
 
 def announce(criterion, ok, detail):
@@ -87,7 +87,8 @@ def test_criterion_3_integrand_cross_check():
             pts = interior_points(rng, chart, 200)
             pf = gb_density_pfaffian_batch(chart, pts)
             aw = gb_density_aw_batch(chart, pts)
-            rel = np.abs(pf - aw) / (1.0 + np.abs(pf))
+            sqrt_det_g = point_geometry_batch(chart, pts).sqrt_det_g
+            rel = np.abs(pf - aw) / (sqrt_det_g + np.abs(pf))
             worst = max(worst, float(rel.max()))
     announce("criterion 3 (Pfaffian vs permutation-sum densities)",
              worst < 1e-9, f"worst relative discrepancy {worst:.2e}")

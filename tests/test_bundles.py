@@ -1,19 +1,22 @@
 """Plane-bundle Euler numbers: transition route vs connection route."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from gaussbonnet.bundles import (
-    connection_form, curvature_density_batch, euler_form_transition,
+    PlaneBundle, connection_form, curvature_density_batch, euler_form_transition,
     euler_form_transition_batch, generalized_gbc, make_plane_bundle,
     winding_of_phi,
 )
-from gaussbonnet.expr import eval_jet
+from gaussbonnet.expr import BinOp, Num, eval_jet
+from gaussbonnet.geometry import Atlas, metric_jets
 from gaussbonnet.library import (
     overlap_jacobian, stereo_overlap_maps, stereo_pair_atlas,
 )
+from gaussbonnet.mq import mq_zero_section_density
 from gaussbonnet.quadrature import integrate_chart
 
 
@@ -21,6 +24,11 @@ def annulus_points(rng, n, lo=0.7, hi=1.4):
     r = rng.uniform(lo, hi, n)
     th = rng.uniform(0, 2 * math.pi, n)
     return np.column_stack([r * np.cos(th), r * np.sin(th)])
+
+
+def sqrt_det_g(chart, pts):
+    """The Riemannian volume form's coefficient: integrates to the area."""
+    return np.sqrt(np.linalg.det(metric_jets(chart, pts, order=0)[0]))
 
 
 @pytest.mark.parametrize("sharpness", [0, -3])
@@ -75,14 +83,15 @@ def test_both_integrals_equal_k(k):
 
 
 def test_overlap_form_agreement():
-    """The transition 2-form is global: both charts see the same density."""
+    """The transition 2-form is global: the south coefficient pulls back to
+    the north one through the orientation-preserving overlap map."""
     b = make_plane_bundle(2)
     ab, _ = stereo_overlap_maps()
     rng = np.random.default_rng(2)
     for x in annulus_points(rng, 40):
         en = euler_form_transition(b, "north", x)
         es = euler_form_transition(b, "south", ab(x))
-        assert es == pytest.approx(en, rel=1e-9, abs=1e-12)
+        assert es * np.linalg.det(overlap_jacobian(x)) == pytest.approx(en, rel=1e-9, abs=1e-12)
 
 
 def test_connection_compatibility():
@@ -108,7 +117,27 @@ def test_curvature_globality():
     for x in annulus_points(rng, 40):
         cn = curvature_density_batch(b, "north", x[None, :])[0]
         cs = curvature_density_batch(b, "south", ab(x)[None, :])[0]
-        assert cs == pytest.approx(cn, rel=1e-9, abs=1e-12)
+        assert cs * np.linalg.det(overlap_jacobian(x)) == pytest.approx(cn, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_euler_coefficients_read_no_metric(k):
+    """The Euler forms are built from the clutching data alone: on a base
+    whose conformal factor is scaled by 4, every dx1 ^ dx2 coefficient keeps
+    its bits."""
+    atlas = stereo_pair_atlas()
+    scaled = Atlas(tuple(dataclasses.replace(c, metric={ij: BinOp("*", Num(4.0), e)
+                                                        for ij, e in c.metric.items()})
+                         for c in atlas.charts), atlas.identifications)
+    clutching = make_plane_bundle(k)
+    b, b4 = (PlaneBundle(k, a, clutching.phi, clutching.rho) for a in (atlas, scaled))
+    pts = annulus_points(np.random.default_rng(7), 30, 0.2, 2.8)
+    for name in ("north", "south"):
+        assert not np.array_equal(metric_jets(b.atlas.chart(name), pts, order=0)[0],
+                                  metric_jets(b4.atlas.chart(name), pts, order=0)[0])
+        for density in (euler_form_transition_batch, curvature_density_batch,
+                        mq_zero_section_density):
+            assert density(b, name, pts).tobytes() == density(b4, name, pts).tobytes()
 
 
 def test_partition_profile_independence():
@@ -144,8 +173,7 @@ def test_section_degree_matches_bundle_integral():
 def test_weighted_sphere_area():
     """Two-chart weighted atlas recovers the round area."""
     b = make_plane_bundle(0)
-    total = sum(integrate_chart(b.atlas.chart(n),
-                                lambda c, p: np.ones(len(p)), 96)
+    total = sum(integrate_chart(b.atlas.chart(n), sqrt_det_g, 96)
                 for n in ("north", "south"))
     assert total == pytest.approx(4 * math.pi, abs=1e-6)
 
@@ -158,8 +186,7 @@ def test_weight_violation_detected():
     mk = lambda name: Chart.from_strings(
         name, 2, [(-3.0, 3.0), (-3.0, 3.0)], [False, False],
         {(0, 0): conf, (1, 1): conf}, weight=bad_weight)
-    total = sum(integrate_chart(mk(n), lambda c, p: np.ones(len(p)), 64)
-                for n in ("north", "south"))
+    total = sum(integrate_chart(mk(n), sqrt_det_g, 64) for n in ("north", "south"))
     assert abs(total - 4 * math.pi) > 1.0
     # and the invariant check flags it
     ab, _ = stereo_overlap_maps()

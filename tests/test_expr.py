@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gaussbonnet.bundles import make_plane_bundle
 from gaussbonnet.expr import (
@@ -332,6 +332,59 @@ def expr_trees(draw, depth=3):
 def test_print_parse_roundtrip(tree):
     text = expr_to_str(tree)
     assert parse(text, ["x1", "x2"]) == tree
+
+
+@st.composite
+def _exponents(draw):
+    """An integer exponent slot: minus signs on a digit, maybe raised once more."""
+    text = "-" * draw(st.integers(0, 2)) + draw(st.sampled_from("12"))
+    if draw(st.booleans()):
+        text += "^" + "-" * draw(st.integers(0, 2)) + draw(st.sampled_from("12"))
+    return text
+
+
+_MATH = ["sin", "cos", "atan", "tanh"]
+
+
+@st.composite
+def spec_texts(draw, depth=3):
+    """Spec text mixing unary minus, powers, products and sums, unparenthesized."""
+    leaf = st.sampled_from(["x1", "x2", "2", "0.5", "pi", "e"])
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(leaf)
+    sub = spec_texts(depth=depth - 1)
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return f"{draw(sub)}{draw(st.sampled_from('+-*/'))}{draw(sub)}"
+    if kind == 1:
+        return "-" + draw(sub)
+    primary = draw(st.one_of(leaf, sub.map("({})".format),
+                             st.builds("{}({})".format, st.sampled_from(_MATH), sub)))
+    return primary if kind == 2 else f"{primary}^{draw(_exponents())}"
+
+
+@given(spec_texts(), st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)))
+@example("-x1^2", (3.0, 1.0))  # -9, as -x**2 in Python
+@example("exp(-x1^2)", (1.0, 1.0))
+@example("1 - -x1^2", (1.0, 1.0))
+@example("2^-1^2", (1.0, 1.0))  # 0.5
+@example("x1^-2*-x2^2", (2.0, 3.0))
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_spec_text_evaluates_as_python(text, x):
+    """Spec text means what the same text means in Python, with ^ -> ** and
+    the functions from math: the oracle for precedence and associativity."""
+    names = {"x1": x[0], "x2": x[1], "pi": math.pi, "e": math.e,
+             **{f: getattr(math, f) for f in _MATH + ["exp"]}}
+    try:
+        want = eval(text.replace("^", "**"), {"__builtins__": {}}, names)
+    except (ArithmeticError, TypeError, ValueError):
+        assume(False)  # outside the domain, or math fed a complex power: no oracle
+    assume(not isinstance(want, complex) and abs(want) < 1e12)
+    try:
+        got = eval_values(parse(text, ["x1", "x2"]), np.array([x]))[0]
+    except EvalDomainError:
+        assume(False)  # 0.0**0.5 is 0 in Python and a domain error here
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-9), text
 
 
 @given(st.text(alphabet="x12+-*/^()si n.ge,", max_size=24))

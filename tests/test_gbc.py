@@ -27,12 +27,14 @@ def interior_points(rng, chart, n):
 
 
 def test_unit_sphere_density_calibration():
-    """The frozen sign convention: unit 2-sphere density is +1/(2 pi)."""
+    """The frozen sign convention: the unit 2-sphere Euler form is
+    +1/(2 pi) dvol, so its dtheta ^ dphi coefficient is sin(theta)/(2 pi)."""
     chart = build_manifold("sphere2").atlas.charts[0]
     rng = np.random.default_rng(0)
     for x in interior_points(rng, chart, 8):
-        assert gb_density_pfaffian(chart, x) == pytest.approx(1 / (2 * math.pi), rel=1e-10)
-        assert gb_density_aw(chart, x) == pytest.approx(1 / (2 * math.pi), rel=1e-10)
+        want = math.sin(x[0]) / (2 * math.pi)
+        assert gb_density_pfaffian(chart, x) == pytest.approx(want, rel=1e-10)
+        assert gb_density_aw(chart, x) == pytest.approx(want, rel=1e-10)
 
 
 def test_flat_density_zero():
@@ -45,7 +47,8 @@ def test_radius_two_sphere4_density_constant():
     chart = build_manifold("sphere4", radius=2.0).atlas.charts[0]
     rng = np.random.default_rng(1)
     pts = interior_points(rng, chart, 12)
-    vals = gb_density_pfaffian_batch(chart, pts)
+    # the frame value: the Euler form against the Riemannian volume
+    vals = gb_density_pfaffian_batch(chart, pts) / point_geometry_batch(chart, pts).sqrt_det_g
     assert np.ptp(vals) < 1e-12 * abs(vals[0])
     # its integral must give chi = 2 (quadrature oracle below)
     atlas = build_manifold("sphere4", radius=2.0).atlas
@@ -60,7 +63,9 @@ def test_pfaffian_aw_pointwise_agreement(name):
     for chart in manifold.atlas.charts:
         for x in interior_points(rng, chart, 50):
             rep = integrand_report(chart, x)
-            assert rep.discrepancy < 1e-9 * (1.0 + abs(rep.pfaffian_density))
+            # 1e-9 (1 + |pf|) on the frame values, both scaled by sqrt(det g)
+            sqrt_det_g = point_geometry_batch(chart, x[None, :]).sqrt_det_g[0]
+            assert rep.discrepancy < 1e-9 * (sqrt_det_g + abs(rep.pfaffian_density))
 
 
 @pytest.mark.parametrize("name", ["sphere2", "bumpy_sphere", "sphere4", "cp2"])
@@ -141,7 +146,8 @@ def _aw_density_loop(chart, points):
     """The double permutation sum written out as a loop over (s1, s2)."""
     d = chart.dim
     perms = list(itertools.permutations(range(d)))
-    rf = point_geometry_batch(chart, points).riemann_frame
+    geo = point_geometry_batch(chart, points)
+    rf = geo.riemann_frame
     total = np.zeros(len(points))
     for s1 in perms:
         for s2 in perms:
@@ -150,7 +156,7 @@ def _aw_density_loop(chart, points):
                 prod *= rf[:, s1[2 * m], s1[2 * m + 1], s2[2 * m], s2[2 * m + 1]]
             total += (perm_sign(s1) * perm_sign(s2)) * prod
     const = (2 * math.pi) ** (-d / 2) / (2 ** d * math.factorial(d // 2))
-    return gbc.CALIBRATED_SIGN * const * total
+    return gbc.CALIBRATED_SIGN * const * total * geo.sqrt_det_g
 
 
 @pytest.mark.parametrize("name", ["sphere2", "torus2", "sphere4", "s2xs2", "cp2"])

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from gaussbonnet.geometry import Chart
+from gaussbonnet.geometry import Chart, metric_jets
 from gaussbonnet.library import build_manifold, stereo_pair_atlas
 from gaussbonnet.quadrature import (
     QuadratureError, axis_rule, chart_nodes, gauss_rule, integrate_chart,
@@ -29,13 +29,18 @@ def one(chart, pts):
     return np.ones(len(pts))
 
 
+def sqrt_det_g(chart, pts):
+    """The Riemannian volume form's coefficient: integrates to the area."""
+    return np.sqrt(np.linalg.det(metric_jets(chart, pts, order=0)[0]))
+
+
 def test_constant_on_flat_torus_exact():
     for n in (2, 5, 16):
         assert integrate_chart(flat_unit_torus(), one, n) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_sphere_area():
-    got = integrate_chart(polar_sphere(), one, 64)
+    got = integrate_chart(polar_sphere(), sqrt_det_g, 64)
     assert got == pytest.approx(4 * math.pi, abs=1e-8)
 
 
