@@ -2,7 +2,9 @@
 
 Everything here is sparse and exact over complex coefficients: wedge
 products with merge-permutation signs, Pfaffians of skew matrices whose
-entries are even-degree forms, Berezin integrals (projection onto the top
+entries are even-degree forms (one first-row expansion compiled once per
+dimension, walked on term maps by `pfaffian_terms` or on Python floats by
+`pfaffian_numeric`), Berezin integrals (projection onto the top
 exterior coefficient), nilpotent exponentials, derivation extensions of
 endomorphisms to antisymmetric powers (dense matrices, applied from one
 cached read-only table per (d, p) that holds all of the merge-sign
@@ -273,41 +275,62 @@ class SkewFormMatrix:
         return cls(d, ent)
 
 
+@functools.lru_cache(maxsize=None)
+def _pf_plan(d):
+    """The first-row expansion of a d x d Pfaffian, compiled once per d.
+
+    Nodes are the index subsets the expansion reaches, in evaluation
+    order: node 0 is the empty set, the last node is range(d), and every
+    node comes after the nodes it reads.  Node k is a tuple of steps
+    (i0, j, sub, sign): Pf(node k) = sum of sign * entry(i0, j) * Pf(node
+    sub), where i0 is the node's smallest index, j runs over the others
+    in increasing order with sign (-1)^pos, and sub is the node without
+    i0 and j.
+    """
+    if d % 2:
+        raise ValueError("Pfaffian needs even dimension")
+    levels = [[tuple(range(d))]]
+    while levels[-1][0]:
+        levels.append(sorted({s[1:p] + s[p + 1:] for s in levels[-1]
+                              for p in range(1, len(s))}))
+    subsets = [s for level in reversed(levels) for s in level]
+    node = {s: k for k, s in enumerate(subsets)}
+    return tuple(tuple((s[0], j, node[s[1:p] + s[p + 1:]], (-1) ** (p - 1))
+                       for p, j in enumerate(s[1:], 1))
+                 for s in subsets)
+
+
 def pfaffian_terms(entry, d):
     """Pfaffian of a d x d skew matrix of even forms, as {index tuple: coefficient}.
 
     entry(i, j), for i < j, returns matrix entry (i, j) as a map from
     strictly increasing index tuples to coefficients: scalars, or (N,)
-    arrays for a stack of N matrices sharing one sparsity pattern.
-    Recursive first-row expansion, memoized on index subsets; entries
-    commute because they are of even degree.  Zero coefficients are kept.
+    arrays for a stack of N matrices sharing one sparsity pattern.  Walks
+    `_pf_plan(d)` on term maps; entries commute because they are of even
+    degree.  entry is called at most once per pair, and nothing here holds
+    it or its maps once the walk returns (no reference cycle keeps a
+    stack's arrays alive until the cyclic collector runs).  Zero
+    coefficients are kept.
     """
-    return _pf_expand(tuple(range(d)), entry, {(): {(): 1}})
-
-
-def _pf_expand(indices, entry, memo):
-    """`pfaffian_terms` of the rows and columns in `indices`.  A module-level
-    function, not a closure over itself: such a closure is a reference
-    cycle, which would keep `entry`'s arrays alive until the cyclic
-    collector runs."""
-    if indices not in memo:
-        i0, rest = indices[0], indices[1:]
+    ents = {}
+    vals = [{(): 1}]
+    for steps in _pf_plan(d)[1:]:
         acc = {}
-        sign = 1  # (-1)^pos
-        for pos, j in enumerate(rest):
-            ent = entry(i0, j)
-            for idx1, c1 in _pf_expand(rest[:pos] + rest[pos + 1:], entry, memo).items():
+        for i0, j, sub, sign in steps:
+            ent = ents.get((i0, j))
+            if ent is None:
+                ent = ents[i0, j] = entry(i0, j)
+            for idx1, c1 in vals[sub].items():
                 for idx2, c2 in ent.items():
                     s, merged = merge_indices(idx2, idx1)
                     if s:
                         acc[merged] = acc.get(merged, 0) + (sign * s) * (c2 * c1)
-            sign = -sign
-        memo[indices] = acc
-    return memo[indices]
+        vals.append(acc)
+    return vals[-1]
 
 
 def pfaffian(a: SkewFormMatrix) -> FormElement:
-    """Pfaffian by recursive first-row expansion (see pfaffian_terms).
+    """Pfaffian by the compiled first-row expansion (see pfaffian_terms).
 
     Matches the permutation-sum definition (see pfaffian_definition).
     """
@@ -337,7 +360,9 @@ def pfaffian_definition(a: SkewFormMatrix) -> FormElement:
 
 
 def pfaffian_numeric(m) -> float:
-    """Pfaffian of a plain scalar skew matrix, by the pfaffian_terms recursion."""
+    """Pfaffian of a plain scalar skew matrix: `_pf_plan(d)` walked on
+    Python numbers, with the arithmetic of `pfaffian_terms` on one-term
+    maps, so the float equals the FormElement route's bit for bit."""
     m = np.asarray(m)
     d = m.shape[0]
     if d % 2:
@@ -345,7 +370,13 @@ def pfaffian_numeric(m) -> float:
     if m.shape != (d, d) or np.any(m + m.T != 0):
         raise ValueError("matrix must be exactly skew-symmetric")
     rows = m.tolist()
-    return float(pfaffian_terms(lambda i, j: {(): rows[i][j]}, d)[()].real)
+    vals = [1]
+    for steps in _pf_plan(d)[1:]:
+        acc = 0
+        for i0, j, sub, sign in steps:
+            acc = acc + sign * (rows[i0][j] * vals[sub])
+        vals.append(acc)
+    return float(vals[-1].real)
 
 
 def perm_sign(sigma):

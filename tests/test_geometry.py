@@ -1,6 +1,7 @@
 """Curvature, geodesics, transport and normal coordinates on model charts."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ def test_batch_invariants_every_builtin(name):
     random interior points of every built-in manifold."""
     from gaussbonnet.library import build_manifold
     manifold = build_manifold(name)
-    rng = np.random.default_rng(abs(hash(name)) % 2 ** 31)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     for chart in manifold.atlas.charts:
         cols = []
         for (lo, hi), per in zip(chart.ranges, chart.periodic):
