@@ -25,9 +25,16 @@ tensors; the scalar API wraps batch size 1.  Geodesics and parallel
 transport share one batched RK4 integrator: geodesic, geodesic_transport
 and parallel_transport are batch-of-one wrappers around it, and every
 geodesic row is wrapped on periodic axes and range-checked after every
-step.  Normal coordinates carry Jacobi fields through the same integrator,
-so dexp is exact rather than a difference quotient of exp, and each row
-takes its step count from its own radius.
+step.  Each integration evaluates in one batch what it knows before
+stepping: parallel_transport follows a prescribed path, so Gamma at all
+of its stage points is one christoffels_at call; a geodesic's own stages
+depend on its state, so each costs one run of the chart's order-1 metric
+program, bound once per integration.  Normal coordinates carry Jacobi
+fields, so dexp is exact rather than a difference quotient of exp.  The
+Jacobi equation is linear along a known geodesic, so the fields are a
+second pass: one order-2 metric jet batch on the finished geodesic's
+stage points, then RK4 on (J, J').  Each row takes its step count from
+its own radius.
 """
 
 from __future__ import annotations
@@ -243,10 +250,27 @@ def _christoffels(g_inv, dg):
     return t, 0.5 * np.matmul(g_inv, t.reshape(n, d, d * d)).reshape(n, d, d, d)
 
 
+def _christoffel_function(chart):
+    """Gamma at (N, d) rows: one program run, one inv and one `_christoffels`.
+
+    The chart's order-1 metric program is resolved once, here, so an RK4
+    stage that calls the result resolves nothing.  `christoffels_at` is
+    this function; every integrator stage uses it.
+    """
+    program = chart.metric_program.variant(1, chart.params)
+
+    def gamma(points):
+        n, d = points.shape
+        jet = program(points)
+        return _christoffels(np.linalg.inv(jet.val.reshape(n, d, d)),
+                             jet.grad.reshape(n, d, d, d))[1]
+
+    return gamma
+
+
 def christoffels_at(chart, points):
     """Batched Christoffel symbols Gamma^k_{ij} (order-1 metric jets only)."""
-    g, dg, _ = metric_jets(chart, points, order=1)
-    return _christoffels(np.linalg.inv(g), dg)[1]
+    return _christoffel_function(chart)(np.asarray(points, dtype=float))
 
 
 def _connection_jets(g_inv, dg, d2g):
@@ -402,25 +426,37 @@ def point_geometry(chart, x):
 # Geodesics and parallel transport (fixed-step classic RK4)
 # --------------------------------------------------------------------------
 
+def _stage_times(steps):
+    """The 2 steps + 1 times at which `_rk4` evaluates rhs: t_i, then
+    t_i + h/2 (twice) and t_i + h, which is t_{i+1} bit for bit (t += h)."""
+    h = 1.0 / steps
+    times = [0.0]
+    for _ in range(steps):
+        t = times[-1]
+        times += (t + 0.5 * h, t + h)
+    return times
+
+
 def _rk4(rhs, state, steps, project=None):
     """Classic RK4 over unit time on a tuple of (N, .) arrays.
 
-    rhs(t, state) returns the tuple of time derivatives; `project`, when
-    given, maps every new state back onto the domain (or raises).  Yields
-    the state after each step.
+    rhs(t, state) returns the tuple of time derivatives; it is called four
+    times per step, at the `_stage_times` t_i, t_i + h/2, t_i + h/2 and
+    t_{i+1}, in that order.  `project`, when given, maps every new state
+    back onto the domain (or raises).  Yields the state after each step.
     """
     h = 1.0 / steps
-    t = 0.0
-    for _ in range(steps):
+    times = _stage_times(steps)
+    for i in range(steps):
+        t, mid, end = times[2 * i:2 * i + 3]
         k1 = rhs(t, state)
-        k2 = rhs(t + 0.5 * h, tuple(s + 0.5 * h * k for s, k in zip(state, k1)))
-        k3 = rhs(t + 0.5 * h, tuple(s + 0.5 * h * k for s, k in zip(state, k2)))
-        k4 = rhs(t + h, tuple(s + h * k for s, k in zip(state, k3)))
+        k2 = rhs(mid, tuple(s + 0.5 * h * k for s, k in zip(state, k1)))
+        k3 = rhs(mid, tuple(s + 0.5 * h * k for s, k in zip(state, k2)))
+        k4 = rhs(end, tuple(s + h * k for s, k in zip(state, k3)))
         state = tuple(s + h / 6.0 * (a + 2 * b + 2 * c + e)
                       for s, a, b, c, e in zip(state, k1, k2, k3, k4))
         if project is not None:
             state = project(state)
-        t += h
         yield state
 
 
@@ -444,30 +480,29 @@ def _transport_rate(gamma, xdot, w, cotangent=False):
 def _geodesic_flow(chart, x, v, steps, w=None, cotangent=False, jacobi=None):
     """Geodesics from the rows of (x, v) over unit parameter time, optionally
     transporting the rows of w along them; yields (x, v[, w]) per step.
+    Periodic axes are wrapped and every row is range-checked after every
+    step.
 
     With `jacobi` (N, d, d) it carries Jacobi fields instead and yields
     (x, v, J, J'): the columns of J start at J(0) = 0, J'(0) = the columns
     of `jacobi` and obey the variation of the geodesic equation,
     J''^k = -(d_m Gamma^k_ab) J^m v^a v^b - 2 Gamma^k_ab v^a J'^b, so that
-    J(t) = (dx(t) / dv(0)) jacobi.  Their d Gamma comes from order-2 metric
-    jets, whose Gamma has the bits of christoffels_at, so x and v are the
-    same with or without them.  Periodic axes are wrapped and every row is
-    range-checked after every step.
+    J(t) = (dx(t) / dv(0)) jacobi.  That equation is linear in (J, J') with
+    coefficients read off the geodesic, so it is a second pass: the
+    geodesic is integrated first (with its range check) and the (x, v) of
+    its every RK4 stage recorded; one order-2 metric jet batch on those
+    4 steps N rows gives Gamma and d Gamma, whose Gamma has the bits of
+    christoffels_at; then (J, J') run through the same RK4 steps on row
+    slices of that batch.  The result is the one-pass integration's, bit
+    for bit.
     """
+    gamma_at = _christoffel_function(chart)
 
     def rhs(t, state):
         x, v, *w = state
-        gamma = christoffels_at(chart, x)
+        gamma = gamma_at(x)
         return (v, _transport_rate(gamma, v, v)) + tuple(
             _transport_rate(gamma, v, ww, cotangent) for ww in w)
-
-    def jacobi_rhs(t, state):
-        x, v, j, jp = state
-        g, dg, d2g = metric_jets(chart, x)
-        gamma, dgamma = _connection_jets(np.linalg.inv(g), dg, d2g)
-        jpp = (-np.einsum("nmkab,na,nb,nmc->nkc", dgamma, v, v, j)
-               - 2 * np.einsum("nkab,na,nbc->nkc", gamma, v, jp))
-        return v, _transport_rate(gamma, v, v), jp, jpp
 
     def project(state):
         x = chart.wrap(state[0])
@@ -475,10 +510,31 @@ def _geodesic_flow(chart, x, v, steps, w=None, cotangent=False, jacobi=None):
             raise GeometryError(f"path exits chart {chart.name!r} range at {x}")
         return (x,) + state[1:]
 
-    if jacobi is not None:
-        return _rk4(jacobi_rhs, (x, v, np.zeros_like(jacobi), jacobi), steps, project)
-    start = (x, v) if w is None else (x, v, w)
-    return _rk4(rhs, start, steps, project)
+    if jacobi is None:
+        return _rk4(rhs, (x, v) if w is None else (x, v, w), steps, project)
+
+    stages = []  # the (x, v) of every rhs call, in call order
+
+    def recorded(t, state):
+        stages.append(state)
+        return rhs(t, state)
+
+    path = list(_rk4(recorded, (x, v), steps, project))
+    xs, vs = (np.concatenate(part) for part in zip(*stages))
+    g, dg, d2g = metric_jets(chart, xs)
+    gamma, dgamma = _connection_jets(np.linalg.inv(g), dg, d2g)
+    starts = iter(range(0, len(xs), len(x)))
+
+    def jacobi_rhs(t, state):
+        j, jp = state
+        rows = slice(start := next(starts), start + len(x))
+        v = vs[rows]
+        jpp = (-np.einsum("nmkab,na,nb,nmc->nkc", dgamma[rows], v, v, j)
+               - 2 * np.einsum("nkab,na,nbc->nkc", gamma[rows], v, jp))
+        return jp, jpp
+
+    fields = _rk4(jacobi_rhs, (np.zeros_like(jacobi), jacobi), steps)
+    return (state + field for state, field in zip(path, fields))
 
 
 def _arc_length_start(chart, x0, v0, arc_length, steps):
@@ -529,13 +585,17 @@ def parallel_transport(chart, path, w0, steps=1000, cotangent=False):
 
     Solves wdot^k + Gamma^k_ij xdot^i w^j = 0 (sign-flipped for cotangent
     vectors) with classic RK4; the path parametrization carries the speed.
+    The path is known in advance, so it is read at the 2 steps + 1 stage
+    times first and Gamma comes from one christoffels_at call on them.
     """
+    times = _stage_times(steps)
+    xs, xds = (np.array(part, dtype=float) for part in zip(*map(path, times)))
+    gamma = christoffels_at(chart, xs)  # every stage point, one batch
+    rows = {t: k for k, t in enumerate(times)}
 
     def rhs(t, state):
-        x, xd = path(t)
-        gamma = christoffels_at(chart, np.asarray(x, dtype=float)[None, :])
-        return (_transport_rate(gamma, np.asarray(xd, dtype=float)[None, :],
-                                state[0], cotangent),)
+        k = rows[t]
+        return (_transport_rate(gamma[k:k + 1], xds[k:k + 1], state[0], cotangent),)
 
     (w,) = _final(_rk4(rhs, (np.array(w0, dtype=float)[None, :],), steps))
     return w[0]

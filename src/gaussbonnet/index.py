@@ -294,10 +294,10 @@ def _sphere_degree(fieldspec, chart_name, center, radius, n_nodes=48):
     if norms.min() < 1e-13:
         raise DegreeError("field vanishes on the test sphere")
     u = vals / norms[:, None]
-    # du/dphi_a = (I - u u^T) (dX/dx) (dx/dphi_a) / |X|
+    # du/dphi_a = (I - u u^T) (dX/dx) (dx/dphi_a) / |X|; u is a row of the
+    # determinant, so the -u u^T part is a row operation and is left out
     dx = radius * de  # (n, m, d)
     du = np.einsum("nca,nma->nmc", grads, dx) / norms[:, None, None]
-    du = du - np.einsum("nmc,nc,nk->nmk", du, u, u)
     mats = np.concatenate([u[:, None, :], du], axis=1)  # rows: u, du_1.., du_m
     dets = np.linalg.det(mats)
     total = float(np.sum(dets * w))

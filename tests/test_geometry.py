@@ -6,12 +6,13 @@ import zlib
 import numpy as np
 import pytest
 
+from gaussbonnet import geometry
 from gaussbonnet.expr import eval_jet
 from gaussbonnet.library import build_manifold
 from gaussbonnet.geometry import (
-    Chart, GeometryError, NormalCoordinates, _connection_jets, christoffels_at, geodesic,
-    geodesic_batch, geodesic_transport, metric_jets, parallel_transport, point_geometry,
-    point_geometry_batch,
+    Chart, GeometryError, NormalCoordinates, _christoffels, _connection_jets, christoffels_at,
+    geodesic, geodesic_batch, geodesic_transport, metric_jets, parallel_transport,
+    point_geometry, point_geometry_batch,
 )
 
 
@@ -394,6 +395,92 @@ def test_cotangent_transport_pairs_with_tangent():
     assert a1 @ w1 == pytest.approx(a0 @ w0, rel=1e-9)
 
 
+# The one-row RK4 loops that the batched integrators replace, written out
+# as oracles: classic RK4 with t += h, Gamma from a one-row order-1 metric
+# jet at every stage, and the Jacobi fields interleaved with the geodesic.
+
+def _rk4_oracle(rhs, state, steps, project=lambda state: state):
+    h = 1.0 / steps
+    t = 0.0
+    for _ in range(steps):
+        k1 = rhs(t, state)
+        k2 = rhs(t + 0.5 * h, tuple(s + 0.5 * h * k for s, k in zip(state, k1)))
+        k3 = rhs(t + 0.5 * h, tuple(s + 0.5 * h * k for s, k in zip(state, k2)))
+        k4 = rhs(t + h, tuple(s + h * k for s, k in zip(state, k3)))
+        state = project(tuple(s + h / 6.0 * (a + 2 * b + 2 * c + e)
+                              for s, a, b, c, e in zip(state, k1, k2, k3, k4)))
+        t += h
+        yield state
+
+
+def _one_row_gamma(chart, x):
+    g, dg, _ = metric_jets(chart, x, order=1)
+    return _christoffels(np.linalg.inv(g), dg)[1]
+
+
+def _per_stage_transport(chart, path, w0, steps, cotangent):
+    def rhs(t, state):
+        x, xd = path(t)
+        gamma = _one_row_gamma(chart, np.asarray(x, dtype=float)[None, :])
+        xd = np.asarray(xd, dtype=float)[None, :]
+        if cotangent:
+            return (np.einsum("nkij,ni,nk->nj", gamma, xd, state[0]),)
+        return (-np.einsum("nkij,ni,nj->nk", gamma, xd, state[0]),)
+
+    for (w,) in _rk4_oracle(rhs, (np.array(w0, dtype=float)[None, :],), steps):
+        pass
+    return w[0]
+
+
+def _interleaved_jacobi_flow(chart, x, v, steps, jacobi):
+    def rhs(t, state):
+        x, v, j, jp = state
+        g, dg, d2g = metric_jets(chart, x)
+        gamma, dgamma = _connection_jets(np.linalg.inv(g), dg, d2g)
+        jpp = (-np.einsum("nmkab,na,nb,nmc->nkc", dgamma, v, v, j)
+               - 2 * np.einsum("nkab,na,nbc->nkc", gamma, v, jp))
+        return v, -np.einsum("nkij,ni,nj->nk", gamma, v, v), jp, jpp
+
+    def project(state):
+        x = chart.wrap(state[0])
+        assert chart.contains(x)
+        return (x,) + state[1:]
+
+    return _rk4_oracle(rhs, (x, v, np.zeros_like(jacobi), jacobi), steps, project)
+
+
+def _straight_path(chart, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(chart.ranges).T
+    x0 = lo + (hi - lo) * (0.4 + 0.2 * rng.random(chart.dim))
+    step = 0.3 * rng.normal(size=chart.dim)
+    return (lambda t: (x0 + t * step, step)), rng.normal(size=chart.dim)
+
+
+@pytest.mark.parametrize("name", ["sphere4", "cp2"])
+@pytest.mark.parametrize("cotangent", [False, True])
+def test_parallel_transport_is_the_per_stage_loop_bitwise(name, cotangent):
+    chart = build_manifold(name).atlas.charts[0]
+    path, w0 = _straight_path(chart, zlib.crc32(name.encode()))
+    for steps in (1, 7, 100):
+        want = _per_stage_transport(chart, path, w0, steps, cotangent)
+        assert np.array_equal(parallel_transport(chart, path, w0, steps, cotangent), want)
+
+
+def test_parallel_transport_reads_gamma_in_one_batch(monkeypatch):
+    chart = build_manifold("cp2").atlas.charts[0]
+    path, w0 = _straight_path(chart, 4)
+    calls = []
+
+    def counted(chart, points):
+        calls.append(len(points))
+        return christoffels_at(chart, points)
+
+    monkeypatch.setattr(geometry, "christoffels_at", counted)
+    parallel_transport(chart, path, w0, steps=16)
+    assert calls == [2 * 16 + 1]
+
+
 # ------------------------------------------------------ normal coordinates
 
 def test_normal_coordinates_center():
@@ -500,3 +587,40 @@ def test_christoffels_at_equals_batch_gamma_bitwise(name):
     assert np.array_equal(christoffels_at(chart, pts), want)
     for k in range(3):
         assert np.array_equal(christoffels_at(chart, pts[k:k + 1])[0], want[k])
+
+
+@pytest.mark.parametrize("name", ["polar", "bumpy", "cp2"])
+def test_jacobi_pass_is_the_interleaved_flow_bitwise(name, monkeypatch):
+    """Jacobi fields as a second, linear pass along the finished geodesic
+    give the bits of integrating them jointly with it, one row per stage."""
+    if name == "cp2":
+        chart, x0 = build_manifold("cp2").atlas.charts[0], [0.7, 0.8, 1.0, 2.0]
+    else:
+        chart, x0 = (polar_sphere() if name == "polar" else bumpy_sphere(0.3)), [1.2, 0.7]
+    d = chart.dim
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    directions = rng.normal(size=(5, d))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    # two rows share radius 0.3 (one integration of two rows), one is 0
+    us = np.array([0.3, 0.3, 0.12, 0.0, 0.05])[:, None] * directions
+    nc = NormalCoordinates(chart, x0)
+    got = [nc._shoot(us, 3, True), nc.det_g_along(us, 4), nc.det_g_batch(us[:3])]
+    flow = geometry._geodesic_flow
+
+    def interleaved(chart, x, v, steps, w=None, cotangent=False, jacobi=None):
+        if jacobi is None:
+            return flow(chart, x, v, steps, w, cotangent)
+        return _interleaved_jacobi_flow(chart, x, v, steps, jacobi)
+
+    monkeypatch.setattr(geometry, "_geodesic_flow", interleaved)
+    want = [nc._shoot(us, 3, True), nc.det_g_along(us, 4), nc.det_g_batch(us[:3])]
+    for a, b in zip([*got[0], *got[1:]], [*want[0], *want[1:]]):
+        assert np.array_equal(a, b)
+
+
+def test_jacobi_shoot_range_check():
+    chart = Chart.from_strings("box", 2, [(0, 1), (0, 1)], [False, False],
+                               {(0, 0): "1 + x1^2", (1, 1): "1"})
+    nc = NormalCoordinates(chart, [0.1, 0.5])
+    with pytest.raises(GeometryError):
+        nc.det_g_along([[-0.3, 0.0]], 2)
