@@ -491,7 +491,7 @@ def _geodesic_flow(chart, x, v, steps, w=None, cotangent=False, jacobi=None):
     coefficients read off the geodesic, so it is a second pass: the
     geodesic is integrated first (with its range check) and the (x, v) of
     its every RK4 stage recorded; one order-2 metric jet batch on those
-    4 steps N rows gives Gamma and d Gamma, whose Gamma has the bits of
+    4 * steps * N rows gives Gamma and d Gamma, whose Gamma has the bits of
     christoffels_at; then (J, J') run through the same RK4 steps on row
     slices of that batch.  The result is the one-pass integration's, bit
     for bit.
