@@ -34,14 +34,13 @@ fields, so dexp is exact rather than a difference quotient of exp.  The
 Jacobi equation is linear along a known geodesic, so the fields are a
 second pass: one order-2 metric jet batch on the finished geodesic's
 stage points, then RK4 on (J, J').  Each row takes its step count from
-its own radius.
+its own radius, at a density per consumer chosen from its measured error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -477,6 +476,14 @@ def _transport_rate(gamma, xdot, w, cotangent=False):
     return -np.einsum("nkij,ni,nj->nk", gamma, xdot, w)
 
 
+def _jacobi_rate(gamma, dgamma, v, j, jp):
+    """Rows of J'' for Jacobi fields J with derivative J' along geodesics
+    with velocities v, the variation of the geodesic equation:
+    J''^k = -(d_m Gamma^k_ab) J^m v^a v^b - 2 Gamma^k_ab v^a J'^b."""
+    return (-np.einsum("nmkab,na,nb,nmc->nkc", dgamma, v, v, j)
+            - 2 * np.einsum("nkab,na,nbc->nkc", gamma, v, jp))
+
+
 def _geodesic_flow(chart, x, v, steps, w=None, cotangent=False, jacobi=None):
     """Geodesics from the rows of (x, v) over unit parameter time, optionally
     transporting the rows of w along them; yields (x, v[, w]) per step.
@@ -485,11 +492,10 @@ def _geodesic_flow(chart, x, v, steps, w=None, cotangent=False, jacobi=None):
 
     With `jacobi` (N, d, d) it carries Jacobi fields instead and yields
     (x, v, J, J'): the columns of J start at J(0) = 0, J'(0) = the columns
-    of `jacobi` and obey the variation of the geodesic equation,
-    J''^k = -(d_m Gamma^k_ab) J^m v^a v^b - 2 Gamma^k_ab v^a J'^b, so that
-    J(t) = (dx(t) / dv(0)) jacobi.  That equation is linear in (J, J') with
-    coefficients read off the geodesic, so it is a second pass: the
-    geodesic is integrated first (with its range check) and the (x, v) of
+    of `jacobi` and obey `_jacobi_rate`, so that J(t) = (dx(t) / dv(0))
+    jacobi.  That equation is linear in (J, J') with coefficients read off
+    the geodesic, so it is a second pass: the geodesic is integrated first
+    (with its range check) and the (x, v) of
     its every RK4 stage recorded; one order-2 metric jet batch on those
     4 * steps * N rows gives Gamma and d Gamma, whose Gamma has the bits of
     christoffels_at; then (J, J') run through the same RK4 steps on row
@@ -528,10 +534,7 @@ def _geodesic_flow(chart, x, v, steps, w=None, cotangent=False, jacobi=None):
     def jacobi_rhs(t, state):
         j, jp = state
         rows = slice(start := next(starts), start + len(x))
-        v = vs[rows]
-        jpp = (-np.einsum("nmkab,na,nb,nmc->nkc", dgamma[rows], v, v, j)
-               - 2 * np.einsum("nkab,na,nbc->nkc", gamma[rows], v, jp))
-        return jp, jpp
+        return jp, _jacobi_rate(gamma[rows], dgamma[rows], vs[rows], j, jp)
 
     fields = _rk4(jacobi_rhs, (np.zeros_like(jacobi), jacobi), steps)
     return (state + field for state, field in zip(path, fields))
@@ -609,6 +612,14 @@ def parallel_transport(chart, path, w0, steps=1000, cotangent=False):
 _LOG_TOL = 1e-12
 _LOG_MAX_ITER = 50
 
+# RK4 steps per unit normal radius, one density per consumer of a shoot
+# (their measured errors are in the NormalCoordinates docstring); every
+# shoot takes at least _MIN_STEPS
+_MIN_STEPS = 32
+_EXP_STEPS = 100       # exp, log and log's dexp
+_METRIC_STEPS = 300    # the pulled-back metric
+_RECORD_STEPS = 64     # radial_det_g
+
 
 class NormalCoordinates:
     """Exponential-map coordinates centered at a chart point.
@@ -616,11 +627,25 @@ class NormalCoordinates:
     exp is geodesic shooting.  Its differential is exact: the Jacobi fields
     J with J(0) = 0 and J'(0) = the frame vectors ride along the same
     geodesic, and dexp at t u is J(t) / t.  They give the pulled-back
-    metric J^T g J and the Jacobian of log's damped Newton inversion of the
-    shooting map.  Each row takes its RK4 step count from its own radius,
-    so a row never depends on the rows it is shot with.  The radius guard
-    keeps targets inside the configured injectivity-safe ball (default 0.4
-    of the smallest range extent).
+    metric J^T g J, the Jacobian of log's damped Newton inversion of the
+    shooting map and, with J'' from the Jacobi equation, the radial
+    derivatives of log det of the pulled-back metric (`radial_det_g`).
+
+    A shoot of radius r takes max(32, int(n r)) RK4 steps, with n per unit
+    radius chosen for each consumer from its measured error on the unit
+    sphere (polar chart, center on the equator):
+    * exp, log and log's dexp: n = 100; exp's endpoint is within 3.3e-11
+      of the great circle for r <= 0.9;
+    * the pulled-back metric (`metric_at`, `det_g`, `det_g_batch`):
+      n = 300; det g is within 1e-10 relative of (sin r / r)^2 for
+      r <= 0.9, where n = 100 gives 6.1e-10 and n = 200 3.8e-11;
+    * `radial_det_g`: n = 64, so 32 steps for r <= 0.5, where the heat
+      parametrix's u1 built on it is 5.2e-9 from its closed form; at r = 1
+      its 64 steps give 1.8e-8 (32 steps: 2.8e-7).
+    A row's step count depends on its own radius (in `radial_det_g`, on the
+    largest radius of the record), so a row never depends on the rows it is
+    shot with.  The radius guard keeps targets inside the configured
+    injectivity-safe ball (default 0.4 of the smallest range extent).
     """
 
     def __init__(self, chart, x0, radius=None):
@@ -636,39 +661,35 @@ class NormalCoordinates:
         # components in this frame, so the pulled-back metric at 0 is I
         self.frame0 = np.linalg.inv(np.linalg.cholesky(g0)).T
 
-    def _shoot(self, us, samples, jacobi):
-        """Geodesics t -> exp(t u) from the rows u of us, sampled at
-        t = 1/samples, ..., 1: (x, dexp) with x (N, samples, d) and dexp
-        (N, samples, d, d) the differential of exp at t u, J(t) / t, or None
-        without `jacobi`.
+    def _shoot(self, us, per_unit, jacobi, reach=None):
+        """Geodesics t -> exp(t u), t in [0, 1], from the rows u of us:
+        the final (x, v), and with `jacobi` also (J, J'), the Jacobi fields
+        with J(0) = 0 and J'(0) = frame0, so that J(1) is dexp at u.
 
-        A row of radius r takes the least multiple of `samples` that is at
-        least max(32, int(300 r)) steps; rows with equal counts share one
+        Row k takes max(_MIN_STEPS, int(per_unit * reach[k])) steps, reach
+        its own radius by default; rows with equal counts share one
         integration.
         """
         us = np.asarray(us, dtype=float)
-        n, d = us.shape
         radii = np.linalg.norm(us, axis=1)
         r = radii.max()
         if r > self.radius:
             raise GeometryError(f"normal radius {r:.3g} exceeds safe {self.radius:.3g}")
-        steps = np.maximum(32, (300 * np.maximum(radii, 1e-3)).astype(int))
-        steps = -(-steps // samples) * samples
-        xs = np.empty((n, samples, d))
-        dexp = np.empty((n, samples, d, d)) if jacobi else None
+        reach = radii if reach is None else reach
+        steps = np.maximum(_MIN_STEPS, (per_unit * reach).astype(int))
+        final = None
         for count in np.unique(steps):
             rows = np.flatnonzero(steps == count)
             v = us[rows] @ self.frame0.T  # rows: frame0 @ u, so |v|_g = |u|
             jp = np.tile(self.frame0, (len(rows), 1, 1)) if jacobi else None
-            flow = _geodesic_flow(self.chart, np.tile(self.x0, (len(rows), 1)), v,
-                                  int(count), jacobi=jp)
-            stride = int(count) // samples
-            for k, state in enumerate(islice(flow, stride - 1, None, stride)):
-                xs[rows, k] = state[0]
-                if jacobi:
-                    dexp[rows, k] = state[2] / ((k + 1) / samples)
-        xs[radii == 0.0] = self.x0
-        return xs, dexp
+            state = _final(_geodesic_flow(self.chart, np.tile(self.x0, (len(rows), 1)),
+                                          v, int(count), jacobi=jp))
+            if final is None:
+                final = [np.empty((len(us),) + part.shape[1:]) for part in state]
+            for whole, part in zip(final, state):
+                whole[rows] = part
+        final[0][radii == 0.0] = self.x0
+        return final
 
     def exp(self, u):
         """Map normal coordinates u (frame components) to chart coordinates."""
@@ -676,24 +697,59 @@ class NormalCoordinates:
 
     def exp_batch(self, us):
         """Batched exponential map, one shoot per row (no Jacobi fields)."""
-        return self._shoot(us, 1, False)[0][:, 0]
+        return self._shoot(us, _EXP_STEPS, False)[0]
 
-    def _pulled_back_metrics(self, us, samples):
-        """Pulled-back metrics (N, samples, d, d) at t u, t = 1/samples, ..., 1,
-        for the rows u of us: dexp^T g dexp from one Jacobi shoot."""
-        xs, dexp = self._shoot(us, samples, True)
-        n, _, d = xs.shape
-        g = metric_jets(self.chart, xs.reshape(-1, d), order=0)[0]
-        return dexp.swapaxes(2, 3) @ g.reshape(n, samples, d, d) @ dexp
+    def _pulled_back_metrics(self, us):
+        """Pulled-back metrics dexp^T g dexp (N, d, d) at the rows u of us,
+        from one Jacobi shoot."""
+        x, _, dexp, _ = self._shoot(us, _METRIC_STEPS, True)
+        g = metric_jets(self.chart, x, order=0)[0]
+        return dexp.swapaxes(1, 2) @ g @ dexp
 
     def det_g_batch(self, us):
         """det of the pulled-back metric at many normal points, one batch."""
-        return self.det_g_along(us, 1)[:, 0]
+        return np.linalg.det(self._pulled_back_metrics(us))
 
-    def det_g_along(self, us, samples):
-        """det of the pulled-back metric at t u for t = 1/samples, ..., 1,
-        (N, samples): one geodesic per row u of us."""
-        return np.linalg.det(self._pulled_back_metrics(us, samples))
+    def radial_det_g(self, directions, radii):
+        """det G of the pulled-back metric and the first two arc-length
+        derivatives of l = log det G along unit rays: (det, dl, d2l), each
+        (k, m), at radius radii[j] > 0 on the ray of the unit frame vector
+        directions[i].
+
+        One integration: row (i, j) is shot with velocity radii[j]
+        directions[i] over unit time, every row with the step count of the
+        largest radius, and Gamma, d Gamma and J'' (from the Jacobi
+        equation) come from one order-2 jet batch at the endpoints.  With J
+        the unit-speed Jacobi field at arc length s, read off the shoot as
+        J = s J(1), J' = J'(1), J'' = J''(1) / s and velocity v(1) / s:
+            det G = det(J)^2 det g / s^(2d),
+            l'  = 2 tr(J^-1 J') + 2 Gamma^m_mk dx^k - 2d / s,
+            l'' = 2 [tr(J^-1 J'') - tr((J^-1 J')^2)] + 2 d_l Gamma^m_mk dx^l dx^k
+                  + 2 Gamma^m_mk ddx^k + 2d / s^2,
+        with dx the unit velocity and ddx = -Gamma(dx, dx) its acceleration.
+        """
+        directions = np.asarray(directions, dtype=float)
+        radii = np.asarray(radii, dtype=float)
+        (k, d), m = directions.shape, len(radii)
+        s = np.tile(radii, k)
+        x, v, j1, jp = self._shoot(np.repeat(directions, m, axis=0) * s[:, None],
+                                   _RECORD_STEPS, True, reach=np.full(k * m, radii.max()))
+        g, dg, d2g = metric_jets(self.chart, x)
+        gamma, dgamma = _connection_jets(np.linalg.inv(g), dg, d2g)
+        jpp = _jacobi_rate(gamma, dgamma, v, j1, jp) / s[:, None, None]
+        j = s[:, None, None] * j1
+        dx = v / s[:, None]
+        a = np.linalg.solve(j, jp)   # J^-1 J'
+        b = np.linalg.solve(j, jpp)  # J^-1 J''
+        trace_gamma = np.einsum("nmmk->nk", gamma)
+        ddx = -np.einsum("nkab,na,nb->nk", gamma, dx, dx)
+        det = np.linalg.det(j1) ** 2 * np.linalg.det(g)
+        dl = (2 * np.trace(a, axis1=1, axis2=2) + 2 * np.einsum("nk,nk->n", trace_gamma, dx)
+              - 2 * d / s)
+        d2l = (2 * (np.trace(b, axis1=1, axis2=2) - np.einsum("nij,nji->n", a, a))
+               + 2 * np.einsum("nlmmk,nl,nk->n", dgamma, dx, dx)
+               + 2 * np.einsum("nk,nk->n", trace_gamma, ddx) + 2 * d / s ** 2)
+        return tuple(part.reshape(k, m) for part in (det, dl, d2l))
 
     def log(self, y):
         """Invert the shooting map by damped Newton; returns normal coordinates.
@@ -711,7 +767,7 @@ class NormalCoordinates:
         for _ in range(_LOG_MAX_ITER):
             if np.linalg.norm(err) < _LOG_TOL:
                 return u
-            jac = self._shoot(u[None, :], 1, True)[1][0, 0]
+            jac = self._shoot(u[None, :], _EXP_STEPS, True)[2][0]
             try:
                 step = np.linalg.solve(jac, err)
             except np.linalg.LinAlgError:
@@ -737,7 +793,7 @@ class NormalCoordinates:
 
     def metric_at(self, u):
         """Pullback metric in normal coordinates, dexp^T g dexp."""
-        return self._pulled_back_metrics(np.asarray(u, dtype=float)[None, :], 1)[0, 0]
+        return self._pulled_back_metrics(np.asarray(u, dtype=float)[None, :])[0]
 
     def det_g(self, u):
         return float(np.linalg.det(self.metric_at(u)))

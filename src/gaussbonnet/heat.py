@@ -14,17 +14,20 @@ kernel H_N = (4 pi t)^{-1} e^{-r^2/4t} (u0 + t u1) on the model charts
 transport integrand radial):
 
 * u0(x, y) = det(g)^{-1/4} in normal coordinates centered at x;
-* u1(x, y) = -(1/ r) g^{-1/4}(y) int_0^r g^{1/4} Delta_y u0 ds along the
-  radial geodesic, with the Laplacian of a radial function evaluated as
-  -(h'' + ((d-1)/r + g'/(2g)) h');
+* u1(x, y) = -(u0(y) / r) int_0^r u0^{-1} Delta u0 ds along the radial
+  geodesic, where for the radial u0 = e^{-l/4}, l = log det(g), the
+  Laplacian -(f'' + ((d-1)/s + l'/2) f') gives
+  u0^{-1} Delta u0 = -(l'^2/16 - l''/4) + ((d-1)/s + l'/2) l'/4;
 * the diagonal value u1(x, x) is the r -> 0 limit of that integral and
   must equal scalar_curvature / 6.
 
 u0, u1 and H_N at one (x, y) are read from one record: one Newton solve of
-u = log_x(y), r = |u|, and one geodesic along the ray u / r, sampled at a
-radial grid with a node at r, whose Jacobi fields give det(g) at every
-node.  On the diagonal (r = 0) u0 = 1 and u1 is the limit above, from one
-geodesic along each coordinate ray.
+u = log_x(y), r = |u|, and one integration of the geodesics to the
+Gauss-Legendre nodes of (0, r) and to r along the ray u / r, whose Jacobi
+fields give det(g), l' and l'' exactly at each of them (no difference
+stencils).  On the diagonal (r = 0) u0 = 1 and u1 is the limit above,
+(4 u1(r/2) - u1(r)) / 3 at r = 0.15 (Richardson, which cancels the r^2
+term), from one record along the two coordinate rays.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import NormalCoordinates
-from .quadrature import product_rule
+from .quadrature import axis_rule, product_rule
 
 __all__ = [
     "FlatTorusSpectrum", "RoundSphereSpectrum", "HeatValue",
@@ -203,67 +206,63 @@ def _poly_fit(t, y, degree, cond_limit):
 # Parametrix (p = 0, d = 2, model charts)
 # --------------------------------------------------------------------------
 
-class RadialParametrix:
-    """u0 and the transport integrand along k radial geodesics from the
-    center of one set of normal coordinates.
+# Gauss-Legendre nodes of the transport integral on (0, r): 3e-12 relative
+# on the unit sphere for r <= 1, where 4 nodes give 1.0e-8
+_GAUSS_NODES = 6
 
-    Reads det(g) at every node of a uniform radial grid from one geodesic
-    per ray (`det_g_along`, whose Jacobi fields give dexp at each node);
-    row i of every array belongs to directions[i].  Restricted to the
+
+class RadialParametrix:
+    """u0 and u1 at target radii along k radial geodesics from the center
+    of one set of normal coordinates, from one exact Jacobi record.
+
+    For each target radius r the record holds the Gauss-Legendre nodes of
+    (0, r) and r itself; one `radial_det_g` integration gives det G, l' and
+    l'' (l = log det G) at all of them on every ray.  Then u0 = det G^-1/4
+    and, for the radial u0 = e^{-l/4}, the Laplacian
+    Delta f = -(f'' + ((d - 1)/s + l'/2) f') gives
+    u0^-1 Delta u0 = -(l'^2/16 - l''/4) + ((d - 1)/s + l'/2) l'/4, whose
+    Gauss sum over (0, r) is the transport integral.  Restricted to the
     pointwise-isotropic model charts, where u0 is a function of the radius
     alone.
+
+    Row i of every array belongs to directions[i]: `det_g` and `u0` are
+    (k, m) at the m sample radii `s`, `u0_at` and `u1` (k, len(radii)) at
+    the target radii.
     """
 
-    def __init__(self, nc, directions, r_max, grid=33):
+    def __init__(self, nc, directions, radii):
         directions = np.asarray(directions, dtype=float)
-        self.directions = directions / np.linalg.norm(directions, axis=1,
-                                                      keepdims=True)
-        # one extra step past r_max keeps central differences centered
-        self.h = r_max / (grid - 1)
-        self.r = np.arange(grid + 2) * self.h
-        dets = nc.det_g_along(self.r[-1] * self.directions, grid + 1)
-        self.detg = np.concatenate([np.ones((len(dets), 1)), dets], axis=1)
-        self.u0 = self.detg ** -0.25
-
-    def laplacian_u0(self):
-        """Geometer's Laplacian of the radial u0 at nodes 0..grid, (k, grid + 1)."""
-        f, g, h = self.u0, self.detg, self.h
-        # radial limit Delta f(0) = -d f''(0); symmetric stencil, f'(0) = 0
-        at0 = -2.0 * 2.0 * (f[:, 1] - f[:, 0]) / h ** 2
-        f1 = (f[:, 2:] - f[:, :-2]) / (2 * h)
-        f2 = (f[:, 2:] - 2 * f[:, 1:-1] + f[:, :-2]) / h ** 2
-        gp = (g[:, 2:] - g[:, :-2]) / (2 * h)
-        rest = -(f2 + (1.0 / self.r[1:-1] + gp / (2.0 * g[:, 1:-1])) * f1)
-        return np.concatenate([at0[:, None], rest], axis=1)
-
-    def u1_at(self, r_target):
-        """Transport integral u1 at radius r_target along every ray, (k,)."""
-        j = int(round(r_target / self.h))
-        if not 1 <= j <= len(self.r) - 2:
-            raise ValueError("target radius off the parametrix grid")
-        integrand = self.detg[:, :j + 1] ** 0.25 * self.laplacian_u0()[:, :j + 1]
-        integral = np.trapezoid(integrand, dx=self.h, axis=1)
-        return -integral / self.r[j] * self.detg[:, j] ** -0.25
+        directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+        rules = [axis_rule(0.0, r, _GAUSS_NODES, False) for r in radii]
+        self.s = np.concatenate([np.append(nodes, r) for (nodes, _), r in zip(rules, radii)])
+        self.det_g, dl, d2l = nc.radial_det_g(directions, self.s)
+        self.u0 = self.det_g ** -0.25
+        d = directions.shape[1]
+        ratio = -(dl * dl / 16 - d2l / 4) + ((d - 1) / self.s + dl / 2) * dl / 4
+        blocks = ratio.reshape(len(directions), len(radii), _GAUSS_NODES + 1)
+        # a row-wise sum, not a matmul, so that each ray keeps its bits
+        integrals = (blocks[:, :, :-1] * np.stack([w for _, w in rules])).sum(axis=2)
+        self.u0_at = self.u0[:, _GAUSS_NODES::_GAUSS_NODES + 1]
+        self.u1 = -self.u0_at / np.asarray(radii, dtype=float) * integrals
 
 
 def _u1_diag(nc):
-    """r -> 0 limit of u1: the transport integral at radius 0.15, averaged
-    over the two coordinate rays of one record."""
-    rp = RadialParametrix(nc, np.eye(2), r_max=1.25 * 0.15, grid=41)
-    return float(np.mean(rp.u1_at(0.15)))
+    """r -> 0 limit of u1 by Richardson extrapolation, (4 u1(r/2) - u1(r)) / 3
+    at r = 0.15, averaged over the two coordinate rays of one record."""
+    u1 = RadialParametrix(nc, np.eye(2), (0.15, 0.075)).u1
+    return float(np.mean((4 * u1[:, 1] - u1[:, 0]) / 3))
 
 
 def _terms(chart, x, y, n_terms):
-    """(r, u0, u1) at (x, y) from one log solve and one radial record on
-    the grid whose node grid - 1 is r; u1 is None when n_terms is 0."""
+    """(r, u0, u1) at (x, y) from one log solve and one radial record at r;
+    u1 is None when n_terms is 0."""
     nc = NormalCoordinates(chart, x)
     u = nc.log(y)
     r = float(np.linalg.norm(u))
     if r == 0.0:
         return r, 1.0, _u1_diag(nc) if n_terms else None
-    grid = 33
-    rp = RadialParametrix(nc, u[None, :] / r, r_max=r, grid=grid)
-    return r, float(rp.u0[0, grid - 1]), float(rp.u1_at(r)[0]) if n_terms else None
+    rp = RadialParametrix(nc, u[None, :] / r, (r,))
+    return r, float(rp.u0_at[0, 0]), float(rp.u1[0, 0]) if n_terms else None
 
 
 def parametrix_u0(chart, x, y):
@@ -274,8 +273,7 @@ def parametrix_u0(chart, x, y):
 def parametrix_u1(chart, x, y):
     """Off-diagonal u1(x, y) via the radial transport integral.
 
-    The grid is aligned so the target radius lands exactly on a node.  On
-    the diagonal this is the limit parametrix_u1_diag(chart, x).
+    On the diagonal this is the limit parametrix_u1_diag(chart, x).
     """
     return _terms(chart, x, y, 1)[2]
 
@@ -283,8 +281,8 @@ def parametrix_u1(chart, x, y):
 def parametrix_u1_diag(chart, x):
     """Diagonal u1(x, x): small-radius limit of the transport integral.
 
-    Averages the integral at radius 0.15 over the two coordinate rays;
-    the limit must equal scalar_curvature(x) / 6.
+    Richardson's (4 u1(0.075) - u1(0.15)) / 3, averaged over the two
+    coordinate rays; the limit must equal scalar_curvature(x) / 6.
     """
     return _u1_diag(NormalCoordinates(chart, x))
 

@@ -265,7 +265,7 @@ def test_criterion_10_heat_asymptotics():
         {(0, 0): "1", (1, 1): "sin(x1)^2"})
     x = [math.pi / 2, 1.0]
     u1 = parametrix_u1_diag(chart, x)
-    u1_ok = abs(u1 - 1.0 / 3.0) < 1e-3
+    u1_ok = abs(u1 - 1.0 / 3.0) < 1e-5
     y = NormalCoordinates(chart, x).exp([0.5, 0.0])
     errors = {}
     for t in (0.02, 0.01, 0.005):
