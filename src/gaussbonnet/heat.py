@@ -216,18 +216,15 @@ class RadialParametrix:
     of one set of normal coordinates, from one exact Jacobi record.
 
     For each target radius r the record holds the Gauss-Legendre nodes of
-    (0, r) and r itself; one `radial_det_g` integration gives det G, l' and
-    l'' (l = log det G) at all of them on every ray.  Then u0 = det G^-1/4
-    and, for the radial u0 = e^{-l/4}, the Laplacian
-    Delta f = -(f'' + ((d - 1)/s + l'/2) f') gives
-    u0^-1 Delta u0 = -(l'^2/16 - l''/4) + ((d - 1)/s + l'/2) l'/4, whose
-    Gauss sum over (0, r) is the transport integral.  Restricted to the
-    pointwise-isotropic model charts, where u0 is a function of the radius
-    alone.
+    (0, r) and then r itself; one `radial_det_g` integration gives det G,
+    l' and l'' (l = log det G) at all of them on every ray, and with them
+    u0 and u0^-1 Delta u0 (module docstring), whose Gauss sum over (0, r)
+    is the transport integral.  Restricted to the pointwise-isotropic model
+    charts, where u0 is a function of the radius alone.
 
     Row i of every array belongs to directions[i]: `det_g` and `u0` are
-    (k, m) at the m sample radii `s`, `u0_at` and `u1` (k, len(radii)) at
-    the target radii.
+    (k, m) at the m sample radii `s`, `u1` (k, len(radii)) at the target
+    radii.
     """
 
     def __init__(self, nc, directions, radii):
@@ -242,8 +239,8 @@ class RadialParametrix:
         blocks = ratio.reshape(len(directions), len(radii), _GAUSS_NODES + 1)
         # a row-wise sum, not a matmul, so that each ray keeps its bits
         integrals = (blocks[:, :, :-1] * np.stack([w for _, w in rules])).sum(axis=2)
-        self.u0_at = self.u0[:, _GAUSS_NODES::_GAUSS_NODES + 1]
-        self.u1 = -self.u0_at / np.asarray(radii, dtype=float) * integrals
+        u0_at = self.u0[:, _GAUSS_NODES::_GAUSS_NODES + 1]
+        self.u1 = -u0_at / np.asarray(radii, dtype=float) * integrals
 
 
 def _u1_diag(nc):
@@ -262,7 +259,7 @@ def _terms(chart, x, y, n_terms):
     if r == 0.0:
         return r, 1.0, _u1_diag(nc) if n_terms else None
     rp = RadialParametrix(nc, u[None, :] / r, (r,))
-    return r, float(rp.u0_at[0, 0]), float(rp.u1[0, 0]) if n_terms else None
+    return r, float(rp.u0[0, -1]), float(rp.u1[0, 0]) if n_terms else None
 
 
 def parametrix_u0(chart, x, y):
