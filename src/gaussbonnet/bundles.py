@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import eval_jet, parse
+from .index import winding
 from .library import stereo_pair_atlas
 # metric_jets and integrate_chart are not called here; perfbench/smoke_test.py
 # checks that tracing rebinds this module's references to them
@@ -67,7 +68,7 @@ class PlaneBundle:
         return names[1] if name == names[0] else names[0]
 
 
-def make_plane_bundle(k, sharpness=6, box=3.0):
+def make_plane_bundle(k, sharpness=6):
     """k-clutched bundle: phi_{alpha beta} = k theta, counterclockwise.
 
     The polar angle flips sign across w~ = 1/w, and phi_{beta alpha} is
@@ -76,7 +77,7 @@ def make_plane_bundle(k, sharpness=6, box=3.0):
     rho = 1/(1 + r^{2s}) in each chart's own radius is an exact analytic
     partition of unity; `stereo_pair_atlas` raises ValueError for s <= 0.
     """
-    atlas = stereo_pair_atlas(box=box, sharpness=sharpness)
+    atlas = stereo_pair_atlas(sharpness=sharpness)
     phi = {"north": f"{k}*atan2(x2, x1)", "south": f"{k}*atan2(x2, x1)"}
     rho = {"north": f"1/(1+(x1^2+x2^2)^{sharpness})",
            "south": f"1/(1+(x1^2+x2^2)^{sharpness})"}
@@ -173,15 +174,17 @@ def generalized_gbc(bundle, resolution=96):
     return GeneralizedGbcResult(pf, tr)
 
 
-def winding_of_phi(bundle, name="north", radius=1.0, samples=720):
-    """Accumulated transition-angle increments around the overlap annulus.
+def winding_of_phi(bundle):
+    """Turns of the north chart's transition angle around the unit circle,
+    by `index.winding` with the rate d phi / d theta from phi's 1-jet.
 
-    Must come out as k (in 2 pi units, counterclockwise in this chart).
+    Must come out as k (counterclockwise in this chart).
     """
-    theta = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
-    pts = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
-    chart = bundle.atlas.chart(name)
-    vals = eval_jet(bundle.parsed_phi[name], pts, chart.params, order=0).val
-    inc = np.diff(np.concatenate([vals, vals[:1]]))
-    inc = (inc + math.pi) % (2 * math.pi) - math.pi
-    return float(inc.sum() / (2 * math.pi))
+    chart = bundle.atlas.chart("north")
+
+    def angle_and_rate(theta):
+        pts = np.column_stack([np.cos(theta), np.sin(theta)])
+        jet = eval_jet(bundle.parsed_phi["north"], pts, chart.params, order=1)
+        return jet.val, pts[:, 0] * jet.grad[:, 1] - pts[:, 1] * jet.grad[:, 0]
+
+    return winding(angle_and_rate)

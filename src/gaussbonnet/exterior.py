@@ -441,12 +441,12 @@ def exp_nilpotent(omega):
     return result * scale
 
 
-def two_vector(m, n=None) -> FormElement:
+def two_vector(m) -> FormElement:
     """The 2-vector sum_{i<j} m[i,j] e_i ^ e_j of a skew matrix."""
     m = np.asarray(m)
     d = m.shape[0]
-    return FormElement(n or d, {(i, j): complex(m[i, j])
-                                for i in range(d) for j in range(i + 1, d)})
+    return FormElement(d, {(i, j): complex(m[i, j])
+                           for i in range(d) for j in range(i + 1, d)})
 
 
 # --------------------------------------------------------------------------

@@ -158,6 +158,14 @@ def supertrace_heat(model, t, tail_tol=1e-12):
     return HeatValue(value, bound)
 
 
+# the asymptotic fits: polynomial degree in t, the largest condition number
+# of the scaled Vandermonde matrix, and the spectral tail bound of each
+# trace (also the truncation bound of `spectral_kernel_s2`)
+_FIT_DEGREE = 3
+_FIT_COND_LIMIT = 1e12
+_TAIL_TOL = 1e-14
+
+
 class FitResult(NamedTuple):
     a0: float
     a1: float
@@ -165,37 +173,37 @@ class FitResult(NamedTuple):
     condition: float
 
 
-def asymptotic_fit(model, p, t_list, degree=3, cond_limit=1e12, tail_tol=1e-14):
-    """Least-squares fit of (4 pi t)^{d/2} tr e^{-t Laplacian} to a
-    polynomial in t; returns the constant and linear coefficients."""
+def asymptotic_fit(model, p, t_list):
+    """Least-squares fit of (4 pi t)^{d/2} tr e^{-t Laplacian} to a cubic
+    in t; returns the constant and linear coefficients."""
     t = np.asarray(sorted(t_list), dtype=float)
-    if len(t) < max(3, degree + 1):
-        raise ValueError("need at least degree+1 (and 3) time samples")
+    if len(t) < _FIT_DEGREE + 1:
+        raise ValueError("need at least 4 time samples")
     if t.max() > 0.2:
         raise ValueError("fit window must stay in the small-t regime (<= 0.2)")
     d = model.d
-    y = np.array([heat_trace(model, p, ti, tail_tol) for ti in t])
+    y = np.array([heat_trace(model, p, ti, _TAIL_TOL) for ti in t])
     y = y * (4 * math.pi * t) ** (d / 2)
-    return _poly_fit(t, y, degree, cond_limit)
+    return _poly_fit(t, y)
 
 
-def supertrace_fit(model, t_list, degree=3, cond_limit=1e12, tail_tol=1e-14):
-    """Fit the (unscaled) supertrace to a polynomial in t.
+def supertrace_fit(model, t_list):
+    """Fit the (unscaled) supertrace to a cubic in t.
 
     The constant term is the topological integer; every t-coefficient must
     vanish since the supertrace is t-independent.
     """
     t = np.asarray(sorted(t_list), dtype=float)
-    y = np.array([supertrace_heat(model, ti, tail_tol).value for ti in t])
-    return _poly_fit(t, y, degree, cond_limit)
+    y = np.array([supertrace_heat(model, ti, _TAIL_TOL).value for ti in t])
+    return _poly_fit(t, y)
 
 
-def _poly_fit(t, y, degree, cond_limit):
-    vander = np.vander(t, degree + 1, increasing=True)
+def _poly_fit(t, y):
+    vander = np.vander(t, _FIT_DEGREE + 1, increasing=True)
     scale = np.abs(vander).max(axis=0)
     scaled = vander / scale
     cond = np.linalg.cond(scaled)
-    if cond > cond_limit:
+    if cond > _FIT_COND_LIMIT:
         raise ArithmeticError(f"fit matrix ill-conditioned: {cond:.2e}")
     coeffs, *_ = np.linalg.lstsq(scaled, y, rcond=None)
     coeffs = coeffs / scale
@@ -294,7 +302,7 @@ def parametrix_kernel(chart, n_terms, t, x, y):
     return (4 * math.pi * t) ** -1 * math.exp(-r * r / (4 * t)) * total
 
 
-def spectral_kernel_s2(t, r, lmax=None, tail_tol=1e-14):
+def spectral_kernel_s2(t, r):
     """Exact scalar heat kernel on the unit sphere at geodesic distance r.
 
     sum_l (2l+1)/(4 pi) P_l(cos r) e^{-l(l+1)t}, Legendre values by the
@@ -306,21 +314,20 @@ def spectral_kernel_s2(t, r, lmax=None, tail_tol=1e-14):
     l = 1
     while True:
         total += (2 * l + 1) / (4 * math.pi) * p_curr * math.exp(-l * (l + 1) * t)
-        if lmax is not None and l >= lmax:
-            return total
         bound = (1 / t) * math.exp(-l * (l + 1) * t) / (4 * math.pi)
-        if lmax is None and bound < tail_tol:
+        if bound < _TAIL_TOL:
             return total
         p_prev, p_curr = p_curr, ((2 * l + 1) * x * p_curr - l * p_prev) / (l + 1)
         l += 1
 
 
-def torus_image_kernel(periods, t, x, y, images=4):
-    """Flat-torus scalar kernel by the method of images (exact identity)."""
+def torus_image_kernel(periods, t, x, y):
+    """Flat-torus scalar kernel by the method of images (exact identity),
+    summed over the shifts -4..4 periods along each axis."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = len(periods)
-    ks = np.arange(-images, images + 1)
+    ks = np.arange(-4, 5)
     shifts = product_rule([(ks * L, np.ones(len(ks))) for L in periods])[0]
     diffs = (y - x)[None, :] + shifts
     return float(np.sum(np.exp(-np.sum(diffs ** 2, axis=1) / (4 * t)))

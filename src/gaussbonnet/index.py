@@ -1,11 +1,11 @@
 """Poincare-Hopf machinery: zero finding, local degrees, index sums.
 
 Local degree at an isolated zero: in dimension 2, the winding number of
-X/|X| around a small circle (angle accumulation with increments kept
-below pi); in dimension >= 3, the mapping degree as the integral of the
-pulled-back normalized volume form of the unit sphere over a small
-coordinate sphere.  Degrees are accepted only when integer-stable across
-two radii.
+X/|X| around a small circle (`winding`, the one winding rule, which
+`bundles.winding_of_phi` shares); in dimension >= 3, the mapping degree
+as the integral of the pulled-back normalized volume form of the unit
+sphere over a small coordinate sphere.  Degrees are accepted only when
+integer-stable across two radii.
 """
 
 from __future__ import annotations
@@ -21,9 +21,15 @@ from .expr import eval_jet, parse, shared_program
 from .quadrature import axis_rule, product_rule
 
 __all__ = ["VectorFieldSpec", "ZeroRecord", "IndexResult", "DegreeError",
-           "find_zeros", "local_degree", "index_sum", "field_consistency_residual"]
+           "find_zeros", "local_degree", "index_sum", "field_consistency_residual",
+           "winding"]
 
 log = logging.getLogger(__name__)
+
+_NEWTON_MAX_ITER = 60
+_NEWTON_TOL = 1e-12  # |X| at an accepted zero
+_WINDING_SAMPLES = 720  # first circle sampling; doubled while the angle moves too fast
+_SPHERE_NODES = 48  # Gauss nodes per polar angle of a sphere degree
 
 
 class DegreeError(RuntimeError):
@@ -44,7 +50,6 @@ class VectorFieldSpec:
     components: dict
     atlas: object
     expected: int | None = None
-    section_degree: int | None = None
     parsed: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -94,14 +99,14 @@ class IndexResult:
 # Zero finding
 # --------------------------------------------------------------------------
 
-def _newton_refine(fieldspec, chart_name, x0, max_iter=60, tol=1e-12):
+def _newton_refine(fieldspec, chart_name, x0):
     x = np.array(x0, dtype=float)
     chart = fieldspec.atlas.chart(chart_name)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         vals, grads = fieldspec.values(chart_name, x[None, :], order=1)
         f = vals[0]
         nrm = np.linalg.norm(f)
-        if nrm < tol:
+        if nrm < _NEWTON_TOL:
             return x
         jac = grads[0]
         if not np.all(np.isfinite(jac)):
@@ -122,7 +127,7 @@ def _newton_refine(fieldspec, chart_name, x0, max_iter=60, tol=1e-12):
         else:
             return None
     vals = fieldspec.values(chart_name, x[None, :])[0]
-    return x if np.linalg.norm(vals) < tol else None
+    return x if np.linalg.norm(vals) < _NEWTON_TOL else None
 
 
 def _grid(chart, n):
@@ -133,7 +138,7 @@ def _grid(chart, n):
     return product_rule(axes)[0], [n] * chart.dim
 
 
-def find_zeros(fieldspec, scan_resolution=48, merge_tol=None):
+def find_zeros(fieldspec, scan_resolution=48):
     """Grid scan for |X|^2 minima, Newton refinement, cross-chart dedup.
 
     Zeros closer than half a scan cell are indistinguishable at scan
@@ -178,7 +183,7 @@ def find_zeros(fieldspec, scan_resolution=48, merge_tol=None):
             candidates.append((chart.name, refined[flat_idx]))
     zeros = []
     for cname, x in candidates:
-        tol = merge_tol if merge_tol is not None else 0.45 * cell[cname].min()
+        tol = 0.45 * cell[cname].min()
         images = [(cname, x), *atlas.other_coords(cname, x)]
         if any(zname == name and np.linalg.norm(zx - y) < tol
                for zname, zx in zeros for name, y in images):
@@ -236,25 +241,47 @@ def _local_minima(grid, periodic):
 # Local degree
 # --------------------------------------------------------------------------
 
-def _winding_2d(fieldspec, chart_name, center, radius, n_samples=720):
-    for attempt in range(6):
-        theta = np.linspace(0.0, 2 * math.pi, n_samples, endpoint=False)
+def winding(angle_and_rate):
+    """Turns of an angle around a circle, from samples of it and its rate.
+
+    `angle_and_rate(theta)` gives the angle (any branch) and its derivative
+    in theta at the circle angles theta.  The sampling starts at
+    _WINDING_SAMPLES and doubles until max|rate| 2 pi / n < pi / 2, so no
+    increment between neighbouring samples can alias past pi; the wrapped
+    increments are then summed.  An increment check alone cannot see
+    aliasing: an increment past pi wraps back into range.
+    """
+    n = _WINDING_SAMPLES
+    for _ in range(6):
+        theta = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+        ang, rate = angle_and_rate(theta)
+        if np.abs(rate).max() * (2 * math.pi / n) < math.pi / 2:
+            inc = np.diff(np.concatenate([ang, ang[:1]]))
+            inc = (inc + math.pi) % (2 * math.pi) - math.pi
+            return float(inc.sum() / (2 * math.pi))
+        n *= 2
+    raise DegreeError("the angle turns too fast for the circle sampling")
+
+
+def _winding_2d(fieldspec, chart_name, center, radius):
+    """Winding of X around a circle; its rate is (X x dX/dtheta) / |X|^2."""
+
+    def angle_and_rate(theta):
         pts = np.column_stack([center[0] + radius * np.cos(theta),
                                center[1] + radius * np.sin(theta)])
-        vals = fieldspec.values(chart_name, pts)
+        vals, grads = fieldspec.values(chart_name, pts, order=1)
         norms = np.linalg.norm(vals, axis=1)
         if norms.min() < 1e-13:
             raise DegreeError("field vanishes on the test circle")
-        ang = np.arctan2(vals[:, 1], vals[:, 0])
-        inc = np.diff(np.concatenate([ang, ang[:1]]))
-        inc = (inc + math.pi) % (2 * math.pi) - math.pi
-        if np.abs(inc).max() < math.pi - 1e-9:
-            return float(inc.sum() / (2 * math.pi))
-        n_samples *= 2  # enforce increments < pi
-    raise DegreeError("winding increments stayed too large after refinement")
+        tangent = radius * np.column_stack([-np.sin(theta), np.cos(theta)])
+        dvals = np.einsum("nca,na->nc", grads, tangent)
+        rate = (vals[:, 0] * dvals[:, 1] - vals[:, 1] * dvals[:, 0]) / norms ** 2
+        return np.arctan2(vals[:, 1], vals[:, 0]), rate
+
+    return winding(angle_and_rate)
 
 
-def _sphere_degree(fieldspec, chart_name, center, radius, n_nodes=48):
+def _sphere_degree(fieldspec, chart_name, center, radius):
     """Mapping degree of X/|X| on a small (d-1)-sphere, d >= 3.
 
     Integrates the pullback of the normalized volume form: the integrand
@@ -265,8 +292,8 @@ def _sphere_degree(fieldspec, chart_name, center, radius, n_nodes=48):
     d = len(center)
     m = d - 1
     # angles: phi_1..phi_{m-1} in (0, pi) Gauss, phi_m in (0, 2 pi) uniform
-    rules = [axis_rule(0.0, math.pi, n_nodes, False) for _ in range(m - 1)]
-    rules.append(axis_rule(0.0, 2 * math.pi, 2 * n_nodes, True))
+    rules = [axis_rule(0.0, math.pi, _SPHERE_NODES, False) for _ in range(m - 1)]
+    rules.append(axis_rule(0.0, 2 * math.pi, 2 * _SPHERE_NODES, True))
     angles, w = product_rule(rules)
     n = len(angles)
 
@@ -305,7 +332,7 @@ def _sphere_degree(fieldspec, chart_name, center, radius, n_nodes=48):
     return total / sphere_vol
 
 
-def local_degree(fieldspec, chart_name, zero, radius, n_samples=720):
+def local_degree(fieldspec, chart_name, zero, radius):
     """Degree of X/|X| around a zero, with the two-radius stability guard."""
     center = np.asarray(zero, dtype=float)
     d = len(center)
@@ -318,7 +345,7 @@ def local_degree(fieldspec, chart_name, zero, radius, n_samples=720):
     results = []
     for r in (radius, radius / 2):
         if d == 2:
-            raw = _winding_2d(fieldspec, chart_name, center, r, n_samples)
+            raw = _winding_2d(fieldspec, chart_name, center, r)
         else:
             raw = _sphere_degree(fieldspec, chart_name, center, r)
         rounded = int(round(raw))
@@ -343,15 +370,15 @@ def _default_radius(chart, x):
     return 0.6 * min(room)
 
 
-def index_sum(fieldspec, scan_resolution=48, radius=None):
+def index_sum(fieldspec, scan_resolution=48):
     """Sum of local degrees over all zeros (the caller compares it with the
     field's declared `expected`)."""
     zeros, dropped = find_zeros(fieldspec, scan_resolution)
     records = []
     for cname, x in zeros:
         chart = fieldspec.atlas.chart(cname)
-        r = radius if radius is not None else min(0.25, _default_radius(chart, x))
-        records.append(local_degree(fieldspec, cname, x, r))
+        records.append(local_degree(fieldspec, cname, x,
+                                    min(0.25, _default_radius(chart, x))))
     total = sum(rec.local_degree for rec in records)
     return IndexResult(total, records, dropped)
 
@@ -360,9 +387,9 @@ def index_sum(fieldspec, scan_resolution=48, radius=None):
 # Transition consistency of built-in fields
 # --------------------------------------------------------------------------
 
-def field_consistency_residual(fieldspec, transition_fn, samples=40, seed=0,
-                               annulus=(0.7, 1.4)):
-    """Largest overlap mismatch of the field seen from both charts.
+def field_consistency_residual(fieldspec, transition_fn):
+    """Largest overlap mismatch of the field seen from both charts, at 40
+    seeded points of the annulus 0.7 <= |x| <= 1.4.
 
     `transition_fn(x)` is the 2x2 matrix carrying first-chart components
     into second-chart components: the chart Jacobian for vector fields,
@@ -374,10 +401,10 @@ def field_consistency_residual(fieldspec, transition_fn, samples=40, seed=0,
     if not atlas.identifications:
         return 0.0
     a_name, b_name, ab, _ = atlas.identifications[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
-    for _ in range(samples):
-        r = rng.uniform(*annulus)
+    for _ in range(40):
+        r = rng.uniform(0.7, 1.4)
         th = rng.uniform(0, 2 * math.pi)
         xa = np.array([r * math.cos(th), r * math.sin(th)])
         xb = ab(xa)

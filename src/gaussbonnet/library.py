@@ -161,21 +161,21 @@ def overlap_jacobian(x):
                      [2 * a * b, b * b - a * a]]) / r2 ** 2
 
 
-def stereo_pair_atlas(box=3.0, sharpness=6):
+def stereo_pair_atlas(sharpness=6):
     """Unit sphere as north/south stereographic disks with analytic weights.
 
     The partition of unity is rho(r) = 1 / (1 + r^{2s}); because the
     transition inverts the radius, the same expression in each chart's own
-    coordinates sums to one exactly.  Tail mass outside the box is below
-    4 pi / box^{2s+2}.  A sharpness s <= 0 raises ValueError: rho then no
-    longer decays inside the box.
+    coordinates sums to one exactly.  Each chart is the box |x1|, |x2| <= 3;
+    the tail mass outside it is below 4 pi / 3^{2s+2}.  A sharpness s <= 0
+    raises ValueError: rho then no longer decays inside the box.
     """
     if sharpness <= 0:
         raise ValueError(f"sharpness must be positive, got {sharpness}")
     conf = "4/(1+x1^2+x2^2)^2"
     weight = f"1/(1+(x1^2+x2^2)^{sharpness})"
     mk = lambda name: Chart.from_strings(
-        name, 2, [(-box, box), (-box, box)], [False, False],
+        name, 2, [(-3.0, 3.0), (-3.0, 3.0)], [False, False],
         {(0, 0): conf, (1, 1): conf}, weight=weight)
     north, south = mk("north"), mk("south")
     ab, ba = stereo_overlap_maps()
@@ -266,8 +266,7 @@ def field_registry():
         north = _complex_power_components(k)
         return VectorFieldSpec(f"section_z{k}", "section",
                                {"north": north, "south": ("1", "0")},
-                               stereo_pair_atlas(), expected=k,
-                               section_degree=k)
+                               stereo_pair_atlas(), expected=k)
 
     return {"morse": morse, "rotation": rotation, "constant": constant,
             "z": z_field, "z2": z2_field, "section_zk": section_zk}

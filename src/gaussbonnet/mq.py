@@ -82,10 +82,9 @@ def mq_form_point(n, x):
     return _berezin_gaussian(BigradedElement(n, n, terms), n)
 
 
-def mq_fiber_integral_point(n, nodes=40):
-    """Gauss-Hermite integral of the point-model Thom form over the fiber."""
-    if n != 2:
-        raise ValueError("point-model quadrature implemented for n = 2")
+def mq_fiber_integral_point(nodes=40):
+    """Gauss-Hermite integral of the rank-2 point-model Thom form over the
+    fiber."""
     v, weights = _hermite_plane(nodes)
     return pairwise_sum(weights * mq_form_point(2, v).coefficient((0, 1)).real)
 
@@ -222,7 +221,7 @@ def covariant_q_residual(bundle, chart_name, base_x, fiber_v):
     return residual.max_abs()
 
 
-def closedness_residual(bundle, chart_name, base_x, fiber_v, h=1e-4):
+def closedness_residual(bundle, chart_name, base_x, fiber_v):
     """Max coefficient of the numerically assembled d(u) at a point.
 
     Coefficient functions of u over the 4 total-space generators are
@@ -230,6 +229,7 @@ def closedness_residual(bundle, chart_name, base_x, fiber_v, h=1e-4):
     3-form d(u) must vanish since B(exp(-Q)) is closed.  The whole
     stencil, rows z0 + h e_c then z0 - h e_c, is one batch.
     """
+    h = 1e-4
     z0 = np.concatenate([np.asarray(base_x, dtype=float),
                          np.asarray(fiber_v, dtype=float)])
     z = z0 + h * np.vstack([np.eye(4), -np.eye(4)])

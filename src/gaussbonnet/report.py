@@ -41,7 +41,7 @@ class Report:
         return self
 
 
-def report_to_json(report, include_wall_time=True, indent=2):
+def report_to_json(report, include_wall_time=True):
     doc = {
         "command": report.command,
         "inputs": report.inputs,
@@ -55,7 +55,7 @@ def report_to_json(report, include_wall_time=True, indent=2):
     doc.update(report.extra)
     if include_wall_time:
         doc["wall_time"] = report.wall_time
-    return json.dumps(doc, indent=indent, sort_keys=False, allow_nan=True)
+    return json.dumps(doc, indent=2, sort_keys=False, allow_nan=True)
 
 
 def report_to_csv(report):

@@ -52,8 +52,10 @@ def test_partition_of_unity_exact():
     assert np.all((0 <= rho_n) & (rho_n <= 1))
 
 
-@pytest.mark.parametrize("k", [-2, -1, 0, 1, 2, 3])
+@pytest.mark.parametrize("k", [-2, -1, 0, 1, 2, 3, 360, 400, 720, -500])
 def test_winding_matches_clutching_degree(k):
+    # |k| >= 360 turns phi by pi or more between 720 samples; the rate from
+    # phi's 1-jet makes the sampling fine enough not to alias
     assert winding_of_phi(make_plane_bundle(k)) == pytest.approx(k, abs=1e-12)
 
 

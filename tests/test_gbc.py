@@ -83,6 +83,21 @@ def test_pfaffian_aw_pointwise_agreement(name):
             assert rep.discrepancy < 1e-9 * (sqrt_det_g + abs(rep.pfaffian_density))
 
 
+def test_pfaffian_aw_agreement_in_dimension_six():
+    """A bumpy S^2 x S^2 x squashed S^2 chart: at d = 6 the Pfaffian is cubic
+    in the curvature and the aw constant carries (d/2)! = 6, not d/2 = 3."""
+    bump = "exp(0.6*cos(x1))"
+    chart = Chart.from_strings(
+        "product", 6, [(0.0, math.pi), (0.0, 2 * math.pi)] * 3, [False, True] * 3,
+        {(0, 0): bump, (1, 1): f"{bump}*sin(x1)^2", (2, 2): "1", (3, 3): "sin(x3)^2",
+         (4, 4): "1 + 0.3*sin(x5)^2", (5, 5): "sin(x5)^2"})
+    pts = interior_points(np.random.default_rng(6), chart, 8)
+    pf = gb_density_pfaffian_batch(chart, pts)
+    aw = gb_density_aw_batch(chart, pts)
+    sqrt_det_g = point_geometry_batch(chart, pts).sqrt_det_g
+    assert np.all(np.abs(pf - aw) < 1e-12 * (sqrt_det_g + np.abs(pf)))
+
+
 @pytest.mark.parametrize("name", ["sphere2", "bumpy_sphere", "sphere4", "cp2"])
 def test_batch_pfaffian_matches_form_algebra(name):
     """The vectorized expansion agrees with the generic FormElement Pfaffian."""

@@ -53,7 +53,7 @@ def test_odd_rank_excluded():
 
 
 def test_point_fiber_integral_is_one():
-    assert mq_fiber_integral_point(2, nodes=40) == pytest.approx(1.0, abs=1e-10)
+    assert mq_fiber_integral_point(nodes=40) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_point_model_batch_rows_equal_single_points():
