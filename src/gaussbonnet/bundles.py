@@ -11,6 +11,10 @@ independent integral routes recover the clutching integer:
   a metric connection by construction, and -(1/2pi) d theta integrates to
   the same number (the d = 2 Pfaffian is the single curvature 2-form).
 
+The clutching integer itself is the degree of the clutching map
+(cos phi, sin phi) on the unit circle (`winding_of_phi`), computed by
+`index.sphere_degree`, the rule that gives every local degree of a field.
+
 Sign convention: counterclockwise winding, fixed by requiring the k = 1
 bundle to integrate to +1; the sign agrees with the curvature-density
 calibration used for the tangent-bundle integrals.
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import eval_jet, parse
-from .index import winding
+from .index import sphere_degree
 from .library import stereo_pair_atlas
 # metric_jets and integrate_chart are not called here; perfbench/smoke_test.py
 # checks that tracing rebinds this module's references to them
@@ -62,10 +66,6 @@ class PlaneBundle:
 
     def chart_names(self):
         return tuple(self.phi)
-
-    def other(self, name):
-        names = self.chart_names()
-        return names[1] if name == names[0] else names[0]
 
 
 def make_plane_bundle(k, sharpness=6):
@@ -175,16 +175,18 @@ def generalized_gbc(bundle, resolution=96):
 
 
 def winding_of_phi(bundle):
-    """Turns of the north chart's transition angle around the unit circle,
-    by `index.winding` with the rate d phi / d theta from phi's 1-jet.
+    """Degree of the clutching map (cos phi, sin phi) of the north chart's
+    transition angle on the unit circle, by `index.sphere_degree` with the
+    Jacobian from phi's 1-jet.
 
     Must come out as k (counterclockwise in this chart).
     """
     chart = bundle.atlas.chart("north")
 
-    def angle_and_rate(theta):
-        pts = np.column_stack([np.cos(theta), np.sin(theta)])
-        jet = eval_jet(bundle.parsed_phi["north"], pts, chart.params, order=1)
-        return jet.val, pts[:, 0] * jet.grad[:, 1] - pts[:, 1] * jet.grad[:, 0]
+    def clutching_jet(points):
+        jet = eval_jet(bundle.parsed_phi["north"], points, chart.params, order=1)
+        c, s = np.cos(jet.val), np.sin(jet.val)
+        return (np.column_stack([c, s]),
+                np.stack([-s[:, None] * jet.grad, c[:, None] * jet.grad], axis=1))
 
-    return winding(angle_and_rate)
+    return sphere_degree(clutching_jet, np.zeros(2), 1.0)

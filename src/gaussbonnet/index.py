@@ -1,11 +1,10 @@
 """Poincare-Hopf machinery: zero finding, local degrees, index sums.
 
-Local degree at an isolated zero: in dimension 2, the winding number of
-X/|X| around a small circle (`winding`, the one winding rule, which
-`bundles.winding_of_phi` shares); in dimension >= 3, the mapping degree
-as the integral of the pulled-back normalized volume form of the unit
-sphere over a small coordinate sphere.  Degrees are accepted only when
-integer-stable across two radii.
+Local degree at an isolated zero, in every dimension d >= 2: the mapping
+degree of X/|X| as the integral of the pulled-back normalized volume form
+of the unit sphere over a small coordinate sphere (`sphere_degree`, the
+one degree rule; `bundles.winding_of_phi` applies it to the clutching
+map).  Degrees are accepted only when integer-stable across two radii.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -21,14 +20,13 @@ from .expr import eval_jet, parse, shared_program
 from .quadrature import axis_rule, product_rule
 
 __all__ = ["VectorFieldSpec", "ZeroRecord", "IndexResult", "DegreeError",
-           "find_zeros", "local_degree", "index_sum", "field_consistency_residual",
-           "winding"]
+           "find_zeros", "local_degree", "sphere_degree", "index_sum",
+           "field_consistency_residual"]
 
 log = logging.getLogger(__name__)
 
 _NEWTON_MAX_ITER = 60
 _NEWTON_TOL = 1e-12  # |X| at an accepted zero
-_WINDING_SAMPLES = 720  # first circle sampling; doubled while the angle moves too fast
 _SPHERE_NODES = 48  # Gauss nodes per polar angle of a sphere degree
 
 
@@ -141,8 +139,9 @@ def _grid(chart, n):
 def find_zeros(fieldspec, scan_resolution=48):
     """Grid scan for |X|^2 minima, Newton refinement, cross-chart dedup.
 
-    Zeros closer than half a scan cell are indistinguishable at scan
-    resolution and are merged (Newton stalls at that scale for degenerate
+    Zeros closer than half a scan cell (periodic axes wrapped, so a zero
+    on a seam is found once) are indistinguishable at scan resolution and
+    are merged (Newton stalls at that scale for degenerate
     zeros anyway; the two-radius degree check guards correctness).  Two
     distinct zeros of one chart within 1.5 scan cells on every axis mean
     the scan does not isolate them (a curve or surface of zeros refines
@@ -183,12 +182,14 @@ def find_zeros(fieldspec, scan_resolution=48):
             candidates.append((chart.name, refined[flat_idx]))
     zeros = []
     for cname, x in candidates:
+        chart = atlas.chart(cname)
         tol = 0.45 * cell[cname].min()
         images = [(cname, x), *atlas.other_coords(cname, x)]
-        if any(zname == name and np.linalg.norm(zx - y) < tol
+        if any(zname == name and np.linalg.norm(_chart_offset(atlas.chart(name), zx, y)) < tol
                for zname, zx in zeros for name, y in images):
             continue  # duplicate
-        if any(zname == cname and np.all(np.abs(zx - x) <= 1.5 * cell[cname])
+        if any(zname == cname
+               and np.all(np.abs(_chart_offset(chart, zx, x)) <= 1.5 * cell[cname])
                for zname, zx in zeros):
             raise DegreeError(f"zeros near {x} on chart {cname!r} are not "
                               f"isolated at scan resolution {scan_resolution}")
@@ -204,6 +205,16 @@ def find_zeros(fieldspec, scan_resolution=48):
                     best = (oname, refined)
         deduped.append(best)
     return deduped, dropped
+
+
+def _chart_offset(chart, y, x):
+    """y - x in one chart's coordinates, periodic axes wrapped into
+    [-period / 2, period / 2)."""
+    diff = np.array(y - x, dtype=float)
+    for i, (lo, hi) in enumerate(chart.ranges):
+        if chart.periodic[i]:
+            diff[i] = (diff[i] + (hi - lo) / 2) % (hi - lo) - (hi - lo) / 2
+    return diff
 
 
 def _local_minima(grid, periodic):
@@ -241,53 +252,16 @@ def _local_minima(grid, periodic):
 # Local degree
 # --------------------------------------------------------------------------
 
-def winding(angle_and_rate):
-    """Turns of an angle around a circle, from samples of it and its rate.
+def sphere_degree(jet, center, radius):
+    """Mapping degree of u = X/|X| on the (d-1)-sphere |x - center| = radius.
 
-    `angle_and_rate(theta)` gives the angle (any branch) and its derivative
-    in theta at the circle angles theta.  The sampling starts at
-    _WINDING_SAMPLES and doubles until max|rate| 2 pi / n < pi / 2, so no
-    increment between neighbouring samples can alias past pi; the wrapped
-    increments are then summed.  An increment check alone cannot see
-    aliasing: an increment past pi wraps back into range.
-    """
-    n = _WINDING_SAMPLES
-    for _ in range(6):
-        theta = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-        ang, rate = angle_and_rate(theta)
-        if np.abs(rate).max() * (2 * math.pi / n) < math.pi / 2:
-            inc = np.diff(np.concatenate([ang, ang[:1]]))
-            inc = (inc + math.pi) % (2 * math.pi) - math.pi
-            return float(inc.sum() / (2 * math.pi))
-        n *= 2
-    raise DegreeError("the angle turns too fast for the circle sampling")
-
-
-def _winding_2d(fieldspec, chart_name, center, radius):
-    """Winding of X around a circle; its rate is (X x dX/dtheta) / |X|^2."""
-
-    def angle_and_rate(theta):
-        pts = np.column_stack([center[0] + radius * np.cos(theta),
-                               center[1] + radius * np.sin(theta)])
-        vals, grads = fieldspec.values(chart_name, pts, order=1)
-        norms = np.linalg.norm(vals, axis=1)
-        if norms.min() < 1e-13:
-            raise DegreeError("field vanishes on the test circle")
-        tangent = radius * np.column_stack([-np.sin(theta), np.cos(theta)])
-        dvals = np.einsum("nca,na->nc", grads, tangent)
-        rate = (vals[:, 0] * dvals[:, 1] - vals[:, 1] * dvals[:, 0]) / norms ** 2
-        return np.arctan2(vals[:, 1], vals[:, 0]), rate
-
-    return winding(angle_and_rate)
-
-
-def _sphere_degree(fieldspec, chart_name, center, radius):
-    """Mapping degree of X/|X| on a small (d-1)-sphere, d >= 3.
-
-    Integrates the pullback of the normalized volume form: the integrand
-    is det[u, du/dphi_1, ..., du/dphi_{d-1}] over a latitude-longitude
-    product grid with open nodes; derivatives of u come from field jets
-    and the exact chart of the sphere parametrization.
+    `jet(points)` gives X (N, d) and its Jacobians (N, d, d), indexed
+    [point, component, axis], at (N, d) points.  Integrates the pullback
+    of the normalized volume form: the integrand is
+    det[u, du/dphi_1, ..., du/dphi_{d-1}] over a latitude-longitude
+    product grid with open nodes; derivatives of u come from the jet and
+    the exact chart of the sphere parametrization.  For d = 2 this is the
+    periodic rule on 2 * _SPHERE_NODES circle nodes.
     """
     d = len(center)
     m = d - 1
@@ -316,7 +290,7 @@ def _sphere_degree(fieldspec, chart_name, center, radius):
                 de[:, a, k] = component(k, diff_at=a)
 
     pts = center[None, :] + radius * e
-    vals, grads = fieldspec.values(chart_name, pts, order=1)
+    vals, grads = jet(pts)
     norms = np.linalg.norm(vals, axis=1)
     if norms.min() < 1e-13:
         raise DegreeError("field vanishes on the test sphere")
@@ -335,19 +309,15 @@ def _sphere_degree(fieldspec, chart_name, center, radius):
 def local_degree(fieldspec, chart_name, zero, radius):
     """Degree of X/|X| around a zero, with the two-radius stability guard."""
     center = np.asarray(zero, dtype=float)
-    d = len(center)
     chart = fieldspec.atlas.chart(chart_name)
-    for r in (radius, radius / 2):
-        probe = center.copy()
-        probe[0] += r
-        if not chart.contains(probe, margin=0.0):
-            raise DegreeError(f"radius {r} leaves chart {chart_name!r}")
+    # the sphere's extreme points on every axis; the radius / 2 sphere lies inside
+    offsets = radius * np.eye(len(center))
+    if not chart.contains(np.concatenate([center + offsets, center - offsets])):
+        raise DegreeError(f"radius {radius} leaves chart {chart_name!r}")
+    jet = partial(fieldspec.values, chart_name, order=1)
     results = []
     for r in (radius, radius / 2):
-        if d == 2:
-            raw = _winding_2d(fieldspec, chart_name, center, r)
-        else:
-            raw = _sphere_degree(fieldspec, chart_name, center, r)
+        raw = sphere_degree(jet, center, r)
         rounded = int(round(raw))
         if abs(raw - rounded) >= 0.1:
             raise DegreeError(
@@ -370,15 +340,33 @@ def _default_radius(chart, x):
     return 0.6 * min(room)
 
 
+def _neighbour_distance(atlas, zeros, i):
+    """Distance from zero i to the nearest other zero in zero i's chart
+    coordinates, periodic axes wrapped; images of the other zeros under the
+    atlas's identifications count, non-finite ones are skipped."""
+    cname, x = zeros[i]
+    chart = atlas.chart(cname)
+    nearest = math.inf
+    for j, (zname, zx) in enumerate(zeros):
+        if j == i:
+            continue
+        for name, y in ((zname, zx), *atlas.other_coords(zname, zx)):
+            if name == cname and np.all(np.isfinite(y)):
+                nearest = min(nearest, float(np.linalg.norm(_chart_offset(chart, y, x))))
+    return nearest
+
+
 def index_sum(fieldspec, scan_resolution=48):
     """Sum of local degrees over all zeros (the caller compares it with the
-    field's declared `expected`)."""
+    field's declared `expected`).  Each sphere stays within its chart and
+    reaches less than half way to the nearest other zero."""
     zeros, dropped = find_zeros(fieldspec, scan_resolution)
     records = []
-    for cname, x in zeros:
+    for i, (cname, x) in enumerate(zeros):
         chart = fieldspec.atlas.chart(cname)
-        records.append(local_degree(fieldspec, cname, x,
-                                    min(0.25, _default_radius(chart, x))))
+        radius = min(0.25, _default_radius(chart, x),
+                     0.45 * _neighbour_distance(fieldspec.atlas, zeros, i))
+        records.append(local_degree(fieldspec, cname, x, radius))
     total = sum(rec.local_degree for rec in records)
     return IndexResult(total, records, dropped)
 

@@ -1,4 +1,4 @@
-"""Zero finding, winding numbers, mapping degrees and index sums."""
+"""Zero finding, mapping degrees and index sums."""
 
 import math
 
@@ -10,7 +10,7 @@ from gaussbonnet.index import (
     DegreeError, VectorFieldSpec, field_consistency_residual, find_zeros,
     index_sum, local_degree,
 )
-from gaussbonnet.library import build_field, overlap_jacobian
+from gaussbonnet.library import build_field, overlap_jacobian, stereo_pair_atlas
 
 
 def disk_chart(half=2.0, name="disk"):
@@ -26,6 +26,13 @@ def flat_field(components, half=2.0, expected=None):
     atlas = disk_atlas(half)
     return VectorFieldSpec("test", "vector", {"disk": components}, atlas,
                            expected=expected)
+
+
+def torus_field(components):
+    """A field on the flat torus [0, 2 pi)^2, one periodic chart."""
+    chart = Chart.from_strings("flat", 2, [(0.0, 2 * math.pi)] * 2, [True, True],
+                               {(0, 0): "1", (1, 1): "1"})
+    return VectorFieldSpec("test", "vector", {"flat": components}, Atlas((chart,)))
 
 
 # ------------------------------------------------------------ local degree
@@ -100,6 +107,27 @@ def test_degree_dimension_three():
     assert rec.local_degree == 1
 
 
+def test_fast_turning_field_degree():
+    """6000 turns on one circle: the sphere integral has no sampling limit."""
+    f = flat_field(("cos(6000*atan2(x2, x1))", "sin(6000*atan2(x2, x1))"))
+    assert local_degree(f, "disk", [0.0, 0.0], 0.5).local_degree == 6000
+
+
+def test_degree_next_to_a_second_zero():
+    """z (z - 0.3) at radius 0.25: the other zero is 1.2 radii away."""
+    f = flat_field(("x1^2 - x2^2 - 0.3*x1", "2*x1*x2 - 0.3*x2"))
+    rec = local_degree(f, "disk", [0.0, 0.0], 0.25)
+    assert abs(rec.raw_degree - 1) < 1e-6
+
+
+@pytest.mark.parametrize("zero", [(0.0, 0.9), (-0.9, 0.0)])
+def test_circle_leaving_chart_rejected(zero):
+    """The range guard looks along every axis, both ways."""
+    f = flat_field((f"x1 - {zero[0]}", f"x2 - {zero[1]}"), half=1.0)
+    with pytest.raises(DegreeError, match="leaves chart"):
+        local_degree(f, "disk", zero, 0.5)
+
+
 # ------------------------------------------------------------- find_zeros
 
 def test_nowhere_zero_field_empty():
@@ -133,6 +161,15 @@ def test_near_zero_without_root_is_dropped_with_report():
     assert zeros == []
     assert len(dropped) >= 1
     assert abs(dropped[0][1][0]) < 0.2  # near the fake minimum at the origin
+
+
+def test_zero_on_a_periodic_seam_found_once():
+    """x2 = 0 and x2 = 2 pi are one point; both scan rows reach it."""
+    f = torus_field(("sin(x1 - 1)", "sin(x2)"))
+    zeros, _ = find_zeros(f, scan_resolution=48)
+    assert len(zeros) == 4
+    result = index_sum(f, scan_resolution=48)
+    assert sorted(rec.local_degree for rec in result.zeros) == [-1, -1, 1, 1]
 
 
 # -------------------------------------------------------------- index sums
@@ -170,6 +207,43 @@ def test_section_degree_sum(k):
     result = index_sum(field, scan_resolution=32)
     assert result.total == k == field.expected
     assert len(result.zeros) == 1 and result.zeros[0].chart == "north"
+
+
+@pytest.mark.parametrize("comps,total", [
+    (("x1^2 - x2^2 - 0.22*x1", "2*x1*x2 - 0.22*x2"), 2),  # z (z - 0.22)
+    (("x1^2 - 0.22*x1 + x2^2", "-0.22*x2"), 0),  # z conj(z - 0.22)
+])
+def test_index_sum_radius_stays_clear_of_neighbouring_zeros(comps, total):
+    result = index_sum(flat_field(comps), scan_resolution=48)
+    assert result.total == total
+    assert len(result.zeros) == 2
+    assert all(rec.radius < 0.5 * 0.22 for rec in result.zeros)
+
+
+def test_index_sum_neighbours_across_a_periodic_seam():
+    """Zeros at x1 = +-0.12 (mod 2 pi) are 0.24 apart through the seam."""
+    result = index_sum(torus_field(("cos(x1) - cos(0.12)", "sin(x2 - 1)")),
+                       scan_resolution=48)
+    assert result.total == 0
+    assert sorted(rec.local_degree for rec in result.zeros) == [-1, -1, 1, 1]
+    assert all(rec.radius < 0.5 * 0.24 for rec in result.zeros)
+
+
+def test_index_sum_neighbours_in_another_chart():
+    """(z - 0.9)(z - 1.12) on the sphere: the zero at 1.12 is kept in the
+    south chart (at 1/1.12), 0.22 from the other one in north coordinates."""
+    p, q = 0.9, 1.12
+    north = (f"x1^2 - x2^2 - {p + q}*x1 + {p * q}", f"2*x1*x2 - {p + q}*x2")
+    # the pushforward -X / z^2 by w = 1/z reads -(1 - p w)(1 - q w)
+    south = (f"-(1 - {p + q}*x1 + {p * q}*(x1^2 - x2^2))",
+             f"{p + q}*x2 - {2 * p * q}*x1*x2")
+    f = VectorFieldSpec("pair", "vector", {"north": north, "south": south},
+                        stereo_pair_atlas())
+    assert field_consistency_residual(f, overlap_jacobian) < 1e-10
+    result = index_sum(f, scan_resolution=48)
+    assert result.total == 2
+    assert sorted(rec.chart for rec in result.zeros) == ["north", "south"]
+    assert all(rec.radius < 0.5 * (q - p) for rec in result.zeros)
 
 
 def test_scan_refinement_stability():
