@@ -10,11 +10,10 @@ heat-kernel supertraces are t-independent integers (McKean-Singer).
 from .exterior import (BigradedElement, FormElement, SkewFormMatrix, berezin,
                        berezin_fiber, dp_extend, dp_extend4, exp_nilpotent,
                        patodi_coefficient, pfaffian, supertrace)
-from .expr import Jet2, eval_jet2, parse
-from .gbc import gb_density_aw, gb_density_pfaffian, verify_gbc
+from .expr import eval_jet, parse
+from .gbc import gb_density_aw_batch, gb_density_pfaffian_batch, verify_gbc
 from .geometry import Atlas, Chart, NormalCoordinates, PointGeometry, point_geometry
-from .heat import (FlatTorusSpectrum, RoundSphereSpectrum, asymptotic_fit,
-                   heat_trace, supertrace_heat)
+from .heat import FlatTorusSpectrum, RoundSphereSpectrum, asymptotic_fit, supertrace_heat
 from .index import VectorFieldSpec, ZeroRecord, find_zeros, index_sum, local_degree
 from .bundles import PlaneBundle, generalized_gbc, make_plane_bundle
 from .library import build_field, build_manifold, manifold_names

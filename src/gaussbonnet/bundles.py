@@ -35,10 +35,9 @@ from .library import stereo_pair_atlas
 from .geometry import metric_jets  # noqa: F401
 from .quadrature import integrate_atlas, integrate_chart  # noqa: F401
 
-__all__ = ["PlaneBundle", "make_plane_bundle", "euler_form_transition",
-           "euler_form_transition_batch", "connection_form", "connection_curvature",
-           "connection_and_curvature", "curvature_density_batch", "generalized_gbc",
-           "winding_of_phi", "GeneralizedGbcResult"]
+__all__ = ["PlaneBundle", "make_plane_bundle", "euler_form_transition_batch",
+           "connection_form", "connection_and_curvature", "curvature_density_batch",
+           "generalized_gbc", "winding_of_phi", "GeneralizedGbcResult"]
 
 
 @dataclass
@@ -63,9 +62,6 @@ class PlaneBundle:
                                      if isinstance(self.phi[name], str) else self.phi[name])
             self.parsed_rho[name] = (parse(self.rho[name], chart.var_names)
                                      if isinstance(self.rho[name], str) else self.rho[name])
-
-    def chart_names(self):
-        return tuple(self.phi)
 
 
 def make_plane_bundle(k, sharpness=6):
@@ -112,11 +108,6 @@ def euler_form_transition_batch(bundle, name, points):
     return -(1.0 / (2 * math.pi)) * coeff
 
 
-def euler_form_transition(bundle, name, x):
-    return float(euler_form_transition_batch(
-        bundle, name, np.asarray(x, dtype=float)[None, :])[0])
-
-
 def connection_and_curvature(bundle, name, points):
     """theta_alpha (N, 2) and the dx1 ^ dx2 coefficient of d theta_alpha (N,)
     at (N, 2) points, from one evaluation of the phi and rho jets.
@@ -145,14 +136,9 @@ def connection_form(bundle, name):
     return lambda points: connection_and_curvature(bundle, name, points)[0]
 
 
-def connection_curvature(bundle, name, points):
-    """The dx1 ^ dx2 coefficient of d theta_alpha at (N, 2) points."""
-    return connection_and_curvature(bundle, name, points)[1]
-
-
 def curvature_density_batch(bundle, name, points):
     """dx1 ^ dx2 coefficient of -(1/2pi) d theta_alpha."""
-    return -(1.0 / (2 * math.pi)) * connection_curvature(bundle, name, points)
+    return -(1.0 / (2 * math.pi)) * connection_and_curvature(bundle, name, points)[1]
 
 
 @dataclass

@@ -57,9 +57,8 @@ import numpy as np
 
 __all__ = [
     "Expr", "Num", "Var", "Const", "Neg", "BinOp", "Call",
-    "Jet", "Jet2", "Program", "shared_program", "ParseError", "UnknownIdentifierError",
-    "EvalDomainError", "parse", "eval_jet2", "eval_jet", "eval_values", "expr_to_str",
-    "variable_support",
+    "Jet", "Program", "shared_program", "ParseError", "UnknownIdentifierError",
+    "EvalDomainError", "parse", "eval_jet", "expr_to_str", "variable_support",
 ]
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -364,14 +363,6 @@ def expr_to_str(node):
 # --------------------------------------------------------------------------
 # Jets
 # --------------------------------------------------------------------------
-
-@dataclass
-class Jet2:
-    """Value, gradient and symmetric Hessian of a scalar expression at a point."""
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-
 
 class Jet(NamedTuple):
     """Dense jet at N points in d coordinates, each part None above the
@@ -845,14 +836,3 @@ def eval_jet(node, points, params=None, order=2):
         raise TypeError(f"not an Expr node: {node!r}")
     jet = node._program.variant(order, params or {})(points)
     return Jet(*(None if part is None else part[..., 0] for part in jet))
-
-
-def eval_values(node, points, params=None):
-    return eval_jet(node, points, params, order=0).val
-
-
-def eval_jet2(node, point, params=None):
-    """Value, gradient and Hessian at a single point (spec-facing scalar API)."""
-    point = np.asarray(point, dtype=float)
-    jet = eval_jet(node, point[None, :], params, order=2)
-    return Jet2(float(jet.val[0]), jet.grad[0], jet.hess[0])

@@ -37,7 +37,7 @@ import numpy as np
 
 __all__ = [
     "FormElement", "BigradedElement", "SkewFormMatrix",
-    "merge_indices", "perm_sign", "pfaffian", "pfaffian_terms",
+    "merge_indices", "perm_sign", "wedge", "pfaffian", "pfaffian_terms",
     "pfaffian_definition", "pfaffian_numeric", "berezin", "berezin_fiber", "exp_nilpotent",
     "two_vector", "dp_extend", "dp_extend4", "supertrace",
     "patodi_coefficient", "killing_double_sum", "lambda_basis",

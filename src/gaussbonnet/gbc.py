@@ -30,9 +30,8 @@ from .geometry import curvature_pairs, point_geometry, point_geometry_batch
 from .quadrature import integrate_atlas
 
 __all__ = [
-    "CALIBRATED_SIGN", "gb_density_pfaffian", "gb_density_aw",
-    "gb_density_pfaffian_batch", "gb_density_aw_batch",
-    "integrand_report", "IntegrandReport", "verify_gbc", "GbcResult",
+    "CALIBRATED_SIGN", "gb_density_pfaffian_batch", "gb_density_aw_batch",
+    "verify_gbc", "GbcResult",
 ]
 
 # Sign calibrated on the unit 2-sphere (the Euler form must come out
@@ -41,6 +40,14 @@ CALIBRATED_SIGN = 1.0
 
 
 def gb_density_pfaffian_batch(chart, points):
+    """Scalars s (N,) with integrand = s dx^1 ^ ... ^ dx^d at (N, d) points,
+    via the Pfaffian route.
+
+    Cross-checked against the generic exterior-algebra Pfaffian of the
+    omega2 matrix (`gb_density_pfaffian_reference`); both run
+    exterior.pfaffian_terms, this path on (N,) coefficient arrays taken
+    straight from the curvature block.
+    """
     points = np.asarray(points, dtype=float)
     d = chart.dim
     if d % 2:
@@ -53,16 +60,6 @@ def gb_density_pfaffian_batch(chart, points):
                                          for col, pair in enumerate(pairs)},
                            d)[tuple(range(d))]
     return CALIBRATED_SIGN * (2 * math.pi) ** (-d / 2) * coeff * geo.sqrt_det_g
-
-
-def gb_density_pfaffian(chart, x):
-    """Scalar s with integrand = s dx^1 ^ ... ^ dx^d at x, via the Pfaffian route.
-
-    Cross-checked against the generic exterior-algebra Pfaffian of the
-    omega2 matrix in the test suite; both run exterior.pfaffian_terms, this
-    path on (N,) coefficient arrays taken straight from the curvature block.
-    """
-    return float(gb_density_pfaffian_batch(chart, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def gb_density_pfaffian_reference(chart, x):
@@ -89,23 +86,6 @@ def gb_density_aw_batch(chart, points):
     const = (2 * math.pi) ** (-d / 2) / (2 ** d * math.factorial(d // 2))
     return (CALIBRATED_SIGN * const * killing_double_sum(geo.riemann_frame, "blocks")
             * geo.sqrt_det_g)
-
-
-def gb_density_aw(chart, x):
-    return float(gb_density_aw_batch(chart, np.asarray(x, dtype=float)[None, :])[0])
-
-
-@dataclass
-class IntegrandReport:
-    pfaffian_density: float
-    aw_density: float
-    discrepancy: float
-
-
-def integrand_report(chart, x):
-    pf = gb_density_pfaffian(chart, x)
-    aw = gb_density_aw(chart, x)
-    return IntegrandReport(pf, aw, abs(pf - aw))
 
 
 @dataclass

@@ -20,8 +20,9 @@ with P = d(d-1)/2, straight from the metric 2-jet and Gamma, and moves it
 to the frame with the second exterior power of the frame.  The densities
 read that block; the full 4-tensors are scattered from it when first read.
 
-Batched variants operate on (N, d) point arrays and return stacked
-tensors; the scalar API wraps batch size 1.  Geodesics and parallel
+Batched functions operate on (N, d) point arrays and return stacked
+tensors; `point_geometry`, the full record at one point that the oracle
+routes read, is row 0 of a one-point batch.  Geodesics and parallel
 transport share one batched RK4 integrator: geodesic, geodesic_transport
 and parallel_transport are batch-of-one wrappers around it, and every
 geodesic row is wrapped on periodic axes and range-checked after every
@@ -51,8 +52,8 @@ from .exterior import FormElement, SkewFormMatrix
 __all__ = [
     "Chart", "Atlas", "PointGeometry", "GeometryError",
     "metric_jets", "point_geometry", "point_geometry_batch", "curvature_pairs",
-    "christoffels_at", "geodesic", "geodesic_transport", "parallel_transport",
-    "NormalCoordinates",
+    "christoffels_at", "geodesic", "geodesic_batch", "geodesic_transport",
+    "parallel_transport", "NormalCoordinates",
 ]
 
 
@@ -636,7 +637,7 @@ class NormalCoordinates:
     sphere (polar chart, center on the equator):
     * exp, log and log's dexp: n = 100; exp's endpoint is within 3.3e-11
       of the great circle for r <= 0.9;
-    * the pulled-back metric (`metric_at`, `det_g`, `det_g_batch`):
+    * the pulled-back metric (`pulled_back_metrics`):
       n = 300; det g is within 1e-10 relative of (sin r / r)^2 for
       r <= 0.9, where n = 100 gives 6.1e-10 and n = 200 3.8e-11;
     * `radial_det_g`: n = 64, so 32 steps for r <= 0.5, where the heat
@@ -699,16 +700,12 @@ class NormalCoordinates:
         """Batched exponential map, one shoot per row (no Jacobi fields)."""
         return self._shoot(us, _EXP_STEPS, False)[0]
 
-    def _pulled_back_metrics(self, us):
+    def pulled_back_metrics(self, us):
         """Pulled-back metrics dexp^T g dexp (N, d, d) at the rows u of us,
         from one Jacobi shoot."""
         x, _, dexp, _ = self._shoot(us, _METRIC_STEPS, True)
         g = metric_jets(self.chart, x, order=0)[0]
         return dexp.swapaxes(1, 2) @ g @ dexp
-
-    def det_g_batch(self, us):
-        """det of the pulled-back metric at many normal points, one batch."""
-        return np.linalg.det(self._pulled_back_metrics(us))
 
     def radial_det_g(self, directions, radii):
         """det G of the pulled-back metric and the first two arc-length
@@ -790,10 +787,3 @@ class NormalCoordinates:
     def distance(self, y):
         """Geodesic distance r(x0, y) = |log(y)|."""
         return float(np.linalg.norm(self.log(y)))
-
-    def metric_at(self, u):
-        """Pullback metric in normal coordinates, dexp^T g dexp."""
-        return self._pulled_back_metrics(np.asarray(u, dtype=float)[None, :])[0]
-
-    def det_g(self, u):
-        return float(np.linalg.det(self.metric_at(u)))

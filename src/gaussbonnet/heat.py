@@ -43,8 +43,7 @@ from .quadrature import axis_rule, product_rule
 
 __all__ = [
     "FlatTorusSpectrum", "RoundSphereSpectrum", "HeatValue",
-    "heat_trace", "supertrace_heat", "asymptotic_fit",
-    "supertrace_fit",
+    "supertrace_heat", "asymptotic_fit", "supertrace_fit",
     "FitResult", "RadialParametrix", "parametrix_u0", "parametrix_u1",
     "parametrix_u1_diag", "parametrix_kernel", "spectral_kernel_s2",
     "torus_image_kernel",
@@ -144,10 +143,6 @@ class RoundSphereSpectrum:
         return 1 if p in (0, 2) else 0
 
 
-def heat_trace(model, p, t, tail_tol=1e-12):
-    return model.heat_trace(p, t, tail_tol).value
-
-
 def supertrace_heat(model, t, tail_tol=1e-12):
     """Alternating sum of form-degree traces; integer for all t."""
     value, bound = 0.0, 0.0
@@ -182,7 +177,7 @@ def asymptotic_fit(model, p, t_list):
     if t.max() > 0.2:
         raise ValueError("fit window must stay in the small-t regime (<= 0.2)")
     d = model.d
-    y = np.array([heat_trace(model, p, ti, _TAIL_TOL) for ti in t])
+    y = np.array([model.heat_trace(p, ti, _TAIL_TOL).value for ti in t])
     y = y * (4 * math.pi * t) ** (d / 2)
     return _poly_fit(t, y)
 

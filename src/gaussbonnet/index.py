@@ -129,10 +129,13 @@ def _newton_refine(fieldspec, chart_name, x0):
 
 
 def _grid(chart, n):
+    """n scan points per axis, one cell (hi - lo) / n apart: cell midpoints
+    on a bounded axis, and on a periodic axis lo, ..., hi - cell, so the
+    seam is scanned once."""
     axes = []
     for (lo, hi), per in zip(chart.ranges, chart.periodic):
         pad = 0.0 if per else (hi - lo) / (2 * n)
-        axes.append((np.linspace(lo + pad, hi - pad, n), np.ones(n)))
+        axes.append((np.linspace(lo + pad, hi - pad, n, endpoint=not per), np.ones(n)))
     return product_rule(axes)[0], [n] * chart.dim
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import connection_and_curvature, connection_curvature
+from .bundles import connection_and_curvature
 from .exterior import (BigradedElement, berezin_fiber, exp_nilpotent,
                        merge_indices, pfaffian_numeric)
 # metric_jets and integrate_chart are not called here; perfbench/smoke_test.py
@@ -155,7 +155,7 @@ def mq_zero_section_density(bundle, chart_name, points):
 def berezin_vs_pfaffian_residual(bundle, chart_name, base_x):
     """|B(exp(-T)) - Pf(-M_T)| at one point: the algebra/Pfaffian bridge."""
     via_algebra = mq_form_bundle(bundle, chart_name, base_x, (0.0, 0.0)).coefficient((0, 1)).real
-    curvature = connection_curvature(bundle, chart_name, [base_x])[0]
+    curvature = _connection(bundle, chart_name, base_x)[1]
     m = np.array([[0.0, curvature], [-curvature, 0.0]])
     via_pfaffian = (2 * math.pi) ** (-1) * pfaffian_numeric(-m)
     return float(abs(via_algebra - via_pfaffian))

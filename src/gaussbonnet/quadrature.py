@@ -32,7 +32,7 @@ import numpy as np
 from .geometry import metric_jets  # noqa: F401
 
 __all__ = ["gauss_rule", "axis_rule", "product_rule", "chart_nodes", "integrate_chart",
-           "integrate_atlas", "pairwise_sum", "worker_count"]
+           "integrate_atlas", "pairwise_sum", "worker_count", "QuadratureError"]
 
 
 def worker_count():

@@ -41,7 +41,9 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from .expr import eval_values, parse
+import numpy as np
+
+from .expr import eval_jet, parse
 from .geometry import Atlas, Chart
 from .library import Manifold
 
@@ -68,9 +70,8 @@ class SpecDocument:
 
 def _const(text, path, line_no):
     """Evaluate a constant expression (no variables)."""
-    import numpy as np
     try:
-        return float(eval_values(parse(text, ()), np.zeros((1, 0)))[0])
+        return float(eval_jet(parse(text, ()), np.zeros((1, 0)), order=0).val[0])
     except Exception as exc:
         raise SpecFileError(f"bad constant expression {text!r}: {exc}",
                             path, line_no)

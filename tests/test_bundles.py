@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from gaussbonnet.bundles import (
-    PlaneBundle, connection_form, curvature_density_batch, euler_form_transition,
-    euler_form_transition_batch, generalized_gbc, make_plane_bundle,
-    winding_of_phi,
+    PlaneBundle, connection_form, curvature_density_batch, euler_form_transition_batch,
+    generalized_gbc, make_plane_bundle, winding_of_phi,
 )
 from gaussbonnet.expr import BinOp, Num, eval_jet
 from gaussbonnet.geometry import Atlas, metric_jets
@@ -94,8 +93,8 @@ def test_overlap_form_agreement():
     ab, _ = stereo_overlap_maps()
     rng = np.random.default_rng(2)
     for x in annulus_points(rng, 40):
-        en = euler_form_transition(b, "north", x)
-        es = euler_form_transition(b, "south", ab(x))
+        en = euler_form_transition_batch(b, "north", x[None, :])[0]
+        es = euler_form_transition_batch(b, "south", ab(x)[None, :])[0]
         assert es * np.linalg.det(overlap_jacobian(x)) == pytest.approx(en, rel=1e-9, abs=1e-12)
 
 

@@ -1,5 +1,7 @@
 """Spec-file loading, report determinism, CLI dispatch and exit codes."""
 
+import ast
+import importlib
 import json
 import math
 import os
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import gaussbonnet
 from gaussbonnet import cli
 from gaussbonnet.cli import main
 from gaussbonnet.gbc import verify_gbc
@@ -236,6 +239,28 @@ def test_python_m_gaussbonnet_runs_the_cli():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["value"] == 2.0
+
+
+def test_every_export_resolves():
+    """Each name in a module's __all__ is defined there, and each public name
+    that a package module (the package __init__ included) imports from a
+    module with an __all__ is listed in it, so a deletion leaves no stale
+    export and no unlisted public name."""
+    package = Path(gaussbonnet.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem not in ("__init__", "__main__"):  # __main__ runs the CLI
+            module = importlib.import_module(f"gaussbonnet.{path.stem}")
+            missing = [name for name in getattr(module, "__all__", ())
+                       if not hasattr(module, name)]
+            assert not missing, (path.stem, missing)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                source = importlib.import_module(f"gaussbonnet.{node.module}")
+                exports = getattr(source, "__all__", None)
+                unlisted = [alias.name for alias in node.names
+                            if exports is not None and not alias.name.startswith("_")
+                            and alias.name not in exports]
+                assert not unlisted, (path.stem, node.module, unlisted)
 
 
 def test_cli_euler_class(capsys):

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from gaussbonnet.bundles import make_plane_bundle
 from gaussbonnet.expr import (
     CONSTANTS, BinOp, Call, Const, EvalDomainError, Neg, Num, ParseError, Program,
-    UnknownIdentifierError, Var, eval_jet, eval_jet2, eval_values, expr_to_str, parse,
+    UnknownIdentifierError, Var, eval_jet, expr_to_str, parse,
     shared_program, variable_support,
 )
 from gaussbonnet.geometry import Chart, metric_jets
@@ -78,12 +78,12 @@ def test_unknown_variable():
 
 def test_power_right_associative():
     tree = parse("2^3^2", [])
-    assert eval_values(tree, np.zeros((1, 0)))[0] == 512.0
+    assert eval_jet(tree, np.zeros((1, 0)), order=0).val[0] == 512.0
 
 
 def test_reserved_constants():
     tree = parse("pi + e", [])
-    assert eval_values(tree, np.zeros((1, 0)))[0] == pytest.approx(math.pi + math.e)
+    assert eval_jet(tree, np.zeros((1, 0)), order=0).val[0] == pytest.approx(math.pi + math.e)
     with pytest.raises(ValueError):
         parse("pi", ["pi"])
 
@@ -102,44 +102,44 @@ def test_empty_rejected():
 
 def test_bilinear_jet():
     tree = parse("x1*x2", ["x1", "x2"])
-    jet = eval_jet2(tree, [2.0, 3.0])
-    assert jet.value == 6.0
-    assert np.allclose(jet.gradient, [3.0, 2.0])
-    assert np.allclose(jet.hessian, [[0, 1], [1, 0]])
+    jet = eval_jet(tree, [[2.0, 3.0]])
+    assert jet.val[0] == 6.0
+    assert np.allclose(jet.grad[0], [3.0, 2.0])
+    assert np.allclose(jet.hess[0], [[0, 1], [1, 0]])
 
 
 def test_sin_at_zero():
-    jet = eval_jet2(parse("sin(x1)", ["x1"]), [0.0])
-    assert jet.value == 0.0
-    assert np.allclose(jet.gradient, [1.0])
-    assert np.allclose(jet.hessian, [[0.0]])
+    jet = eval_jet(parse("sin(x1)", ["x1"]), [[0.0]])
+    assert jet.val[0] == 0.0
+    assert np.allclose(jet.grad[0], [1.0])
+    assert np.allclose(jet.hess[0], [[0.0]])
 
 
 def test_exp_square_matches_finite_differences():
     tree = parse("exp(x1^2)", ["x1"])
-    jet = eval_jet2(tree, [0.7])
+    jet = eval_jet(tree, [[0.7]])
 
     def f(x):
         return math.exp(x[0] ** 2)
 
     g = fd_gradient(f, [0.7])
     h = fd_hessian(f, [0.7])
-    assert abs(jet.gradient[0] - g[0]) <= 1e-6 * (1 + abs(jet.value))
-    assert abs(jet.hessian[0, 0] - h[0, 0]) <= 1e-5 * (1 + abs(jet.value))
+    assert abs(jet.grad[0, 0] - g[0]) <= 1e-6 * (1 + abs(jet.val[0]))
+    assert abs(jet.hess[0, 0, 0] - h[0, 0]) <= 1e-5 * (1 + abs(jet.val[0]))
 
 
 def test_integer_power_negative_base():
     tree = parse("x1^3", ["x1"])
-    jet = eval_jet2(tree, [-2.0])
-    assert jet.value == -8.0
-    assert jet.gradient[0] == 12.0
-    assert jet.hessian[0, 0] == -12.0
+    jet = eval_jet(tree, [[-2.0]])
+    assert jet.val[0] == -8.0
+    assert jet.grad[0, 0] == 12.0
+    assert jet.hess[0, 0, 0] == -12.0
 
 
 def test_negative_integer_exponent():
-    jet = eval_jet2(parse("x1^-2", ["x1"]), [2.0])
-    assert jet.value == 0.25
-    assert jet.gradient[0] == pytest.approx(-2 / 8)
+    jet = eval_jet(parse("x1^-2", ["x1"]), [[2.0]])
+    assert jet.val[0] == 0.25
+    assert jet.grad[0, 0] == pytest.approx(-2 / 8)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -158,9 +158,9 @@ def test_integer_powers_agree_bit_for_bit(order):
 
 def test_exponent_reading_a_coordinate_needs_positive_base():
     tree = parse("x1^(x2-x2)", ["x1", "x2"])
-    assert eval_jet2(tree, [2.0, 0.3]).value == 1.0
+    assert eval_jet(tree, [[2.0, 0.3]]).val[0] == 1.0
     with pytest.raises(EvalDomainError, match="positive base"):
-        eval_jet2(tree, [-2.0, 0.3])
+        eval_jet(tree, [[-2.0, 0.3]])
 
 
 def test_compiled_program_stays_out_of_eq_hash_repr():
@@ -178,40 +178,40 @@ def test_compiled_program_stays_out_of_eq_hash_repr():
 
 def test_noninteger_power_requires_positive_base():
     tree = parse("x1^0.5", ["x1"])
-    assert eval_jet2(tree, [4.0]).value == pytest.approx(2.0)
+    assert eval_jet(tree, [[4.0]]).val[0] == pytest.approx(2.0)
     with pytest.raises(EvalDomainError):
-        eval_jet2(tree, [-4.0])
+        eval_jet(tree, [[-4.0]])
 
 
 def test_domain_errors_name_subexpression():
     with pytest.raises(EvalDomainError) as err:
-        eval_jet2(parse("log(x1 - 2)", ["x1"]), [1.0])
+        eval_jet(parse("log(x1 - 2)", ["x1"]), [[1.0]])
     assert "x1-2" in str(err.value)
     with pytest.raises(EvalDomainError):
-        eval_jet2(parse("1/x1", ["x1"]), [0.0])
+        eval_jet(parse("1/x1", ["x1"]), [[0.0]])
     with pytest.raises(EvalDomainError):
-        eval_jet2(parse("sqrt(x1)", ["x1"]), [-1.0])
+        eval_jet(parse("sqrt(x1)", ["x1"]), [[-1.0]])
     with pytest.raises(EvalDomainError):
-        eval_jet2(parse("atan2(x1, x2)", ["x1", "x2"]), [0.0, 0.0])
+        eval_jet(parse("atan2(x1, x2)", ["x1", "x2"]), [[0.0, 0.0]])
 
 
 def test_atan2_derivatives():
     tree = parse("atan2(x1, x2)", ["x1", "x2"])
     pt = [0.6, -1.1]
-    jet = eval_jet2(tree, pt)
+    jet = eval_jet(tree, [pt])
 
     def f(x):
         return math.atan2(x[0], x[1])
 
-    assert np.allclose(jet.gradient, fd_gradient(f, pt), atol=1e-7)
-    assert np.allclose(jet.hessian, fd_hessian(f, pt), atol=1e-5)
+    assert np.allclose(jet.grad[0], fd_gradient(f, pt), atol=1e-7)
+    assert np.allclose(jet.hess[0], fd_hessian(f, pt), atol=1e-5)
 
 
 def test_params_are_flat():
     tree = parse("r^2*sin(x1)", ["x1"], ["r"])
-    jet = eval_jet2(tree, [0.5], {"r": 3.0})
-    assert jet.value == pytest.approx(9 * math.sin(0.5))
-    assert jet.gradient[0] == pytest.approx(9 * math.cos(0.5))
+    jet = eval_jet(tree, [[0.5]], {"r": 3.0})
+    assert jet.val[0] == pytest.approx(9 * math.sin(0.5))
+    assert jet.grad[0, 0] == pytest.approx(9 * math.cos(0.5))
 
 
 def test_variable_support_skips_parameters_and_constants():
@@ -230,22 +230,22 @@ def test_batched_matches_scalar():
     pts = rng.uniform(0.5, 1.5, size=(16, 2))
     batch = eval_jet(tree, pts)
     for i in range(len(pts)):
-        one = eval_jet2(tree, pts[i])
-        assert one.value == pytest.approx(batch.val[i], rel=1e-14)
-        assert np.allclose(one.gradient, batch.grad[i])
+        one = eval_jet(tree, pts[i][None, :])
+        assert one.val[0] == pytest.approx(batch.val[i], rel=1e-14)
+        assert np.allclose(one.grad[0], batch.grad[i])
 
 
 def test_pow_call_and_remaining_functions():
-    jet = eval_jet2(parse("pow(x1, 3)", ["x1"]), [-2.0])
-    assert jet.value == -8.0 and jet.gradient[0] == 12.0
-    jet = eval_jet2(parse("pow(x1, 0.5)", ["x1"]), [9.0])
-    assert jet.value == pytest.approx(3.0)
-    jet = eval_jet2(parse("tan(x1)", ["x1"]), [0.4])
-    assert jet.gradient[0] == pytest.approx(1 / math.cos(0.4) ** 2)
-    jet = eval_jet2(parse("abs(x1)", ["x1"]), [-1.5])
-    assert jet.value == 1.5 and jet.gradient[0] == -1.0
-    jet = eval_jet2(parse("atan(x1)", ["x1"]), [2.0])
-    assert jet.gradient[0] == pytest.approx(1 / 5)
+    jet = eval_jet(parse("pow(x1, 3)", ["x1"]), [[-2.0]])
+    assert jet.val[0] == -8.0 and jet.grad[0, 0] == 12.0
+    jet = eval_jet(parse("pow(x1, 0.5)", ["x1"]), [[9.0]])
+    assert jet.val[0] == pytest.approx(3.0)
+    jet = eval_jet(parse("tan(x1)", ["x1"]), [[0.4]])
+    assert jet.grad[0, 0] == pytest.approx(1 / math.cos(0.4) ** 2)
+    jet = eval_jet(parse("abs(x1)", ["x1"]), [[-1.5]])
+    assert jet.val[0] == 1.5 and jet.grad[0, 0] == -1.0
+    jet = eval_jet(parse("atan(x1)", ["x1"]), [[2.0]])
+    assert jet.grad[0, 0] == pytest.approx(1 / 5)
 
 
 # ------------------------------------------------ randomized FD property
@@ -285,23 +285,23 @@ def test_random_expressions_match_finite_differences():
         text = _random_expr(rng, 3)
         tree = parse(text, variables)
         pt = rng.uniform(0.3, 1.2, size=3)
-        jet = eval_jet2(tree, pt)
-        scale = max(abs(jet.value), np.abs(jet.gradient).max(),
-                    np.abs(jet.hessian).max())
+        jet = eval_jet(tree, pt[None, :])
+        value, gradient, hessian = jet.val[0], jet.grad[0], jet.hess[0]
+        scale = max(abs(value), np.abs(gradient).max(), np.abs(hessian).max())
         if not np.isfinite(scale) or scale > 1e3:
             continue  # steep trees drown the h^2 truncation of the oracle
         checked += 1
 
         def f(x, tree=tree):
-            return eval_jet2(tree, x).value
+            return eval_jet(tree, x[None, :]).val[0]
 
-        tol = 1e-5 * (1.0 + abs(jet.value))
-        assert np.abs(jet.gradient - fd_gradient(f, pt)).max() < tol
+        tol = 1e-5 * (1.0 + abs(value))
+        assert np.abs(gradient - fd_gradient(f, pt)).max() < tol
         # the h = 1e-5 second-difference oracle has a roundoff floor of
         # roughly eps * (internal argument magnitude) / h^2; the jets are
         # exact to ~1e-13 (checked against closed forms elsewhere)
         hess_floor = 3e-16 * (1.0 + scale) / 1e-10
-        assert np.abs(jet.hessian - fd_hessian(f, pt)).max() < tol + hess_floor
+        assert np.abs(hessian - fd_hessian(f, pt)).max() < tol + hess_floor
 
 
 # --------------------------------------------------------- fuzz / roundtrip
@@ -381,7 +381,7 @@ def test_spec_text_evaluates_as_python(text, x):
         assume(False)  # outside the domain, or math fed a complex power: no oracle
     assume(not isinstance(want, complex) and abs(want) < 1e12)
     try:
-        got = eval_values(parse(text, ["x1", "x2"]), np.array([x]))[0]
+        got = eval_jet(parse(text, ["x1", "x2"]), np.array([x]), order=0).val[0]
     except EvalDomainError:
         assume(False)  # 0.0**0.5 is 0 in Python and a domain error here
     assert got == pytest.approx(want, rel=1e-9, abs=1e-9), text
@@ -471,7 +471,7 @@ def dense_jet(node, points, params, order):
 
     def power(node, a, b_node):
         if not variable_support(b_node):
-            k = float(eval_values(b_node, np.zeros((1, 0)), params)[0])
+            k = float(eval_jet(b_node, np.zeros((1, 0)), params, order=0).val[0])
             if k == round(k) and abs(k) <= 1024:
                 k = int(round(k))
                 if k == 0:
@@ -602,7 +602,7 @@ def test_bundle_and_field_jets_match_dense_oracle_bitwise(order):
     rng = np.random.default_rng(13)
     for k in (-2, 1, 3):
         bundle = make_plane_bundle(k)
-        for name in bundle.chart_names():
+        for name in bundle.phi:
             chart = bundle.atlas.chart(name)
             pts = _chart_points(chart, rng)
             for tree in (bundle.parsed_phi[name], bundle.parsed_rho[name]):
@@ -654,7 +654,7 @@ def test_hessians_are_symmetric_bitwise():
     programs = []
     for k in (-2, 1, 3):
         bundle = make_plane_bundle(k)
-        programs += [(tree, bundle.atlas.chart(name)) for name in bundle.chart_names()
+        programs += [(tree, bundle.atlas.chart(name)) for name in bundle.phi
                      for tree in (bundle.parsed_phi[name], bundle.parsed_rho[name])]
     fields = [build_field(name) for name in field_names() if name != "section_zk"]
     fields += [build_field("section_zk", k=k) for k in (1, 2, 3)]

@@ -7,7 +7,7 @@ import pytest
 
 from gaussbonnet.geometry import Atlas, Chart
 from gaussbonnet.index import (
-    DegreeError, VectorFieldSpec, field_consistency_residual, find_zeros,
+    DegreeError, VectorFieldSpec, _grid, field_consistency_residual, find_zeros,
     index_sum, local_degree,
 )
 from gaussbonnet.library import build_field, overlap_jacobian, stereo_pair_atlas
@@ -164,7 +164,7 @@ def test_near_zero_without_root_is_dropped_with_report():
 
 
 def test_zero_on_a_periodic_seam_found_once():
-    """x2 = 0 and x2 = 2 pi are one point; both scan rows reach it."""
+    """x2 = 0 and x2 = 2 pi are one point; its zeros are found once each."""
     f = torus_field(("sin(x1 - 1)", "sin(x2)"))
     zeros, _ = find_zeros(f, scan_resolution=48)
     assert len(zeros) == 4
@@ -172,7 +172,21 @@ def test_zero_on_a_periodic_seam_found_once():
     assert sorted(rec.local_degree for rec in result.zeros) == [-1, -1, 1, 1]
 
 
-# -------------------------------------------------------------- index sums
+def test_periodic_scan_axis_has_one_point_per_cell():
+    """Each periodic axis of the scan grid holds n distinct points one scan
+    cell (hi - lo) / n apart, across the seam too, so the seam row is
+    scanned once."""
+    chart = torus_field(("1", "1")).atlas.charts[0]
+    n = 48
+    cell = 2 * math.pi / n  # find_zeros' scan cell
+    pts, shape = _grid(chart, n)
+    assert shape == [n, n]
+    for axis in range(2):
+        values = np.unique(pts[:, axis])
+        assert len(values) == n
+        gaps = np.diff(np.append(values, values[0] + 2 * math.pi))
+        assert np.abs(gaps - cell).max() < 1e-12
+
 
 def test_morse_field_index_two():
     field = build_field("morse")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gaussbonnet.bundles import (
-    connection_curvature, connection_form, euler_form_transition_batch, make_plane_bundle,
+    connection_and_curvature, connection_form, euler_form_transition_batch, make_plane_bundle,
 )
 from gaussbonnet.expr import eval_jet
 from gaussbonnet.exterior import BigradedElement
@@ -100,7 +100,7 @@ def test_connection_rows_equal_form_and_curvature(k):
     """One phi/rho evaluation per batch gives theta and d theta bit for bit,
     row by row; theta also equals the order-1 jet assembly."""
     b = make_plane_bundle(k)
-    for name in b.chart_names():
+    for name in b.phi:
         x = _annulus_points(np.random.default_rng(13), 12)
         theta, curvature = _connection(b, name, x)
         chart = b.atlas.chart(name)
@@ -111,7 +111,7 @@ def test_connection_rows_equal_form_and_curvature(k):
             one_theta, one_curvature = _connection(b, name, x[row])
             assert one_theta.tobytes() == connection_form(b, name)(x[row:row + 1])[0].tobytes()
             assert one_theta.tobytes() == theta[row].tobytes()
-            assert one_curvature == connection_curvature(b, name, x[row:row + 1])[0]
+            assert one_curvature == connection_and_curvature(b, name, x[row:row + 1])[1][0]
             assert one_curvature == curvature[row]
 
 
