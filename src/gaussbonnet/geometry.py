@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expr import Expr, Num, eval_jet, parse, shared_program, variable_support
+from .expr import EvalDomainError, Expr, Num, eval_jet, parse, shared_program, variable_support
 from .exterior import FormElement, SkewFormMatrix
 
 __all__ = [
@@ -150,14 +150,23 @@ class Chart:
 
 @dataclass(frozen=True)
 class Atlas:
-    """Charts plus optional overlap identifications.
-
-    identifications: list of (name_a, name_b, map_ab, map_ba) where map_ab
-    sends chart-a coordinates to chart-b coordinates on the overlap.
+    """Charts plus optional overlap identifications (name_a, name_b,
+    map_ab, map_ba): map_ab is d expressions in chart a's variables giving
+    chart-b coordinates on the overlap, map_ba its inverse.  Strings are
+    parsed when the atlas is built; each direction is one `shared_program`,
+    whose values are the images and whose 1-jet is the Jacobian.
     """
 
     charts: tuple
     identifications: tuple = ()
+
+    def __post_init__(self):
+        def parsed(source, exprs):
+            chart = self.chart(source)
+            return tuple(parse(e, chart.var_names, chart.params) if isinstance(e, str) else e
+                         for e in exprs)
+        object.__setattr__(self, "identifications", tuple(
+            (a, b, parsed(a, ab), parsed(b, ba)) for a, b, ab, ba in self.identifications))
 
     @property
     def dim(self):
@@ -169,14 +178,32 @@ class Atlas:
                 return c
         raise KeyError(f"no chart named {name!r}")
 
+    @cached_property
+    def _programs(self):
+        """{(a, b): program of the chart-a to chart-b map}, both directions."""
+        return {key: shared_program(m) for a, b, ab, ba in self.identifications
+                for key, m in (((a, b), ab), ((b, a), ba))}
+
+    def transition(self, a, b, points, order):
+        """Images (N, d) of (N, d) chart-a points in chart b, and from order
+        1 also the Jacobians (N, d, d) [point, b-coordinate, a-axis].
+        Raises EvalDomainError when a point leaves the map's domain."""
+        jet = eval_jet(self._programs[a, b], points, self.chart(a).params, order)
+        return jet.val if order == 0 else (jet.val, jet.grad.transpose(0, 2, 1))
+
     def other_coords(self, chart_name, x):
-        """Map a point to every other chart that contains its image."""
+        """(name, image) of a point in every chart identified with its own.
+        Images are not clipped to the other chart's box: a zero of a field's
+        expression there is still a zero, so `index`'s neighbour radius cap
+        must keep clear of it.  A point outside a map's domain (the
+        stereographic chart origin) has no image."""
         out = []
-        for (a, b, ab, ba) in self.identifications:
+        for a, b in self._programs:
             if a == chart_name:
-                out.append((b, ab(np.asarray(x, dtype=float))))
-            elif b == chart_name:
-                out.append((a, ba(np.asarray(x, dtype=float))))
+                try:
+                    out.append((b, self.transition(a, b, np.asarray(x, float)[None, :], 0)[0]))
+                except EvalDomainError:
+                    pass
         return out
 
 

@@ -346,7 +346,7 @@ def _default_radius(chart, x):
 def _neighbour_distance(atlas, zeros, i):
     """Distance from zero i to the nearest other zero in zero i's chart
     coordinates, periodic axes wrapped; images of the other zeros under the
-    atlas's identifications count, non-finite ones are skipped."""
+    atlas's identifications count."""
     cname, x = zeros[i]
     chart = atlas.chart(cname)
     nearest = math.inf
@@ -354,7 +354,7 @@ def _neighbour_distance(atlas, zeros, i):
         if j == i:
             continue
         for name, y in ((zname, zx), *atlas.other_coords(zname, zx)):
-            if name == cname and np.all(np.isfinite(y)):
+            if name == cname:
                 nearest = min(nearest, float(np.linalg.norm(_chart_offset(chart, y, x))))
     return nearest
 
@@ -375,39 +375,37 @@ def index_sum(fieldspec, scan_resolution=48):
 
 
 # --------------------------------------------------------------------------
-# Transition consistency of built-in fields
+# Transition consistency of fields
 # --------------------------------------------------------------------------
 
-def field_consistency_residual(fieldspec, transition_fn):
-    """Largest overlap mismatch of the field seen from both charts, at 40
-    seeded points of the annulus 0.7 <= |x| <= 1.4.
+def field_consistency_residual(fieldspec, clutching):
+    """Largest mismatch of the field seen from both charts of each
+    identification (a, b), at 400 seeded points of chart a's box whose
+    image lies in chart b's box; ValueError when nothing is compared.
 
-    `transition_fn(x)` is the 2x2 matrix carrying first-chart components
-    into second-chart components: the chart Jacobian for vector fields,
-    the clutching rotation for sections.  Vector fields must match
-    exactly; sections are compared as directions only (zeros and degrees
-    are invariant under positive rescaling).
+    A vector field pushes forward through the transition's 1-jet Jacobian
+    (pass clutching=None); a section through `clutching(a, b, xa)`, its
+    bundle's (N, d, d) rotations at (N, d) chart-a points, and is compared
+    by direction only (zeros and degrees are invariant under rescaling).
     """
     atlas = fieldspec.atlas
-    if not atlas.identifications:
-        return 0.0
-    a_name, b_name, ab, _ = atlas.identifications[0]
     rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(40):
-        r = rng.uniform(0.7, 1.4)
-        th = rng.uniform(0, 2 * math.pi)
-        xa = np.array([r * math.cos(th), r * math.sin(th)])
-        xb = ab(xa)
-        va = fieldspec.values(a_name, xa[None, :])[0]
-        vb = fieldspec.values(b_name, xb[None, :])[0]
-        pushed = transition_fn(xa) @ va
-        if fieldspec.kind == "vector":
-            worst = max(worst, float(np.linalg.norm(pushed - vb)))
-        else:
-            pn, vn = np.linalg.norm(pushed), np.linalg.norm(vb)
-            if pn == 0 or vn == 0:
-                worst = max(worst, abs(pn - vn))
-            else:
-                worst = max(worst, float(np.linalg.norm(pushed / pn - vb / vn)))
-    return worst
+    worst = []
+    for a, b, _, _ in atlas.identifications:
+        lo, hi = np.array(atlas.chart(a).ranges).T
+        xa = lo + (hi - lo) * rng.random((400, len(lo)))
+        xb, jac = atlas.transition(a, b, xa, 1)
+        inside = np.array([atlas.chart(b).contains(y) for y in xb])
+        if not inside.any():
+            raise ValueError(f"no sample of chart {a!r} has its image inside chart {b!r}")
+        xa, xb, jac = xa[inside], xb[inside], jac[inside]
+        mats = jac if fieldspec.kind == "vector" else clutching(a, b, xa)
+        pushed = np.einsum("nij,nj->ni", mats, fieldspec.values(a, xa))
+        vb = fieldspec.values(b, xb)
+        if fieldspec.kind == "section":
+            pushed = pushed / np.linalg.norm(pushed, axis=1, keepdims=True)
+            vb = vb / np.linalg.norm(vb, axis=1, keepdims=True)
+        worst.append(np.linalg.norm(pushed - vb, axis=1).max())
+    if not worst:
+        raise ValueError(f"field {fieldspec.name!r}: the atlas has no identification")
+    return float(max(worst))

@@ -11,13 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import Atlas, Chart
 
 __all__ = ["Manifold", "MANIFOLDS", "build_manifold", "stereo_pair_atlas",
-           "stereo_overlap_maps", "overlap_jacobian", "field_registry",
-           "build_field", "manifold_names", "field_names"]
+           "field_registry", "build_field", "manifold_names", "field_names"]
 
 PI = math.pi
 
@@ -137,30 +134,6 @@ def cp2():
 # sections and plane bundles.
 # --------------------------------------------------------------------------
 
-def stereo_overlap_maps():
-    """Chart transition w~ = 1/w (complex), i.e. (x, y) -> (x, -y)/|w|^2."""
-
-    def flip(x):
-        x = np.asarray(x, dtype=float)
-        r2 = x[0] ** 2 + x[1] ** 2
-        if r2 == 0.0:
-            return np.array([np.inf, np.inf])  # chart origin maps to the antipode
-        return np.array([x[0] / r2, -x[1] / r2])
-
-    return flip, flip  # the map is an involution
-
-
-def overlap_jacobian(x):
-    """Jacobian of the transition w~ = 1/w at a north-chart point.
-
-    Equals multiplication by the complex derivative -1/w^2.
-    """
-    a, b = x[0], x[1]
-    r2 = a * a + b * b
-    return np.array([[b * b - a * a, -2 * a * b],
-                     [2 * a * b, b * b - a * a]]) / r2 ** 2
-
-
 def stereo_pair_atlas(sharpness=6):
     """Unit sphere as north/south stereographic disks with analytic weights.
 
@@ -177,9 +150,9 @@ def stereo_pair_atlas(sharpness=6):
     mk = lambda name: Chart.from_strings(
         name, 2, [(-3.0, 3.0), (-3.0, 3.0)], [False, False],
         {(0, 0): conf, (1, 1): conf}, weight=weight)
-    north, south = mk("north"), mk("south")
-    ab, ba = stereo_overlap_maps()
-    return Atlas((north, south), identifications=(("north", "south", ab, ba),))
+    flip = ("x1/(x1^2+x2^2)", "-x2/(x1^2+x2^2)")  # w~ = 1/w, an involution
+    return Atlas((mk("north"), mk("south")),
+                 identifications=(("north", "south", flip, flip),))
 
 
 MANIFOLDS = {

@@ -12,9 +12,7 @@ from gaussbonnet.bundles import (
 )
 from gaussbonnet.expr import BinOp, Num, eval_jet
 from gaussbonnet.geometry import Atlas, metric_jets
-from gaussbonnet.library import (
-    overlap_jacobian, stereo_overlap_maps, stereo_pair_atlas,
-)
+from gaussbonnet.library import stereo_pair_atlas
 from gaussbonnet.mq import mq_zero_section_density
 from gaussbonnet.quadrature import integrate_chart
 
@@ -23,6 +21,20 @@ def annulus_points(rng, n, lo=0.7, hi=1.4):
     r = rng.uniform(lo, hi, n)
     th = rng.uniform(0, 2 * math.pi, n)
     return np.column_stack([r * np.cos(th), r * np.sin(th)])
+
+
+def to_south(pts):
+    """The atlas's north-to-south transition: images and Jacobians."""
+    return stereo_pair_atlas().transition("north", "south", pts, 1)
+
+
+def overlap_jacobian_closed_form(x):
+    """Jacobian of w~ = 1/w at north-chart points (N, 2): multiplication by
+    the complex derivative -1/w^2, written out as the transition's oracle."""
+    a, b = x[:, 0], x[:, 1]
+    r2 = a * a + b * b
+    return np.stack([np.stack([b * b - a * a, -2 * a * b], -1),
+                     np.stack([2 * a * b, b * b - a * a], -1)], 1) / r2[:, None, None] ** 2
 
 
 def sqrt_det_g(chart, pts):
@@ -41,11 +53,10 @@ def test_nonpositive_sharpness_rejected(sharpness):
 
 def test_partition_of_unity_exact():
     b = make_plane_bundle(2)
-    ab, _ = stereo_overlap_maps()
     rng = np.random.default_rng(0)
     pts = annulus_points(rng, 50, 0.3, 2.5)
     rho_n = eval_jet(b.parsed_rho["north"], pts, order=0).val
-    pts_s = np.array([ab(x) for x in pts])
+    pts_s = to_south(pts)[0]
     rho_s = eval_jet(b.parsed_rho["south"], pts_s, order=0).val
     assert np.abs(rho_n + rho_s - 1.0).max() < 1e-12
     assert np.all((0 <= rho_n) & (rho_n <= 1))
@@ -90,38 +101,36 @@ def test_overlap_form_agreement():
     """The transition 2-form is global: the south coefficient pulls back to
     the north one through the orientation-preserving overlap map."""
     b = make_plane_bundle(2)
-    ab, _ = stereo_overlap_maps()
     rng = np.random.default_rng(2)
-    for x in annulus_points(rng, 40):
-        en = euler_form_transition_batch(b, "north", x[None, :])[0]
-        es = euler_form_transition_batch(b, "south", ab(x)[None, :])[0]
-        assert es * np.linalg.det(overlap_jacobian(x)) == pytest.approx(en, rel=1e-9, abs=1e-12)
+    pts = annulus_points(rng, 40)
+    pts_s, jac = to_south(pts)
+    en = euler_form_transition_batch(b, "north", pts)
+    es = euler_form_transition_batch(b, "south", pts_s)
+    assert es * np.linalg.det(jac) == pytest.approx(en, rel=1e-9, abs=1e-12)
 
 
 def test_connection_compatibility():
     """theta_alpha = d phi_gamma,alpha + theta_gamma on the overlap."""
     b = make_plane_bundle(3)
-    ab, _ = stereo_overlap_maps()
     rng = np.random.default_rng(3)
-    theta_n = connection_form(b, "north")
-    theta_s = connection_form(b, "south")
-    for x in annulus_points(rng, 100):
-        tn = theta_n(x[None, :])[0]
-        ts = theta_s(ab(x)[None, :])[0]
-        pulled = overlap_jacobian(x).T @ ts  # 1-form pullback to north coords
-        dphi_sn = -eval_jet(b.parsed_phi["north"], x[None, :], order=1).grad[0]
-        assert np.linalg.norm(tn - (dphi_sn + pulled)) < 1e-10
+    pts = annulus_points(rng, 100)
+    pts_s, jac = to_south(pts)
+    tn = connection_form(b, "north")(pts)
+    ts = connection_form(b, "south")(pts_s)
+    pulled = np.einsum("nji,nj->ni", jac, ts)  # 1-form pullback to north coords
+    dphi_sn = -eval_jet(b.parsed_phi["north"], pts, order=1).grad
+    assert np.linalg.norm(tn - (dphi_sn + pulled), axis=1).max() < 1e-10
 
 
 def test_curvature_globality():
     """d theta_north = d theta_south on overlaps (d^2 phi = 0)."""
     b = make_plane_bundle(3)
-    ab, _ = stereo_overlap_maps()
     rng = np.random.default_rng(4)
-    for x in annulus_points(rng, 40):
-        cn = curvature_density_batch(b, "north", x[None, :])[0]
-        cs = curvature_density_batch(b, "south", ab(x)[None, :])[0]
-        assert cs * np.linalg.det(overlap_jacobian(x)) == pytest.approx(cn, rel=1e-9, abs=1e-12)
+    pts = annulus_points(rng, 40)
+    pts_s, jac = to_south(pts)
+    cn = curvature_density_batch(b, "north", pts)
+    cs = curvature_density_batch(b, "south", pts_s)
+    assert cs * np.linalg.det(jac) == pytest.approx(cn, rel=1e-9, abs=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -193,16 +202,32 @@ def test_weight_violation_detected():
     total = sum(integrate_chart(mk(n), sqrt_det_g, 64) for n in ("north", "south"))
     assert abs(total - 4 * math.pi) > 1.0
     # and the invariant check flags it
-    ab, _ = stereo_overlap_maps()
     rng = np.random.default_rng(5)
     pts = annulus_points(rng, 20)
     wn = mk("north").weight_values(pts)
-    ws = mk("south").weight_values(np.array([ab(x) for x in pts]))
+    ws = mk("south").weight_values(to_south(pts)[0])
     assert np.abs(wn + ws - 1.0).max() > 0.1
 
 
 def test_overlap_maps_mutually_inverse():
-    ab, ba = stereo_overlap_maps()
-    rng = np.random.default_rng(6)
-    for x in annulus_points(rng, 30, 0.3, 2.5):
-        assert np.linalg.norm(ba(ab(x)) - x) < 1e-10
+    atlas = stereo_pair_atlas()
+    pts = annulus_points(np.random.default_rng(6), 30, 0.3, 2.5)
+    back = atlas.transition("south", "north", atlas.transition("north", "south", pts, 0), 0)
+    assert np.linalg.norm(back - pts, axis=1).max() < 1e-10
+
+
+def test_overlap_jacobian_is_the_closed_form():
+    """The transition's 1-jet is multiplication by -1/w^2."""
+    pts = annulus_points(np.random.default_rng(8), 200, 0.3, 2.5)
+    jac = to_south(pts)[1]
+    oracle = overlap_jacobian_closed_form(pts)
+    scale = np.abs(oracle).max(axis=(1, 2))
+    assert (np.abs(jac - oracle).max(axis=(1, 2)) / scale).max() < 1e-13
+
+
+def test_chart_origin_has_no_image():
+    """w~ = 1/w is undefined at the chart origin: no image, not inf."""
+    atlas = stereo_pair_atlas()
+    assert atlas.other_coords("north", [0.0, 0.0]) == []
+    (name, y), = atlas.other_coords("south", [0.5, -2.0])
+    assert name == "north" and np.allclose(y, [0.5, 2.0] / np.float64(4.25))

@@ -10,7 +10,7 @@ from gaussbonnet.index import (
     DegreeError, VectorFieldSpec, _grid, field_consistency_residual, find_zeros,
     index_sum, local_degree,
 )
-from gaussbonnet.library import build_field, overlap_jacobian, stereo_pair_atlas
+from gaussbonnet.library import build_field, stereo_pair_atlas
 
 
 def disk_chart(half=2.0, name="disk"):
@@ -253,7 +253,7 @@ def test_index_sum_neighbours_in_another_chart():
              f"{p + q}*x2 - {2 * p * q}*x1*x2")
     f = VectorFieldSpec("pair", "vector", {"north": north, "south": south},
                         stereo_pair_atlas())
-    assert field_consistency_residual(f, overlap_jacobian) < 1e-10
+    assert field_consistency_residual(f, None) < 1e-10
     result = index_sum(f, scan_resolution=48)
     assert result.total == 2
     assert sorted(rec.chart for rec in result.zeros) == ["north", "south"]
@@ -272,7 +272,7 @@ def test_scan_refinement_stability():
 def test_vector_fields_push_forward_exactly():
     for name in ("morse", "rotation", "z", "z2"):
         field = build_field(name)
-        residual = field_consistency_residual(field, overlap_jacobian)
+        residual = field_consistency_residual(field, None)
         assert residual < 1e-10, name
 
 
@@ -280,14 +280,49 @@ def test_section_direction_consistency():
     k = 2
     field = build_field("section_zk", k=k)
 
-    def clutch(x):
+    def clutch(a, b, x):
         # south components = R(-k theta) north components, directions only
-        th = math.atan2(x[1], x[0])
-        c, s = math.cos(k * th), math.sin(k * th)
-        return np.array([[c, s], [-s, c]])
+        assert (a, b) == ("north", "south")
+        th = np.arctan2(x[:, 1], x[:, 0])
+        c, s = np.cos(k * th), np.sin(k * th)
+        return np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], 1)
 
     residual = field_consistency_residual(field, clutch)
     assert residual < 1e-10
+
+
+def test_wrongly_declared_field_fails_consistency():
+    """rotation with its south components turned the wrong way."""
+    field = VectorFieldSpec("bad", "vector", {"north": ("-x2", "x1"), "south": ("-x2", "x1")},
+                            stereo_pair_atlas())
+    assert field_consistency_residual(field, None) > 1.0
+
+
+def test_consistency_refuses_an_empty_sample():
+    """No identification, or no image inside the other chart: nothing was
+    compared, so the check raises rather than reading 0."""
+    with pytest.raises(ValueError, match="no identification"):
+        field_consistency_residual(flat_field(("x1", "x2")), None)
+    shift = ("x1 + 10", "x2"), ("x1 - 10", "x2")
+    atlas = Atlas((disk_chart(name="a"), disk_chart(name="b")),
+                  identifications=(("a", "b", *shift),))
+    field = VectorFieldSpec("far", "vector", {"a": ("x1", "x2"), "b": ("x1", "x2")}, atlas)
+    with pytest.raises(ValueError, match="inside chart 'b'"):
+        field_consistency_residual(field, None)
+
+
+def test_consistency_in_three_dimensions():
+    """An affine identification y = A x + c in d = 3: the field x in chart
+    a pushes forward to y - c in chart b, and to nothing else."""
+    cube = lambda name: Chart.from_strings(name, 3, [(-2.0, 2.0)] * 3, [False] * 3,
+                                           {(i, i): "1" for i in range(3)})
+    ab = ("x2 + 0.5", "-x1", "2*x3 - 0.25")
+    ba = ("-x2", "x1 - 0.5", "(x3 + 0.25)/2")
+    atlas = Atlas((cube("a"), cube("b")), identifications=(("a", "b", ab, ba),))
+    comps = {"a": ("x1", "x2", "x3"), "b": ("x1 - 0.5", "x2", "x3 + 0.25")}
+    assert field_consistency_residual(VectorFieldSpec("x", "vector", comps, atlas), None) < 1e-12
+    comps["b"] = ("x1 - 0.5", "x2", "x3")
+    assert field_consistency_residual(VectorFieldSpec("x", "vector", comps, atlas), None) > 0.1
 
 
 def _local_minima_loop(grid, periodic, lower_index_wins_ties=False):
