@@ -1,9 +1,10 @@
 """Oriented Riemannian plane bundles over the two-chart sphere.
 
-A bundle is clutching data on the standard north/south stereographic
-presentation: a transition angle phi (k times the polar angle, wound
-counterclockwise) and an analytic partition of unity rho.  Two
-independent integral routes recover the clutching integer:
+A bundle is the clutching integer k on the north/south stereographic
+atlas: rho is the atlas's chart weight, and the transition angle phi (k
+times the polar angle, counterclockwise) is one expression in either chart.
+A section's chart-a components turn to chart b's by R(-phi)
+(`PlaneBundle.transition`).  Two independent integral routes recover k:
 
 * transition route: the 2-form -(1/2pi) d(rho_other d phi_other,this)
   assembled from 1-jets of rho and phi;
@@ -23,7 +24,8 @@ calibration used for the tangent-bundle integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,44 +42,33 @@ __all__ = ["PlaneBundle", "make_plane_bundle", "euler_form_transition_batch",
            "generalized_gbc", "winding_of_phi", "GeneralizedGbcResult"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlaneBundle:
-    """Clutching presentation of an oriented plane bundle over the sphere.
-
-    phi[name] is the transition angle phi_{name,other} expressed in that
-    chart's own coordinates; rho[name] is that chart's partition factor.
-    """
+    """The k-clutched plane bundle; its atlas's chart weights are rho."""
 
     k: int
     atlas: object
-    phi: dict
-    rho: dict
-    parsed_phi: dict = field(default_factory=dict, repr=False)
-    parsed_rho: dict = field(default_factory=dict, repr=False)
 
-    def __post_init__(self):
-        for name in self.phi:
-            chart = self.atlas.chart(name)
-            self.parsed_phi[name] = (parse(self.phi[name], chart.var_names)
-                                     if isinstance(self.phi[name], str) else self.phi[name])
-            self.parsed_rho[name] = (parse(self.rho[name], chart.var_names)
-                                     if isinstance(self.rho[name], str) else self.rho[name])
+    @cached_property
+    def phi(self):
+        """phi_{this,other} = k theta in either chart's own coordinates: theta
+        flips sign across w~ = 1/w, phi_{other,this} = -phi_{this,other}."""
+        return parse(f"{self.k}*atan2(x2, x1)", self.atlas.charts[0].var_names)
+
+    def transition(self, a, b, points):
+        """Rotations R(-phi) (N, 2, 2) at (N, 2) chart-a points that take a
+        section's chart-a components to its chart-b components."""
+        if not any({a, b} == {x, y} for x, y, *_ in self.atlas.identifications):
+            raise KeyError(f"charts {a!r} and {b!r} are not identified")
+        phi = eval_jet(self.phi, points, self.atlas.chart(a).params, order=0).val
+        c, s = np.cos(phi), np.sin(phi)
+        return np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], 1)
 
 
 def make_plane_bundle(k, sharpness=6):
-    """k-clutched bundle: phi_{alpha beta} = k theta, counterclockwise.
-
-    The polar angle flips sign across w~ = 1/w, and phi_{beta alpha} is
-    minus phi_{alpha beta}; the two flips cancel, so the stored entry
-    phi_{name,other} reads k theta in both charts' own coordinates.
-    rho = 1/(1 + r^{2s}) in each chart's own radius is an exact analytic
-    partition of unity; `stereo_pair_atlas` raises ValueError for s <= 0.
-    """
-    atlas = stereo_pair_atlas(sharpness=sharpness)
-    phi = {"north": f"{k}*atan2(x2, x1)", "south": f"{k}*atan2(x2, x1)"}
-    rho = {"north": f"1/(1+(x1^2+x2^2)^{sharpness})",
-           "south": f"1/(1+(x1^2+x2^2)^{sharpness})"}
-    return PlaneBundle(k, atlas, phi, rho)
+    """k-clutched bundle on `stereo_pair_atlas(sharpness)`, whose weights
+    are an exact analytic partition of unity; s <= 0 raises ValueError."""
+    return PlaneBundle(k, stereo_pair_atlas(sharpness=sharpness))
 
 
 def _rho_other_jets(bundle, name, points):
@@ -87,7 +78,7 @@ def _rho_other_jets(bundle, name, points):
     with negated derivatives.
     """
     chart = bundle.atlas.chart(name)
-    jet = eval_jet(bundle.parsed_rho[name], points, chart.params, order=1)
+    jet = eval_jet(chart.weight, points, chart.params, order=1)
     return 1.0 - jet.val, -jet.grad
 
 
@@ -99,8 +90,8 @@ def euler_form_transition_batch(bundle, name, points):
     """
     chart = bundle.atlas.chart(name)
     points = np.asarray(points, dtype=float)
-    phi_jet = eval_jet(bundle.parsed_phi[name], points, chart.params, order=1)
-    # phi stored per chart is phi_{this,other}; the formula needs
+    phi_jet = eval_jet(bundle.phi, points, chart.params, order=1)
+    # phi reads phi_{this,other}; the formula needs
     # phi_{other,this} = -phi_{this,other}
     dphi = -phi_jet.grad
     _, drho = _rho_other_jets(bundle, name, points)
@@ -120,7 +111,7 @@ def connection_and_curvature(bundle, name, points):
     """
     chart = bundle.atlas.chart(name)
     points = np.asarray(points, dtype=float)
-    phi_jet = eval_jet(bundle.parsed_phi[name], points, chart.params, order=1)
+    phi_jet = eval_jet(bundle.phi, points, chart.params, order=1)
     rho_val, drho = _rho_other_jets(bundle, name, points)
     theta = -rho_val[:, None] * phi_jet.grad  # d phi_other,this = -d phi_this,other
     dphi = -phi_jet.grad
@@ -161,16 +152,15 @@ def generalized_gbc(bundle, resolution=96):
 
 
 def winding_of_phi(bundle):
-    """Degree of the clutching map (cos phi, sin phi) of the north chart's
-    transition angle on the unit circle, by `index.sphere_degree` with the
-    Jacobian from phi's 1-jet.
+    """Degree of the clutching map (cos phi, sin phi) on the north chart's
+    unit circle, by `index.sphere_degree` with the Jacobian from phi's 1-jet.
 
     Must come out as k (counterclockwise in this chart).
     """
     chart = bundle.atlas.chart("north")
 
     def clutching_jet(points):
-        jet = eval_jet(bundle.parsed_phi["north"], points, chart.params, order=1)
+        jet = eval_jet(bundle.phi, points, chart.params, order=1)
         c, s = np.cos(jet.val), np.sin(jet.val)
         return (np.column_stack([c, s]),
                 np.stack([-s[:, None] * jet.grad, c[:, None] * jet.grad], axis=1))

@@ -102,15 +102,14 @@ class Chart:
                    metric, w, params, var_names)
 
     def contains(self, x, margin=0.0):
-        """True when the point x, or every row of an (N, d) array, lies
+        """Whether the point x, or each row of an (N, d) array, lies
         strictly inside the non-periodic ranges."""
         x = np.asarray(x)
+        inside = np.ones(x.shape[:-1], dtype=bool)
         for i, (lo, hi) in enumerate(self.ranges):
-            if self.periodic[i]:
-                continue
-            if not np.all((lo + margin < x[..., i]) & (x[..., i] < hi - margin)):
-                return False
-        return True
+            if not self.periodic[i]:
+                inside &= (lo + margin < x[..., i]) & (x[..., i] < hi - margin)
+        return inside
 
     def wrap(self, x):
         """Wrap periodic coordinates back into their fundamental interval."""
@@ -540,7 +539,7 @@ def _geodesic_flow(chart, x, v, steps, w=None, cotangent=False, jacobi=None):
 
     def project(state):
         x = chart.wrap(state[0])
-        if not chart.contains(x):
+        if not chart.contains(x).all():
             raise GeometryError(f"path exits chart {chart.name!r} range at {x}")
         return (x,) + state[1:]
 

@@ -28,6 +28,7 @@ log = logging.getLogger(__name__)
 _NEWTON_MAX_ITER = 60
 _NEWTON_TOL = 1e-12  # |X| at an accepted zero
 _SPHERE_NODES = 48  # Gauss nodes per polar angle of a sphere degree
+_CONSISTENCY_TOL = 1e-8  # largest field mismatch across an identification
 
 
 class DegreeError(RuntimeError):
@@ -36,23 +37,21 @@ class DegreeError(RuntimeError):
 
 @dataclass
 class VectorFieldSpec:
-    """Per-chart component expressions of a vector field or bundle section.
-
-    kind is "vector" (components transform by chart Jacobians) or
-    "section" (components transform by the bundle transition rotation, and
-    only up to positive rescaling: zeros and degrees are scale-invariant).
-    """
+    """Per-chart component expressions of a vector field (components
+    transform by chart Jacobians) or, on `bundle.atlas`, of a section of
+    `bundle` (by its rotations, and only up to positive rescaling: zeros and
+    degrees are scale-invariant)."""
 
     name: str
-    kind: str
     components: dict
     atlas: object
     expected: int | None = None
+    bundle: object = None
     parsed: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("vector", "section"):
-            raise ValueError("kind must be 'vector' or 'section'")
+        if self.bundle is not None and self.atlas is not self.bundle.atlas:
+            raise ValueError("a section lives on its bundle's atlas")
         for chart_name, comps in self.components.items():
             chart = self.atlas.chart(chart_name)
             exprs = tuple(
@@ -315,7 +314,7 @@ def local_degree(fieldspec, chart_name, zero, radius):
     chart = fieldspec.atlas.chart(chart_name)
     # the sphere's extreme points on every axis; the radius / 2 sphere lies inside
     offsets = radius * np.eye(len(center))
-    if not chart.contains(np.concatenate([center + offsets, center - offsets])):
+    if not chart.contains(np.concatenate([center + offsets, center - offsets])).all():
         raise DegreeError(f"radius {radius} leaves chart {chart_name!r}")
     jet = partial(fieldspec.values, chart_name, order=1)
     results = []
@@ -361,8 +360,14 @@ def _neighbour_distance(atlas, zeros, i):
 
 def index_sum(fieldspec, scan_resolution=48):
     """Sum of local degrees over all zeros (the caller compares it with the
-    field's declared `expected`).  Each sphere stays within its chart and
+    field's declared `expected`); DegreeError when the field disagrees with
+    itself across an identification.  Each sphere stays within its chart and
     reaches less than half way to the nearest other zero."""
+    for a, b, residual in _identification_residuals(fieldspec):
+        if not residual <= _CONSISTENCY_TOL:
+            raise DegreeError(
+                f"field {fieldspec.name!r} disagrees with itself across the "
+                f"identification {a!r} -> {b!r}: residual {residual:.3g}")
     zeros, dropped = find_zeros(fieldspec, scan_resolution)
     records = []
     for i, (cname, x) in enumerate(zeros):
@@ -378,34 +383,39 @@ def index_sum(fieldspec, scan_resolution=48):
 # Transition consistency of fields
 # --------------------------------------------------------------------------
 
-def field_consistency_residual(fieldspec, clutching):
-    """Largest mismatch of the field seen from both charts of each
-    identification (a, b), at 400 seeded points of chart a's box whose
-    image lies in chart b's box; ValueError when nothing is compared.
-
-    A vector field pushes forward through the transition's 1-jet Jacobian
-    (pass clutching=None); a section through `clutching(a, b, xa)`, its
-    bundle's (N, d, d) rotations at (N, d) chart-a points, and is compared
-    by direction only (zeros and degrees are invariant under rescaling).
-    """
-    atlas = fieldspec.atlas
+def _identification_residuals(fieldspec):
+    """(a, b, residual) for each identification (a, b) of two charts the
+    field declares: its largest mismatch seen from both charts at 400 seeded
+    points of chart a's box whose image lies in chart b's box (ValueError
+    when none does).  A vector field pushes forward by the transition's
+    1-jet Jacobian; a section by its bundle's rotations, compared by
+    direction only."""
+    atlas, bundle = fieldspec.atlas, fieldspec.bundle
     rng = np.random.default_rng(0)
-    worst = []
     for a, b, _, _ in atlas.identifications:
+        if a not in fieldspec.parsed or b not in fieldspec.parsed:
+            continue
         lo, hi = np.array(atlas.chart(a).ranges).T
         xa = lo + (hi - lo) * rng.random((400, len(lo)))
         xb, jac = atlas.transition(a, b, xa, 1)
-        inside = np.array([atlas.chart(b).contains(y) for y in xb])
+        inside = atlas.chart(b).contains(xb)
         if not inside.any():
             raise ValueError(f"no sample of chart {a!r} has its image inside chart {b!r}")
         xa, xb, jac = xa[inside], xb[inside], jac[inside]
-        mats = jac if fieldspec.kind == "vector" else clutching(a, b, xa)
+        mats = jac if bundle is None else bundle.transition(a, b, xa)
         pushed = np.einsum("nij,nj->ni", mats, fieldspec.values(a, xa))
         vb = fieldspec.values(b, xb)
-        if fieldspec.kind == "section":
+        if bundle is not None:
             pushed = pushed / np.linalg.norm(pushed, axis=1, keepdims=True)
             vb = vb / np.linalg.norm(vb, axis=1, keepdims=True)
-        worst.append(np.linalg.norm(pushed - vb, axis=1).max())
+        yield a, b, float(np.linalg.norm(pushed - vb, axis=1).max())
+
+
+def field_consistency_residual(fieldspec):
+    """Largest residual of `_identification_residuals`; ValueError when
+    nothing is compared."""
+    worst = [residual for _, _, residual in _identification_residuals(fieldspec)]
     if not worst:
-        raise ValueError(f"field {fieldspec.name!r}: the atlas has no identification")
-    return float(max(worst))
+        raise ValueError(f"field {fieldspec.name!r}: the atlas has no identification "
+                         "between charts the field declares")
+    return max(worst)

@@ -205,44 +205,30 @@ def _morse_components():
 
 def field_registry():
     """Built-in fields and sections; values are factory callables."""
+    from .bundles import make_plane_bundle
     from .index import VectorFieldSpec
 
-    def morse():
-        return VectorFieldSpec("morse", "vector", _morse_components(),
-                               stereo_pair_atlas(), expected=2)
-
-    def rotation():
-        comps = {"north": ("-x2", "x1"), "south": ("x2", "-x1")}
-        return VectorFieldSpec("rotation", "vector", comps,
-                               stereo_pair_atlas(), expected=2)
-
-    def constant():
-        m = torus2()
-        return VectorFieldSpec("constant", "vector", {"flat": ("1", "0")},
-                               m.atlas, expected=0)
-
-    def z_field():
-        comps = {"north": ("x1", "x2"), "south": ("-x1", "-x2")}
-        return VectorFieldSpec("z", "vector", comps,
-                               stereo_pair_atlas(), expected=2)
-
-    def z2_field():
-        comps = {"north": ("x1^2 - x2^2", "2*x1*x2"), "south": ("-1", "0")}
-        return VectorFieldSpec("z2", "vector", comps,
-                               stereo_pair_atlas(), expected=2)
+    def on_sphere(name, comps):
+        return lambda: VectorFieldSpec(name, comps, stereo_pair_atlas(), expected=2)
 
     def section_zk(k=1):
         # z^k on the north chart of the k-clutched plane bundle, constant
         # on the south chart; validated up to positive rescaling
         if k < 0:
             raise ValueError(f"z^K needs K >= 0, got {k}")
-        north = _complex_power_components(k)
-        return VectorFieldSpec(f"section_z{k}", "section",
-                               {"north": north, "south": ("1", "0")},
-                               stereo_pair_atlas(), expected=k)
+        bundle = make_plane_bundle(k)
+        return VectorFieldSpec(f"section_z{k}",
+                               {"north": _complex_power_components(k), "south": ("1", "0")},
+                               bundle.atlas, expected=k, bundle=bundle)
 
-    return {"morse": morse, "rotation": rotation, "constant": constant,
-            "z": z_field, "z2": z2_field, "section_zk": section_zk}
+    return {
+        "morse": on_sphere("morse", _morse_components()),
+        "rotation": on_sphere("rotation", {"north": ("-x2", "x1"), "south": ("x2", "-x1")}),
+        "constant": lambda: VectorFieldSpec("constant", {"flat": ("1", "0")}, torus2().atlas,
+                                            expected=0),
+        "z": on_sphere("z", {"north": ("x1", "x2"), "south": ("-x1", "-x2")}),
+        "z2": on_sphere("z2", {"north": ("x1^2 - x2^2", "2*x1*x2"), "south": ("-1", "0")}),
+        "section_zk": section_zk}
 
 
 def _complex_power_components(k):

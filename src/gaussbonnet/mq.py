@@ -133,7 +133,7 @@ def mq_form_bundle(bundle, chart_name, base_x, fiber_v):
 def mq_fiber_integral(bundle, chart_name, base_x, nodes=40):
     """Fiber integral of the bundle Thom form at one base point."""
     v, weights = _hermite_plane(nodes)
-    u = _thom(*_connection(bundle, chart_name, base_x), v)
+    u = mq_form_bundle(bundle, chart_name, base_x, v)
     return pairwise_sum(weights * u.coefficient((2, 3)).real)  # pure dv1 ^ dv2
 
 
@@ -144,7 +144,7 @@ def mq_zero_section_density(bundle, chart_name, points):
     (dx1, dx2) coefficient, computed through the Berezin/exponential
     algebra (not through the Pfaffian shortcut).
     """
-    c = _thom(*_connection(bundle, chart_name, points), np.zeros(2)).coefficient((0, 1))
+    c = mq_form_bundle(bundle, chart_name, points, np.zeros(2)).coefficient((0, 1))
     residue = np.abs(np.imag(c)) > 1e-12 * (1 + np.abs(c))
     if np.any(residue):
         raise ArithmeticError(
@@ -154,8 +154,8 @@ def mq_zero_section_density(bundle, chart_name, points):
 
 def berezin_vs_pfaffian_residual(bundle, chart_name, base_x):
     """|B(exp(-T)) - Pf(-M_T)| at one point: the algebra/Pfaffian bridge."""
-    via_algebra = mq_form_bundle(bundle, chart_name, base_x, (0.0, 0.0)).coefficient((0, 1)).real
-    curvature = _connection(bundle, chart_name, base_x)[1]
+    theta, curvature = _connection(bundle, chart_name, base_x)
+    via_algebra = _thom(theta, curvature, np.zeros(2)).coefficient((0, 1)).real
     m = np.array([[0.0, curvature], [-curvature, 0.0]])
     via_pfaffian = (2 * math.pi) ** (-1) * pfaffian_numeric(-m)
     return float(abs(via_algebra - via_pfaffian))
@@ -233,8 +233,7 @@ def closedness_residual(bundle, chart_name, base_x, fiber_v):
     z0 = np.concatenate([np.asarray(base_x, dtype=float),
                          np.asarray(fiber_v, dtype=float)])
     z = z0 + h * np.vstack([np.eye(4), -np.eye(4)])
-    theta, curvature = _connection(bundle, chart_name, z[:, :2])
-    u = _thom(theta, curvature, z[:, 2:])
+    u = mq_form_bundle(bundle, chart_name, z[:, :2], z[:, 2:])
     residual = {}
     for c in range(4):
         for key, coef in u.terms.items():

@@ -237,15 +237,16 @@ def _build_field(field_name, atlas, body, path, header_line):
 
     if atlas is None:
         raise SpecFileError("field declared without charts", path, header_line)
-    kind = "vector"
     expected = None
     components = {}
     for line_no, text in body:
         key, _, value = text.partition(":")
         key, value = key.strip(), value.strip()
         words = key.split()
-        if key == "type":
-            kind = value
+        if key == "type":  # a file's charts carry no bundle: both build one field
+            if value not in ("vector", "section"):
+                raise SpecFileError("field type must be 'vector' or 'section', "
+                                    f"got {value!r}", path, line_no)
         elif key == "expected":
             expected = _int(value, "field 'expected'", path, line_no)
         elif words[0] == "component" and len(words) == 3:
@@ -269,7 +270,7 @@ def _build_field(field_name, atlas, body, path, header_line):
                 f"1..{chart.dim}", path, header_line)
         resolved[chart_name] = tuple(comps[i] for i in range(chart.dim))
     try:
-        return VectorFieldSpec(field_name, kind, resolved, atlas, expected=expected)
+        return VectorFieldSpec(field_name, resolved, atlas, expected=expected)
     except Exception as exc:
         raise SpecFileError(f"field {field_name!r}: {exc}", path, header_line)
 

@@ -55,9 +55,8 @@ def test_partition_of_unity_exact():
     b = make_plane_bundle(2)
     rng = np.random.default_rng(0)
     pts = annulus_points(rng, 50, 0.3, 2.5)
-    rho_n = eval_jet(b.parsed_rho["north"], pts, order=0).val
-    pts_s = to_south(pts)[0]
-    rho_s = eval_jet(b.parsed_rho["south"], pts_s, order=0).val
+    rho_n = b.atlas.chart("north").weight_values(pts)
+    rho_s = b.atlas.chart("south").weight_values(to_south(pts)[0])
     assert np.abs(rho_n + rho_s - 1.0).max() < 1e-12
     assert np.all((0 <= rho_n) & (rho_n <= 1))
 
@@ -118,7 +117,7 @@ def test_connection_compatibility():
     tn = connection_form(b, "north")(pts)
     ts = connection_form(b, "south")(pts_s)
     pulled = np.einsum("nji,nj->ni", jac, ts)  # 1-form pullback to north coords
-    dphi_sn = -eval_jet(b.parsed_phi["north"], pts, order=1).grad
+    dphi_sn = -eval_jet(b.phi, pts, order=1).grad
     assert np.linalg.norm(tn - (dphi_sn + pulled), axis=1).max() < 1e-10
 
 
@@ -142,8 +141,7 @@ def test_euler_coefficients_read_no_metric(k):
     scaled = Atlas(tuple(dataclasses.replace(c, metric={ij: BinOp("*", Num(4.0), e)
                                                         for ij, e in c.metric.items()})
                          for c in atlas.charts), atlas.identifications)
-    clutching = make_plane_bundle(k)
-    b, b4 = (PlaneBundle(k, a, clutching.phi, clutching.rho) for a in (atlas, scaled))
+    b, b4 = PlaneBundle(k, atlas), PlaneBundle(k, scaled)
     pts = annulus_points(np.random.default_rng(7), 30, 0.2, 2.8)
     for name in ("north", "south"):
         assert not np.array_equal(metric_jets(b.atlas.chart(name), pts, order=0)[0],
@@ -162,14 +160,16 @@ def test_partition_profile_independence():
 
 
 def test_chart_swap_symmetry():
-    """Swapping the chart roles relabels phi -> -phi without moving integrals."""
+    """Listing the south chart first relabels nothing: phi reads k theta in
+    either chart, so the chart order is the one relabeling left, and it
+    does not move the integrals."""
     b = make_plane_bundle(2)
-    swapped = make_plane_bundle(2)
-    swapped.parsed_phi = {"north": swapped.parsed_phi["south"],
-                          "south": swapped.parsed_phi["north"]}
+    swapped = PlaneBundle(2, Atlas(b.atlas.charts[::-1], b.atlas.identifications))
+    assert [c.name for c in swapped.atlas.charts] == ["south", "north"]
     ra = generalized_gbc(b, resolution=96)
     rb = generalized_gbc(swapped, resolution=96)
     assert rb.transition_integral == pytest.approx(ra.transition_integral, abs=1e-9)
+    assert rb.pf_integral == pytest.approx(ra.pf_integral, abs=1e-9)
 
 
 def test_section_degree_matches_bundle_integral():

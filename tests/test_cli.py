@@ -90,6 +90,14 @@ def test_load_field_spec(tmp_path):
     assert result.total == -1 == field.expected
 
 
+def test_section_type_builds_the_same_field(tmp_path):
+    """A file's charts carry no bundle, so `type: section` changes nothing."""
+    text = FIELD_SPEC.replace("type: vector", "type: section")
+    field = load_manifold_spec(write(tmp_path, "s.mspec", text)).fields["saddle"]
+    assert field.bundle is None
+    assert index_sum(field, scan_resolution=24).total == -1
+
+
 def test_load_bundle_spec(tmp_path):
     doc = load_manifold_spec(write(tmp_path, "b.mspec", BUNDLE_SPEC))
     assert doc.bundle.k == 2
@@ -387,6 +395,8 @@ _OUT_OF_RANGE_CASES = [
      "range x1: 1 1", ["verify-gbc", "--manifold"], "range needs finite lo < hi"),
     ("range-overflow", SPHERE_SPEC.replace("range x1: 0 pi", "range x1: -2*1e308 0"),
      "range x1: -2*1e308 0", ["verify-gbc", "--manifold"], "range needs finite lo < hi"),
+    ("field-type", FIELD_SPEC.replace("type: vector", "type: tensor"), "type: tensor",
+     ["index", "--field", "saddle", "--manifold"], "must be 'vector' or 'section'"),
 ]
 
 

@@ -602,14 +602,13 @@ def test_bundle_and_field_jets_match_dense_oracle_bitwise(order):
     rng = np.random.default_rng(13)
     for k in (-2, 1, 3):
         bundle = make_plane_bundle(k)
-        for name in bundle.phi:
-            chart = bundle.atlas.chart(name)
+        for chart in bundle.atlas.charts:
             pts = _chart_points(chart, rng)
-            for tree in (bundle.parsed_phi[name], bundle.parsed_rho[name]):
+            for tree in (bundle.phi, chart.weight):
                 got, want = eval_jet(tree, pts, chart.params, order), dense_jet(
                     tree, pts, chart.params, order)
                 for a, b in zip(got, want):
-                    assert (a is None and b is None) or same_bits(a, b), (k, name, tree)
+                    assert (a is None and b is None) or same_bits(a, b), (k, chart.name, tree)
     fields = [build_field(name) for name in field_names() if name != "section_zk"]
     fields += [build_field("section_zk", k=k) for k in (1, 2, 3)]
     for field in fields:
@@ -654,8 +653,8 @@ def test_hessians_are_symmetric_bitwise():
     programs = []
     for k in (-2, 1, 3):
         bundle = make_plane_bundle(k)
-        programs += [(tree, bundle.atlas.chart(name)) for name in bundle.phi
-                     for tree in (bundle.parsed_phi[name], bundle.parsed_rho[name])]
+        programs += [(tree, chart) for chart in bundle.atlas.charts
+                     for tree in (bundle.phi, chart.weight)]
     fields = [build_field(name) for name in field_names() if name != "section_zk"]
     fields += [build_field("section_zk", k=k) for k in (1, 2, 3)]
     programs += [(field.programs[name], field.atlas.chart(name))

@@ -323,6 +323,16 @@ def test_geodesic_batch_rows_match_scalar_geodesic():
         assert np.abs(v_end - want_v).max() <= 1e-14
 
 
+def test_contains_reads_each_row():
+    """One bool per row of an (N, d) array; a periodic axis is never out."""
+    chart = Chart.from_strings("annulus", 2, [(0.5, 2.0), (0.0, 2 * math.pi)],
+                               [False, True], {(0, 0): "1", (1, 1): "x1^2"})
+    rows = np.array([[1.0, 9.0], [0.5, 1.0], [1.9, -3.0], [2.5, 0.0]])
+    assert chart.contains(rows).tolist() == [True, False, True, False]
+    assert chart.contains(rows, margin=0.2).tolist() == [True, False, False, False]
+    assert chart.contains(rows[0]) and not chart.contains(rows[1])
+
+
 def test_geodesic_batch_checks_every_step():
     """A straight line in flat polar coordinates dips below r = 0.5 and,
     by symmetry, ends back on r = 1.5: its endpoint is inside, yet the batch
@@ -336,7 +346,7 @@ def test_geodesic_batch_checks_every_step():
     x0 = np.array([[1.5, 0.0], [1.0, 1.0], [1.5, 0.0]])
     v0 = np.array([[0.1, 0.2], [0.2, -0.1], dipping])
     x_end, _ = geodesic_batch(chart, x0[:2], v0[:2], 400)
-    assert chart.contains(x_end)
+    assert chart.contains(x_end).all()
     with pytest.raises(GeometryError):
         geodesic_batch(chart, x0, v0, 400)
 
@@ -443,7 +453,7 @@ def _interleaved_jacobi_flow(chart, x, v, steps, jacobi):
 
     def project(state):
         x = chart.wrap(state[0])
-        assert chart.contains(x)
+        assert chart.contains(x).all()
         return (x,) + state[1:]
 
     return _rk4_oracle(rhs, (x, v, np.zeros_like(jacobi), jacobi), steps, project)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gaussbonnet.bundles import make_plane_bundle
 from gaussbonnet.geometry import Atlas, Chart
 from gaussbonnet.index import (
     DegreeError, VectorFieldSpec, _grid, field_consistency_residual, find_zeros,
@@ -24,7 +25,7 @@ def disk_atlas(half=2.0):
 
 def flat_field(components, half=2.0, expected=None):
     atlas = disk_atlas(half)
-    return VectorFieldSpec("test", "vector", {"disk": components}, atlas,
+    return VectorFieldSpec("test", {"disk": components}, atlas,
                            expected=expected)
 
 
@@ -32,7 +33,7 @@ def torus_field(components):
     """A field on the flat torus [0, 2 pi)^2, one periodic chart."""
     chart = Chart.from_strings("flat", 2, [(0.0, 2 * math.pi)] * 2, [True, True],
                                {(0, 0): "1", (1, 1): "1"})
-    return VectorFieldSpec("test", "vector", {"flat": components}, Atlas((chart,)))
+    return VectorFieldSpec("test", {"flat": components}, Atlas((chart,)))
 
 
 # ------------------------------------------------------------ local degree
@@ -93,16 +94,13 @@ def test_degree_dimension_three():
     chart = Chart.from_strings("box", 3, [(-1, 1)] * 3, [False] * 3,
                                {(i, i): "1" for i in range(3)})
     atlas = Atlas((chart,))
-    identity = VectorFieldSpec("id", "vector", {"box": ("x1", "x2", "x3")},
-                               atlas)
+    identity = VectorFieldSpec("id", {"box": ("x1", "x2", "x3")}, atlas)
     rec = local_degree(identity, "box", [0.0, 0.0, 0.0], 0.4)
     assert rec.local_degree == 1
-    antipodal = VectorFieldSpec("anti", "vector",
-                                {"box": ("-x1", "-x2", "-x3")}, atlas)
+    antipodal = VectorFieldSpec("anti", {"box": ("-x1", "-x2", "-x3")}, atlas)
     rec = local_degree(antipodal, "box", [0.0, 0.0, 0.0], 0.4)
     assert rec.local_degree == -1  # (-1)^3
-    twist = VectorFieldSpec("twist", "vector",
-                            {"box": ("x1", "-x2", "-x3")}, atlas)
+    twist = VectorFieldSpec("twist", {"box": ("x1", "-x2", "-x3")}, atlas)
     rec = local_degree(twist, "box", [0.0, 0.0, 0.0], 0.4)
     assert rec.local_degree == 1
 
@@ -251,9 +249,9 @@ def test_index_sum_neighbours_in_another_chart():
     # the pushforward -X / z^2 by w = 1/z reads -(1 - p w)(1 - q w)
     south = (f"-(1 - {p + q}*x1 + {p * q}*(x1^2 - x2^2))",
              f"{p + q}*x2 - {2 * p * q}*x1*x2")
-    f = VectorFieldSpec("pair", "vector", {"north": north, "south": south},
+    f = VectorFieldSpec("pair", {"north": north, "south": south},
                         stereo_pair_atlas())
-    assert field_consistency_residual(f, None) < 1e-10
+    assert field_consistency_residual(f) < 1e-10
     result = index_sum(f, scan_resolution=48)
     assert result.total == 2
     assert sorted(rec.chart for rec in result.zeros) == ["north", "south"]
@@ -272,43 +270,77 @@ def test_scan_refinement_stability():
 def test_vector_fields_push_forward_exactly():
     for name in ("morse", "rotation", "z", "z2"):
         field = build_field(name)
-        residual = field_consistency_residual(field, None)
+        residual = field_consistency_residual(field)
         assert residual < 1e-10, name
 
 
-def test_section_direction_consistency():
-    k = 2
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_section_direction_consistency(k):
+    """z^k sections turn by their own bundle's transition R(-k theta)."""
     field = build_field("section_zk", k=k)
+    assert field.atlas is field.bundle.atlas
+    assert field_consistency_residual(field) < 1e-10
 
-    def clutch(a, b, x):
-        # south components = R(-k theta) north components, directions only
-        assert (a, b) == ("north", "south")
-        th = np.arctan2(x[:, 1], x[:, 0])
-        c, s = np.cos(k * th), np.sin(k * th)
-        return np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], 1)
 
-    residual = field_consistency_residual(field, clutch)
-    assert residual < 1e-10
+def test_section_on_the_wrong_bundle_fails_consistency():
+    """z^2 components on the k = 3 bundle do not turn by its clutching."""
+    bundle = make_plane_bundle(3)
+    comps = build_field("section_zk", k=2).components
+    field = VectorFieldSpec("z2_on_3", comps, bundle.atlas, bundle=bundle)
+    assert field_consistency_residual(field) > 0.1
+    with pytest.raises(ValueError, match="bundle's atlas"):
+        VectorFieldSpec("z2_on_3", comps, stereo_pair_atlas(), bundle=bundle)
+
+
+def test_bundle_transition_is_the_clutching_rotation():
+    """R(-phi) from chart a, in a's own coordinates, for either order."""
+    bundle = make_plane_bundle(2)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-2.0, 2.0, (20, 2))
+    th = 2 * np.arctan2(x[:, 1], x[:, 0])
+    for a, b in (("north", "south"), ("south", "north")):
+        rot = bundle.transition(a, b, x)
+        assert np.allclose(rot[:, 0, 0], np.cos(th)) and np.allclose(rot[:, 0, 1], np.sin(th))
+        assert np.allclose(rot[:, 1, 0], -np.sin(th)) and np.allclose(rot[:, 1, 1], np.cos(th))
+    with pytest.raises(KeyError):
+        bundle.transition("north", "north", x)
 
 
 def test_wrongly_declared_field_fails_consistency():
     """rotation with its south components turned the wrong way."""
-    field = VectorFieldSpec("bad", "vector", {"north": ("-x2", "x1"), "south": ("-x2", "x1")},
+    field = VectorFieldSpec("bad", {"north": ("-x2", "x1"), "south": ("-x2", "x1")},
                             stereo_pair_atlas())
-    assert field_consistency_residual(field, None) > 1.0
+    assert field_consistency_residual(field) > 1.0
+
+
+@pytest.mark.parametrize("north,south", [(("-x2", "x1"), ("-x2", "x1")),
+                                         (("x1", "x2"), ("x1", "-x2"))])
+def test_index_sum_refuses_an_inconsistent_field(north, south):
+    """A field whose charts disagree across the identification is no field
+    on the sphere: index_sum raises instead of summing its zeros."""
+    field = VectorFieldSpec("bad", {"north": north, "south": south},
+                            stereo_pair_atlas(), expected=2)
+    with pytest.raises(DegreeError, match="'north' -> 'south': residual"):
+        index_sum(field, scan_resolution=32)
+
+
+def test_index_sum_compares_only_declared_charts():
+    """A field on one chart of an identified pair has nothing to compare."""
+    field = VectorFieldSpec("half", {"north": ("x1", "x2")}, stereo_pair_atlas())
+    assert index_sum(field, scan_resolution=32).total == 1
 
 
 def test_consistency_refuses_an_empty_sample():
     """No identification, or no image inside the other chart: nothing was
     compared, so the check raises rather than reading 0."""
     with pytest.raises(ValueError, match="no identification"):
-        field_consistency_residual(flat_field(("x1", "x2")), None)
+        field_consistency_residual(flat_field(("x1", "x2")))
     shift = ("x1 + 10", "x2"), ("x1 - 10", "x2")
     atlas = Atlas((disk_chart(name="a"), disk_chart(name="b")),
                   identifications=(("a", "b", *shift),))
-    field = VectorFieldSpec("far", "vector", {"a": ("x1", "x2"), "b": ("x1", "x2")}, atlas)
+    field = VectorFieldSpec("far", {"a": ("x1", "x2"), "b": ("x1", "x2")}, atlas)
     with pytest.raises(ValueError, match="inside chart 'b'"):
-        field_consistency_residual(field, None)
+        field_consistency_residual(field)
 
 
 def test_consistency_in_three_dimensions():
@@ -320,9 +352,9 @@ def test_consistency_in_three_dimensions():
     ba = ("-x2", "x1 - 0.5", "(x3 + 0.25)/2")
     atlas = Atlas((cube("a"), cube("b")), identifications=(("a", "b", ab, ba),))
     comps = {"a": ("x1", "x2", "x3"), "b": ("x1 - 0.5", "x2", "x3 + 0.25")}
-    assert field_consistency_residual(VectorFieldSpec("x", "vector", comps, atlas), None) < 1e-12
+    assert field_consistency_residual(VectorFieldSpec("x", comps, atlas)) < 1e-12
     comps["b"] = ("x1 - 0.5", "x2", "x3")
-    assert field_consistency_residual(VectorFieldSpec("x", "vector", comps, atlas), None) > 0.1
+    assert field_consistency_residual(VectorFieldSpec("x", comps, atlas)) > 0.1
 
 
 def _local_minima_loop(grid, periodic, lower_index_wins_ties=False):

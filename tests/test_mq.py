@@ -100,12 +100,12 @@ def test_connection_rows_equal_form_and_curvature(k):
     """One phi/rho evaluation per batch gives theta and d theta bit for bit,
     row by row; theta also equals the order-1 jet assembly."""
     b = make_plane_bundle(k)
-    for name in b.phi:
+    for chart in b.atlas.charts:
+        name = chart.name
         x = _annulus_points(np.random.default_rng(13), 12)
         theta, curvature = _connection(b, name, x)
-        chart = b.atlas.chart(name)
-        phi = eval_jet(b.parsed_phi[name], x, chart.params, order=1)
-        rho = eval_jet(b.parsed_rho[name], x, chart.params, order=1)
+        phi = eval_jet(b.phi, x, chart.params, order=1)
+        rho = eval_jet(chart.weight, x, chart.params, order=1)
         assert np.array_equal(theta, -(1.0 - rho.val)[:, None] * phi.grad)
         for row in range(len(x)):
             one_theta, one_curvature = _connection(b, name, x[row])
