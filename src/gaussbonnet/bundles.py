@@ -4,17 +4,21 @@ A bundle is the clutching integer k on the north/south stereographic
 atlas: rho is the atlas's chart weight, and the transition angle phi (k
 times the polar angle, counterclockwise) is one expression in either chart.
 A section's chart-a components turn to chart b's by R(-phi)
-(`PlaneBundle.transition`).  Two independent integral routes recover k:
+(`PlaneBundle.transition`).  One Euler 2-form, reached by two code paths,
+integrates to k:
 
-* transition route: the 2-form -(1/2pi) d(rho_other d phi_other,this)
-  assembled from 1-jets of rho and phi;
-* connection route: theta_this = sum_gamma rho_gamma d phi_gamma,this is
-  a metric connection by construction, and -(1/2pi) d theta integrates to
-  the same number (the d = 2 Pfaffian is the single curvature 2-form).
+* transition path: -(1/2pi) d(rho_other d phi_other,this) assembled from
+  1-jets of rho and phi;
+* connection path: theta_this = sum_gamma rho_gamma d phi_gamma,this is
+  a metric connection by construction, and -(1/2pi) d theta is the same
+  2-form (the d = 2 Pfaffian is the single curvature 2-form).
 
-The clutching integer itself is the degree of the clutching map
-(cos phi, sin phi) on the unit circle (`winding_of_phi`), computed by
-`index.sphere_degree`, the rule that gives every local degree of a field.
+Both paths multiply the same rho and phi 1-jets, so their densities agree
+bit for bit: they are one computation, not two checks of each other.  The
+reads of k that do not go through this 2-form are the degree of the
+clutching map (cos phi, sin phi) on the unit circle (`winding_of_phi`),
+computed by `index.sphere_degree`, the rule that gives every local degree
+of a field, and the index sum of the section z^k (`index --field z^K`).
 
 Sign convention: counterclockwise winding, fixed by requiring the k = 1
 bundle to integrate to +1; the sign agrees with the curvature-density
@@ -106,8 +110,8 @@ def connection_and_curvature(bundle, name, points):
     theta_alpha = sum_gamma rho_gamma d phi_gamma,alpha, an SO(2) connection
     by construction (single angle entry of the skew matrix).  d theta =
     d rho_beta ^ d phi_beta,alpha because d^2 phi = 0; assembled from 1-jets
-    of theta's ingredients (independent of the transition route only in
-    code path, equal as forms).
+    of theta's ingredients, the same jets and products as the transition
+    route, so the two Euler densities are equal bit for bit.
     """
     chart = bundle.atlas.chart(name)
     points = np.asarray(points, dtype=float)

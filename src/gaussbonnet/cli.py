@@ -316,8 +316,8 @@ def build_parser():
     p.add_argument("--scan", type=_node_count, default=48)
     p.set_defaults(func=cmd_index)
 
-    p = sub.add_parser("euler-class", help="transition-function and "
-                       "Pfaffian-connection integrals of a plane bundle")
+    p = sub.add_parser("euler-class", help="integral of a plane bundle's "
+                       "Euler 2-form, by its transition and connection code paths")
     p.add_argument("--bundle", required=True, help="k=<int> or spec file")
     p.add_argument("--res", type=_bundle_res, default=96)
     p.add_argument("--tol", type=_positive_float, default=1e-5)

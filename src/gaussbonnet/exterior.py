@@ -1,4 +1,4 @@
-"""Exact finite-dimensional exterior and bigraded algebra.
+"""Exact finite-dimensional exterior algebra, bigraded elements included.
 
 Everything here is sparse and exact over complex coefficients: wedge
 products with merge-permutation signs, Pfaffians of skew matrices whose
@@ -20,8 +20,11 @@ exact scalar zero or an all-zero array.
 Sign conventions, fixed once:
 
 * wedge sign = parity of the merge permutation of the two index lists;
-* bigraded (Koszul) product  (w (x) s) * (w' (x) s') =
-  (-1)^{deg s * deg w'} (w ^ w') (x) (s ^ s');
+* Lambda(base) (x) Lambda(fiber) is the exterior algebra on n_base +
+  n_fiber generators, fiber generator f numbered n_base + f.  Its one
+  product is the wedge: moving s past w' in w ^ s ^ w' ^ s' costs
+  (-1)^{deg s * deg w'}, which is the Koszul rule
+  (w (x) s) * (w' (x) s') = (-1)^{deg s * deg w'} (w ^ w') (x) (s ^ s');
 * a skew matrix M corresponds to the 2-vector  sum_{i<j} M[i,j] e_i ^ e_j,
   which makes  berezin(exp(two_vector(M))) == pfaffian(M)  hold exactly.
 """
@@ -68,15 +71,32 @@ def merge_indices(a, b):
     return (-1) ** inversions, tuple(sorted(merged))
 
 
-class _SparseElement:
-    """Linear structure shared by FormElement and BigradedElement.
+class FormElement:
+    """Element of the exterior algebra on `n` anticommuting generators.
 
-    `terms` maps basis keys to nonzero coefficients; `_shape` holds the
-    generator counts.  Each algebra defines its own `__mul__`.
+    Stored as a map from strictly increasing index tuples to nonzero
+    complex coefficients (scalars or (N,) arrays).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("n", "terms")
     __array_ufunc__ = None  # ndarray (op) element defers to the element
+
+    def __init__(self, n, terms=None):
+        self.n = n
+        self.terms = {}
+        if terms:
+            for idx, c in terms.items():
+                idx = tuple(idx)
+                if list(idx) != sorted(set(idx)):
+                    raise ValueError(f"index tuple must be strictly increasing: {idx}")
+                if idx and (idx[0] < 0 or idx[-1] >= n):  # the ends bound a sorted key
+                    raise ValueError(f"generator index out of range in {idx}")
+                self.terms[idx] = self.terms.get(idx, 0) + c
+            self._prune()
+
+    @property
+    def _shape(self):
+        return (self.n,)
 
     def _prune(self):
         self.terms = {k: v for k, v in self.terms.items() if _nonzero(v)}
@@ -92,8 +112,8 @@ class _SparseElement:
             raise ValueError(f"mismatched generator counts {self._shape} and {other._shape}")
 
     def __add__(self, other):
-        if not isinstance(other, _SparseElement):
-            other = self.scalar(*self._shape, other)
+        if not isinstance(other, FormElement):
+            other = self._new({(): other})
         self._check(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
@@ -108,46 +128,10 @@ class _SparseElement:
     def __neg__(self):
         return self * -1
 
-    def _scaled(self, other):
-        """Multiple by a scalar or an (N,) array."""
-        return self._new({k: v * other for k, v in self.terms.items()})
-
-    def max_abs(self):
-        return max((np.abs(c).max() if isinstance(c, np.ndarray) else abs(c)
-                    for c in self.terms.values()), default=0.0)
-
-    def is_zero(self):
-        return not self.terms
-
-
-class FormElement(_SparseElement):
-    """Element of the exterior algebra on `n` anticommuting generators.
-
-    Stored as a map from strictly increasing index tuples to nonzero
-    complex coefficients (scalars or (N,) arrays).
-    """
-
-    __slots__ = ("n",)
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for idx, c in terms.items():
-                idx = tuple(idx)
-                if any(i < 0 or i >= n for i in idx):
-                    raise ValueError(f"generator index out of range in {idx}")
-                if list(idx) != sorted(set(idx)):
-                    raise ValueError(f"index tuple must be strictly increasing: {idx}")
-                self.terms[idx] = self.terms.get(idx, 0) + c
-            self._prune()
-
-    @property
-    def _shape(self):
-        return (self.n,)
-
     def __mul__(self, other):
-        return wedge(self, other) if isinstance(other, FormElement) else self._scaled(other)
+        if isinstance(other, FormElement):
+            return wedge(self, other)
+        return self._new({k: v * other for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -165,10 +149,17 @@ class FormElement(_SparseElement):
     def coefficient(self, idx):
         return self.terms.get(tuple(idx), 0.0)
 
+    def max_abs(self):
+        return max((np.abs(c).max() if isinstance(c, np.ndarray) else abs(c)
+                    for c in self.terms.values()), default=0.0)
+
+    def is_zero(self):
+        return not self.terms
+
     def __eq__(self, other):
         if not isinstance(other, FormElement):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self._shape == other._shape and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -190,10 +181,12 @@ def wedge(a, b):
     return a._new(terms)
 
 
-class BigradedElement(_SparseElement):
-    """Element of Lambda(base) (x) Lambda(fiber) with the Koszul sign rule.
+class BigradedElement(FormElement):
+    """Element of Lambda(base) (x) Lambda(fiber): a form on n_base + n_fiber
+    generators, fiber generator f numbered n_base + f.
 
-    Coefficients are scalars or (N,) arrays, as in FormElement.
+    The constructor takes {(base tuple, fiber tuple): c} and stores each
+    term under the flat key base + (n_base + f for f in fiber).
     """
 
     __slots__ = ("n_base", "n_fiber")
@@ -201,49 +194,22 @@ class BigradedElement(_SparseElement):
     def __init__(self, n_base, n_fiber, terms=None):
         self.n_base = n_base
         self.n_fiber = n_fiber
-        self.terms = {}
-        if terms:
-            for (tb, tf), c in terms.items():
-                key = (tuple(tb), tuple(tf))
-                self.terms[key] = self.terms.get(key, 0) + c
-            self._prune()
+        flat = {}
+        for (tb, tf), c in (terms or {}).items():
+            # the flat key's check covers order, repeats, i < 0, f >= n_fiber;
+            # in an increasing key, tb ends in its largest index, tf starts in its least
+            if tb and tb[-1] >= n_base or tf and tf[0] < 0:
+                raise ValueError(f"generator index out of range in {(tb, tf)}")
+            flat[tuple(tb) + tuple([n_base + f for f in tf])] = c
+        super().__init__(n_base + n_fiber, flat)
 
     @property
     def _shape(self):
         return (self.n_base, self.n_fiber)
 
-    @classmethod
-    def scalar(cls, n_base, n_fiber, value=1.0):
-        return cls(n_base, n_fiber, {((), ()): value})
-
-    def __mul__(self, other):
-        if not isinstance(other, BigradedElement):
-            return self._scaled(other)
-        self._check(other)
-        terms = {}
-        for (ba, fa), ca in self.terms.items():
-            for (bb, fb), cb in other.terms.items():
-                koszul = -1 if (len(fa) % 2) and (len(bb) % 2) else 1
-                sb, mb = merge_indices(ba, bb)
-                if not sb:
-                    continue
-                sf, mf = merge_indices(fa, fb)
-                if not sf:
-                    continue
-                key = (mb, mf)
-                terms[key] = terms.get(key, 0) + koszul * sb * sf * ca * cb
-        return self._new(terms)
-
-    __rmul__ = __mul__
-
-    def coefficient(self, tb, tf):
-        return self.terms.get((tuple(tb), tuple(tf)), 0.0)
-
-    def min_total_degree(self):
-        return min((len(tb) + len(tf) for tb, tf in self.terms), default=0)
-
-    def __repr__(self):
-        return f"BigradedElement(nb={self.n_base}, nf={self.n_fiber}, {len(self.terms)} terms)"
+    # perfbench/spantrace.py traces BigradedElement.__mul__ by name, so the
+    # bigraded products keep a span of their own
+    __mul__ = __rmul__ = FormElement.__mul__
 
 
 @dataclass
@@ -401,9 +367,12 @@ def berezin(omega: FormElement):
 
 
 def berezin_fiber(omega: BigradedElement) -> FormElement:
-    """Fiberwise Berezin integral: project onto top fiber degree, keep the base form."""
-    top = tuple(range(omega.n_fiber))
-    return FormElement(omega.n_base, {tb: c for (tb, tf), c in omega.terms.items() if tf == top})
+    """Fiberwise Berezin integral: keep the terms whose key ends in the top
+    fiber product, as the form on their base prefix."""
+    nf = omega.n_fiber
+    top = tuple(range(omega.n_base, omega.n))
+    return FormElement(omega.n_base, {k[:len(k) - nf]: c for k, c in omega.terms.items()
+                                      if k[len(k) - nf:] == top})
 
 
 def exp_nilpotent(omega):
@@ -414,15 +383,13 @@ def exp_nilpotent(omega):
     row matches its one-element call bit for bit (NumPy's vectorized exp
     can differ in the last ulp).
     """
-    top = sum(omega._shape)
-    one = omega.scalar(*omega._shape, 1.0)
-    s = omega.coefficient(()) if isinstance(omega, FormElement) else omega.coefficient((), ())
-    nil = omega - omega.scalar(*omega._shape, s)
-    min_deg = (nil.min_total_degree() if isinstance(nil, BigradedElement)
-               else min(nil.degrees(), default=top + 1))
+    one = omega._new({(): 1.0})
+    s = omega.coefficient(())
+    nil = omega - s
+    min_deg = min(nil.degrees(), default=omega.n + 1)
     if min_deg < 1:
         raise ValueError("positive-degree part expected after scalar split")
-    kmax = top // min_deg
+    kmax = omega.n // min_deg
     result = one
     power = one
     fact = 1.0

@@ -22,8 +22,9 @@ of base points, the Gauss-Hermite fiber plane or a difference stencil is
 one pass through exp and the Berezin integral.  Single-point entry points
 are the same path on scalar coefficients.
 
-Bigraded generators, fixed order: base 0..3 = (dx1, dx2, dv1, dv2) on the
-total space; fiber 0..1 = (e1, e2).
+Generators of the one exterior algebra: 0..3 = (dx1, dx2, dv1, dv2) on
+the total space, then the fiber 4, 5 = (e1, e2).  A term is written
+(base tuple, fiber tuple), with fiber generator e_a as index a.
 """
 
 from __future__ import annotations
@@ -178,22 +179,22 @@ def mq_euler_number(bundle, resolution=96):
 # --------------------------------------------------------------------------
 
 def contraction(s, element):
-    """Interior product a(s) on the fiber factors.
+    """Interior product a(s) on the fiber generators.
 
     a(s)(w (x) e_{j1}^...^e_{jq}) =
-        sum_k (-1)^{deg w + k - 1} <s, e_{jk}> w (x) (... without e_{jk}).
+        sum_k (-1)^{deg w + k - 1} <s, e_{jk}> w (x) (... without e_{jk}),
+    that is, (-1)^position of e_{jk} in the flat key.
     """
     s = np.asarray(s, dtype=float)
+    nb = element.n_base
     terms = {}
-    for (tb, tf), c in element.terms.items():
-        for k, gen in enumerate(tf):
-            coef = s[gen]
-            if coef == 0.0:
+    for key, c in element.terms.items():
+        for pos, gen in enumerate(key):
+            if gen < nb or s[gen - nb] == 0.0:
                 continue
-            sign = (-1) ** (len(tb) + k)  # (-1)^{deg w + (k+1) - 1}
-            key = (tb, tf[:k] + tf[k + 1:])
-            terms[key] = terms.get(key, 0) + sign * coef * c
-    return BigradedElement(element.n_base, element.n_fiber, terms)
+            rest = key[:pos] + key[pos + 1:]
+            terms[rest] = terms.get(rest, 0) + (-1) ** pos * s[gen - nb] * c
+    return element._new(terms)
 
 
 def covariant_q_residual(bundle, chart_name, base_x, fiber_v):

@@ -513,14 +513,85 @@ def test_supertrace_identity_family():
 # ---------------------------------------------------- bigraded algebra
 
 def test_koszul_sign_rule():
-    # (1 (x) f) * (w (x) 1) = (-1)^{deg f * deg w} w (x) f
+    # (1 (x) f) * (w (x) 1) = (-1)^{deg f * deg w} w (x) f; with nb = 2
+    # the fiber generator f = 0 is flat generator 2
     nb, nf = 2, 2
     f = BigradedElement(nb, nf, {((), (0,)): 1.0})
     w = BigradedElement(nb, nf, {((0,), ()): 1.0})
     prod = f * w
-    assert prod.coefficient((0,), (0,)) == -1.0
+    assert prod.coefficient((0, 2)) == -1.0
     prod2 = w * f
-    assert prod2.coefficient((0,), (0,)) == 1.0
+    assert prod2.coefficient((0, 2)) == 1.0
+
+
+def _koszul_product(ta, tb):
+    """The Koszul rule on {(base tuple, fiber tuple): c} maps, as its own
+    loop: (w (x) s)(w' (x) s') = (-1)^{deg s deg w'} (w ^ w') (x) (s ^ s')."""
+    terms = {}
+    for (ba, fa), ca in ta.items():
+        for (bb, fb), cb in tb.items():
+            koszul = -1 if (len(fa) % 2) and (len(bb) % 2) else 1
+            sb, mb = merge_indices(ba, bb)
+            if not sb:
+                continue
+            sf, mf = merge_indices(fa, fb)
+            if not sf:
+                continue
+            key = (mb, mf)
+            terms[key] = terms.get(key, 0) + koszul * sb * sf * ca * cb
+    return terms
+
+
+def _random_bigraded_terms(rng, nb, nf, rows):
+    """Random (base, fiber) keys of every bidegree up to (2, 2), odd and
+    even parities mixed; complex coefficients, scalar or (rows,)."""
+    terms = {}
+    for p in range(3):
+        for q in range(3):
+            tb = tuple(sorted(rng.choice(nb, size=p, replace=False).tolist()))
+            tf = tuple(sorted(rng.choice(nf, size=q, replace=False).tolist()))
+            c = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+            terms[tb, tf] = complex(c) if rows is None else c
+    return terms
+
+
+@pytest.mark.parametrize("rows", [None, 8])
+def test_flat_product_is_the_koszul_rule_bitwise(rows):
+    rng = np.random.default_rng(29)
+    nb, nf = 4, 2
+    cases = [({((0,), ()): 1.5}, {((), (1,)): -2.0}),    # (1,0) x (0,1)
+             ({((), (0,)): 1.5}, {((2,), ()): -2.0}),    # (0,1) x (1,0)
+             ({((1,), (0,)): 0.5}, {((0, 3), (1,)): 3.0})]  # (1,1) x (2,1)
+    cases += [(_random_bigraded_terms(rng, nb, nf, rows),
+               _random_bigraded_terms(rng, nb, nf, rows)) for _ in range(20)]
+    for ta, tb in cases:
+        want = {tb_ + tuple(nb + f for f in tf): c
+                for (tb_, tf), c in _koszul_product(ta, tb).items() if np.any(c != 0)}
+        got = (BigradedElement(nb, nf, ta) * BigradedElement(nb, nf, tb)).terms
+        assert list(got) == list(want)
+        for key, c in want.items():
+            assert np.asarray(got[key]).tobytes() == np.asarray(c).tobytes(), key
+
+
+def test_bigraded_keys_are_validated():
+    with pytest.raises(ValueError):  # base tuple out of order
+        BigradedElement(2, 1, {((1, 0), ()): 1.0})
+    with pytest.raises(ValueError):  # repeated base generator
+        BigradedElement(2, 1, {((0, 0), ()): 1.0})
+    with pytest.raises(ValueError):  # generators out of range
+        BigradedElement(2, 1, {((5,), (7,)): 1.0})
+    with pytest.raises(ValueError):  # a fiber index where a base one belongs
+        BigradedElement(2, 1, {((2,), ()): 1.0})
+    with pytest.raises(ValueError):
+        BigradedElement(2, 1, {((), (-1,)): 1.0})
+
+
+def test_equality_compares_generator_counts():
+    a = BigradedElement(2, 2, {((0,), (1,)): 1.0})
+    assert a.terms == {(0, 3): 1.0}
+    assert a == BigradedElement(2, 2, {((0,), (1,)): 1.0})
+    assert a != BigradedElement(3, 1, {((0,), (0,)): 1.0})  # flat key (0, 3) too
+    assert a != FormElement(4, {(0, 3): 1.0})
 
 
 def test_bigraded_a11_elements_commute():
@@ -627,7 +698,7 @@ def test_all_zero_array_coefficient_is_pruned():
     e = FormElement(3, {(0,): z, (1,): 0.0, (2,): np.eye(N_ROWS)[0]})
     assert set(e.terms) == {(2,)}
     b = BigradedElement(2, 2, {((0,), (1,)): z, ((1,), ()): 0, ((), ()): 1.0})
-    assert set(b.terms) == {((), ())}
+    assert set(b.terms) == {()}
     x = FormElement(3, {(0,): np.arange(1.0, N_ROWS + 1)})
     assert (x - x).is_zero()
     assert (x * z).is_zero() and (z * x).is_zero()

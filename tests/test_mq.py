@@ -180,15 +180,16 @@ def test_euler_number_trivial():
 
 def test_contraction_operator_signs():
     # a(s) on 1 (x) e1^e2 with s = e1: +(deg 0, k=1) -> e2; s = e2 -> -e1
+    # (flat keys: with 2 base generators e1, e2 are generators 2, 3)
     el = BigradedElement(2, 2, {((), (0, 1)): 1.0})
     out = contraction([1.0, 0.0], el)
-    assert out.terms == {((), (1,)): 1.0}
+    assert out.terms == {(3,): 1.0}
     out = contraction([0.0, 1.0], el)
-    assert out.terms == {((), (0,)): -1.0}
+    assert out.terms == {(2,): -1.0}
     # odd base degree flips the sign
     el = BigradedElement(2, 2, {((0,), (0,)): 1.0})
     out = contraction([1.0, 0.0], el)
-    assert out.terms == {((0,), ()): -1.0}
+    assert out.terms == {(0,): -1.0}
 
 
 def test_contraction_is_antiderivation_square_zero():

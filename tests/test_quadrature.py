@@ -1,7 +1,6 @@
 """Quadrature rules, determinism and axis collapse."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -105,7 +104,7 @@ def test_pairwise_sum_matches_math_fsum():
     assert pairwise_sum(vals) == pytest.approx(math.fsum(vals), rel=1e-12)
 
 
-def test_determinism_across_chunking_and_threads():
+def test_determinism_across_chunking_and_threads(monkeypatch):
     chart = polar_sphere()
 
     def dens(c, p):
@@ -114,11 +113,8 @@ def test_determinism_across_chunking_and_threads():
     a = integrate_chart(chart, dens, 48, chunk=50)
     b = integrate_chart(chart, dens, 48, chunk=10 ** 6)
     assert a == b  # bitwise
-    os.environ["GBC_THREADS"] = "4"
-    try:
-        c = integrate_chart(chart, dens, 48, chunk=50)
-    finally:
-        os.environ.pop("GBC_THREADS")
+    monkeypatch.setenv("GBC_THREADS", "4")
+    c = integrate_chart(chart, dens, 48, chunk=50)
     assert c == a  # scheduling cannot change the reduction order
 
 
