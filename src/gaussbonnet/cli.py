@@ -139,7 +139,10 @@ def cmd_verify_gbc(args):
 
 
 def cmd_index(args):
-    from_file = bool(args.manifold) and args.manifold not in library.MANIFOLDS
+    if args.manifold in library.MANIFOLDS:
+        raise InputError(f"--manifold {args.manifold!r} is a built-in manifold; "
+                         "index --manifold takes a manifold-spec file")
+    from_file = args.manifold is not None
     if from_file:
         doc = _load_spec(args.manifold, f"cannot read manifold-spec file {args.manifold!r}")
         if args.field not in doc.fields:
@@ -353,7 +356,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        report = args.func(args)
+        # a float overflow or invalid operation yields a NaN or inf, which
+        # fails the report; no numpy warning reaches stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            report = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -135,14 +135,6 @@ class FormElement:
 
     __rmul__ = __mul__
 
-    @classmethod
-    def scalar(cls, n, value=1.0):
-        return cls(n, {(): value})
-
-    @classmethod
-    def generator(cls, n, i):
-        return cls(n, {(i,): 1.0})
-
     def degrees(self):
         return sorted({len(idx) for idx in self.terms})
 

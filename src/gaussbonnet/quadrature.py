@@ -21,6 +21,7 @@ coordinate Killing field of the metric.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -155,7 +156,12 @@ def integrate_chart(chart, density, spec_or_nodes, chunk=65536, *, axes=None):
     workers = worker_count()
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(eval_span, spans))
+            # each span runs in a copy of this context, so a worker sees the
+            # caller's numpy error state (a context variable)
+            futures = [pool.submit(contextvars.copy_context().run, eval_span, span)
+                       for span in spans]
+            for future in futures:
+                future.result()
     else:
         for span in spans:
             eval_span(span)

@@ -142,6 +142,26 @@ def run_cli(capsys, *argv):
     return code, doc
 
 
+DOCS = Path(__file__).resolve().parents[1] / "docs"
+
+
+def test_documented_example_passes_every_command(capsys):
+    """docs/manifold_spec.md shows docs/example.mspec in full, each block it
+    explains is that file's block, and the three commands it lists pass."""
+    example = (DOCS / "example.mspec").read_text(encoding="utf-8")
+    fenced = (DOCS / "manifold_spec.md").read_text(encoding="utf-8").split("```")[1::2]
+    assert "\n" + example in fenced
+    for header in ("chart polar:", "field height:", "bundle:"):
+        shown = [block for block in fenced if block.startswith("\n" + header)]
+        assert len(shown) == 1 and shown[0][1:] in example
+    path = str(DOCS / "example.mspec")
+    for argv in (["verify-gbc", "--manifold", path],
+                 ["index", "--field", "height", "--manifold", path],
+                 ["euler-class", "--bundle", path]):
+        code, doc = run_cli(capsys, *argv, "--no-wall-time")
+        assert code == 0 and doc["passed"] is True, argv
+
+
 def test_cli_verify_gbc_sphere(capsys):
     code, doc = run_cli(capsys, "verify-gbc", "--manifold", "sphere2",
                         "--res", "48", "--tol", "1e-6", "--no-wall-time")
@@ -412,6 +432,121 @@ def test_cli_out_of_range_spec_value_is_input_error(tmp_path, capsys, text, bad_
     assert f"{path}:{line}: " in run_cli.err and message in run_cli.err
     assert "Traceback" not in run_cli.err
     assert run_cli.err.count("\n") == 1 and run_cli.err.endswith("\n")  # one stderr line
+
+
+_POLAR_BLOCK = SPHERE_SPEC[SPHERE_SPEC.index("chart polar:"):]
+_SADDLE_BLOCK = FIELD_SPEC[FIELD_SPEC.index("field saddle:"):]
+_VERIFY, _INDEX = ["verify-gbc", "--manifold"], ["index", "--field", "saddle", "--manifold"]
+_EULER = ["euler-class", "--res", "8", "--bundle"]
+# (id, text, the offending line (its last occurrence), argv, message)
+_MISREAD_CASES = [
+    ("duplicate-chart", SPHERE_SPEC + _POLAR_BLOCK, "chart polar:", _VERIFY,
+     "repeated 'chart polar' (first on line 7)"),
+    ("duplicate-field", FIELD_SPEC + _SADDLE_BLOCK, "field saddle:", _INDEX,
+     "repeated 'field saddle'"),
+    ("duplicate-bundle", BUNDLE_SPEC + "bundle:\n  k: 3\nend\n", "bundle:", _EULER,
+     "repeated 'bundle'"),
+    ("repeated-metric", SPHERE_SPEC.replace("  g 1 1: r^2\n", "  g 1 1: 1\n  g 1 1: 4\n"),
+     "g 1 1: 4", _VERIFY, "repeated 'g 1 1' (first on line 10)"),
+    ("repeated-metric-by-value", SPHERE_SPEC.replace("  g 1 1: r^2\n",
+                                                     "  g 1 1: 1\n  g 01 1: 4\n"),
+     "g 01 1: 4", _VERIFY, "repeated 'g 01 1'"),
+    ("repeated-top-level", SPHERE_SPEC.replace("expected_chi: 2\n",
+                                               "expected_chi: 2\nexpected_chi: 4\n"),
+     "expected_chi: 4", _VERIFY, "repeated 'expected_chi'"),
+    ("repeated-component", FIELD_SPEC.replace("  component disk 2: -x2\n",
+                                              "  component disk 2: -x2\n"
+                                              "  component disk 2: x2\n"),
+     "component disk 2: x2", _INDEX, "repeated 'component disk 2'"),
+    ("repeated-bundle-key", BUNDLE_SPEC.replace("  k: 2\n", "  k: 2\n  k: 3\n"),
+     "k: 3", _EULER, "repeated 'k'"),
+    ("metric-syntax", SPHERE_SPEC.replace("g 2 2: r^2*sin(x1)^2", "g 2 2: sin(x1^2"),
+     "g 2 2: sin(x1^2", _VERIFY, "bad expression 'sin(x1^2'"),
+    ("weight-syntax", SPHERE_SPEC.replace("  g 2 2: r^2*sin(x1)^2\n",
+                                          "  g 2 2: r^2*sin(x1)^2\n  weight: 1 +\n"),
+     "weight: 1 +", _VERIFY, "bad expression '1 +'"),
+    ("component-syntax", FIELD_SPEC.replace("component disk 2: -x2", "component disk 2: -x2)"),
+     "component disk 2: -x2)", _INDEX, "bad expression '-x2)'"),
+    ("component-unknown-name", FIELD_SPEC.replace("component disk 2: -x2",
+                                                  "component disk 2: -y2"),
+     "component disk 2: -y2", _INDEX, "unknown identifier 'y2'"),
+    ("component-unknown-chart", FIELD_SPEC.replace("component disk 2:", "component moon 2:"),
+     "component moon 2:", _INDEX, "unknown chart 'moon'"),
+    ("component-index-range", FIELD_SPEC.replace("component disk 2:", "component disk 3:"),
+     "component disk 3:", _INDEX, "component index must be 1..2"),
+    ("param-coordinate", SPHERE_SPEC.replace("param r: 1.0", "param r: 1.0\nparam x1: 5"),
+     "param x1: 5", _VERIFY, "param name 'x1'"),
+    ("param-constant", SPHERE_SPEC.replace("param r: 1.0", "param r: 1.0\nparam pi: 3"),
+     "param pi: 3", _VERIFY, "param name 'pi'"),
+    ("param-function", SPHERE_SPEC.replace("param r: 1.0", "param sin: 1.0"),
+     "param sin: 1.0", _VERIFY, "param name 'sin'"),
+    ("param-not-a-name", SPHERE_SPEC.replace("param r: 1.0", "param r: 1.0\nparam 2r: 2"),
+     "param 2r: 2", _VERIFY, "param name '2r'"),
+    ("expected-euler", BUNDLE_SPEC.replace("expected_euler: 2", "expected_euler: 3"),
+     "expected_euler: 3", _EULER, "contradicts clutching degree 2"),
+]
+
+
+@pytest.mark.parametrize("text, bad_line, command, message",
+                         [c[1:] for c in _MISREAD_CASES], ids=[c[0] for c in _MISREAD_CASES])
+def test_cli_spec_misread_is_an_error_at_its_line(tmp_path, capsys, text, bad_line,
+                                                  command, message):
+    """A repeated key or block, and a bad expression or param name, is
+    reported at the line at fault, never read past or put on its header."""
+    line = text[:text.rindex(bad_line)].count("\n") + 1
+    path = write(tmp_path, "bad.mspec", text)
+    code, doc = run_cli(capsys, *command, path)
+    assert code == 2 and doc is None
+    assert run_cli.err.startswith(f"error: {path}:{line}: ") and message in run_cli.err
+    assert run_cli.err.count("\n") == 1
+
+
+def test_cli_index_rejects_a_builtin_manifold(capsys):
+    """A built-in field carries its own atlas: --manifold takes a spec file."""
+    code, doc = run_cli(capsys, "index", "--field", "morse", "--manifold", "sphere2")
+    assert code == 2 and doc is None
+    assert run_cli.err == ("error: --manifold 'sphere2' is a built-in manifold; "
+                           "index --manifold takes a manifold-spec file\n")
+
+
+_OVERFLOW_SPEC = """\
+schema: 1
+name: overflow
+dim: 2
+expected_chi: 2
+chart c:
+  range x1: 0 pi
+  range x2: 0 pi
+  g 1 1: exp(400*x1)
+  g 2 2: 1 + x2^2
+end
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("warning_filter", ["default", "error::RuntimeWarning"])
+def test_cli_float_overflow_fails_without_warnings(tmp_path, threads, warning_filter):
+    """exp(400*x1) overflows: the NaN fails the report (exit 1), and no
+    numpy warning reaches stderr, from the caller or a pool worker (257^2
+    nodes are two quadrature chunks)."""
+    path = write(tmp_path, "overflow.mspec", _OVERFLOW_SPEC)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, GBC_THREADS=threads, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", warning_filter, "-m", "gaussbonnet",
+                           "verify-gbc", "--manifold", path, "--res", "257", "--no-wall-time"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert math.isnan(json.loads(proc.stdout)["value"])
+
+
+def test_cli_sharp_bundle_fails_without_warnings(tmp_path, capsys):
+    """sharpness 600 overflows r^(2s); under pytest's error filter a
+    warning would raise, so an exit code of 1 shows that none was issued."""
+    path = write(tmp_path, "b.mspec", BUNDLE_SPEC.replace("sharpness: 6", "sharpness: 600"))
+    for command in (["euler-class", "--res", "8"], ["mq", "--res", "8", "--base-points", "1"]):
+        code, doc = run_cli(capsys, *command, "--bundle", path, "--no-wall-time")
+        assert code == 1 and doc["passed"] is False and run_cli.err == ""
 
 
 def test_cli_overflowing_spec_constant_writes_one_stderr_line(tmp_path):

@@ -44,8 +44,8 @@ def lambda_power(b, p):
 # ----------------------------------------------------------------- wedge
 
 def test_wedge_basis_products():
-    e1 = FormElement.generator(3, 0)
-    e2 = FormElement.generator(3, 1)
+    e1 = FormElement(3, {(0,): 1.0})
+    e2 = FormElement(3, {(1,): 1.0})
     assert wedge(e1, e2).terms == {(0, 1): 1.0}
     assert wedge(e2, e1).terms == {(0, 1): -1.0}
     odd = e1 + e2
@@ -54,7 +54,7 @@ def test_wedge_basis_products():
 
 def test_wedge_mismatched_generators():
     with pytest.raises(ValueError):
-        wedge(FormElement.generator(2, 0), FormElement.generator(3, 0))
+        wedge(FormElement(2, {(0,): 1.0}), FormElement(3, {(0,): 1.0}))
 
 
 @st.composite
@@ -321,7 +321,7 @@ def test_exp_two_blocks_direct_multiplication():
     w = FormElement(4, {(0, 1): a, (2, 3): b})
     got = exp_nilpotent(w)
     # direct multiplication oracle: 1 + w + w^2/2 (higher powers vanish)
-    oracle = FormElement.scalar(4) + w + wedge(w, w) * 0.5
+    oracle = FormElement(4, {(): 1.0}) + w + wedge(w, w) * 0.5
     assert (got - oracle).max_abs() < 1e-14
     assert got.coefficient((0, 1, 2, 3)) == pytest.approx(a * b)
 
@@ -717,10 +717,10 @@ def _dp_via_wedges(a, p):
     for col, idx in enumerate(basis):
         image = FormElement(d)
         for slot in range(p):
-            prod = FormElement.scalar(d)
+            prod = FormElement(d, {(): 1.0})
             for k, i in enumerate(idx):
                 factor = (FormElement(d, {(j,): a[j, i] for j in range(d)})
-                          if k == slot else FormElement.generator(d, i))
+                          if k == slot else FormElement(d, {(i,): 1.0}))
                 prod = wedge(prod, factor)
             image = image + prod
         for row, key in enumerate(basis):
